@@ -282,6 +282,8 @@ def simulate(
     x0 = np.asarray(x0, dtype=float).copy()
     if x0.shape != (spec.K,):
         raise DimensionMismatch(f"initial state has shape {x0.shape}, expected ({spec.K},)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"initial state must be finite, got {x0.tolist()}")
     if np.any(x0 < -1e-9 * (1 + l1(x0))):
         raise ValueError(f"initial state must be nonnegative, got {x0.tolist()}")
     x0 = np.maximum(x0, 0.0)

@@ -22,7 +22,8 @@ class ConstituencyNotPartition(SpecError):
 
 
 class NegativeRate(SpecError):
-    """An arrival rate is negative or a service rate is not strictly positive."""
+    """An arrival rate is negative, a service rate is not strictly positive, or
+    either is not finite."""
 
 
 class BadPermutation(SpecError):

@@ -140,24 +140,6 @@ def uoc_distance(traj1: Trajectory, traj2: Trajectory, horizon: float) -> float:
     return float(np.abs(a - b).sum(axis=1).max())
 
 
-def time_mean_distance(traj1: Trajectory, traj2: Trajectory, horizon: float) -> float:
-    """Time average of the l1 gap over [0, horizon] (trapezoidal)."""
-    pts = np.unique(
-        np.concatenate(
-            [
-                traj1.grid[traj1.grid <= horizon],
-                traj2.grid[traj2.grid <= horizon],
-                [0.0, float(horizon)],
-            ]
-        )
-    )
-    gap = np.abs(traj1.level_at(pts) - traj2.level_at(pts)).sum(axis=1)
-    if len(pts) < 2:
-        return float(gap[0])
-    area = float(np.sum(0.5 * (gap[:-1] + gap[1:]) * np.diff(pts)))
-    return area / float(horizon) if horizon > 0 else float(gap.max())
-
-
 def lipschitz_estimate(traj: Trajectory) -> float:
     """Max l1 slope between consecutive stamps."""
     if traj.grid.shape[0] < 2:

@@ -10,7 +10,9 @@ The admissible allocation rates u (one per class, u = dT/dt) form a polytope
 that depends on which stations or classes are currently empty.  Polytopes are
 represented by their vertex lists, enumerated exactly: problem dimensions here
 are tiny, so combinatorial enumeration over active constraint subsets is both
-fast and deterministic.
+fast and deterministic.  The subsets are processed in fixed-size chunks, each
+with one batched rank test and one batched solve; the vertices and their
+lexicographic order are the same as from one rank test and solve per subset.
 """
 from __future__ import annotations
 
@@ -38,6 +40,8 @@ DISCIPLINES = (WORK_CONSERVING, PRIORITY)
 
 #: vertices must satisfy every inequality with at least this slack
 VERTEX_SLACK = -1e-12
+#: active subsets per batched rank test and solve; bounds the stacked memory
+SUBSET_CHUNK = 4096
 
 
 def empty_threshold(x0) -> float:
@@ -174,10 +178,11 @@ def validate(alpha, mu, routing, constituency, discipline, priority=None) -> Net
             f"inconsistent shapes for K={k}: mu {mu.shape}, routing {routing.shape}, "
             f"constituency {constituency.shape}"
         )
-    if np.any(alpha < 0):
-        raise NegativeRate(f"negative arrival rate: alpha={alpha.tolist()}")
-    if np.any(mu <= 0):
-        raise NegativeRate(f"service rates must be strictly positive: mu={mu.tolist()}")
+    # comparisons with NaN are false, so each test is phrased as "all valid"
+    if not np.all((alpha >= 0) & np.isfinite(alpha)):
+        raise NegativeRate(f"arrival rates must be finite and nonnegative: alpha={alpha.tolist()}")
+    if not np.all((mu > 0) & np.isfinite(mu)):
+        raise NegativeRate(f"service rates must be finite and strictly positive: mu={mu.tolist()}")
 
     if not np.all((constituency == 0) | (constituency == 1)):
         raise ConstituencyNotPartition("constituency entries must be 0 or 1")
@@ -186,7 +191,7 @@ def validate(alpha, mu, routing, constituency, discipline, priority=None) -> Net
     if not np.all(constituency.sum(axis=1) >= 1):
         raise ConstituencyNotPartition("every station must serve at least one class")
 
-    if np.any(routing < 0):
+    if not np.all(routing >= 0):
         raise RoutingNotSubstochastic("routing proportions must be nonnegative")
     if np.any(routing.sum(axis=1) > 1 + 1e-12):
         raise RoutingNotSubstochastic("routing row sums must not exceed one")
@@ -263,9 +268,13 @@ def enumerate_polytope_vertices(dim, a_eq, b_eq, a_ub, b_ub) -> np.ndarray:
 
     A vertex makes some subset of the inequality rows active so that, stacked
     with the equalities, the active system has rank ``dim``.  All subsets of
-    the right size are tried; candidates are kept when they satisfy every
-    constraint with slack >= VERTEX_SLACK.  Output rows are deduplicated and
-    sorted lexicographically, which fixes a reproducible vertex order.
+    the right size are tried, SUBSET_CHUNK at a time: each chunk's active
+    systems are stacked and get one batched rank test and one batched solve,
+    which run the same LAPACK routine per matrix as a one-by-one loop and so
+    give the same bits.  Candidates are kept when they satisfy every
+    constraint with slack >= VERTEX_SLACK.  Output rows are deduplicated (the
+    last subset wins among rows equal to 12 decimals) and sorted
+    lexicographically, which fixes a reproducible vertex order.
     """
     a_eq = np.asarray(a_eq, dtype=float).reshape(-1, dim)
     b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
@@ -278,31 +287,57 @@ def enumerate_polytope_vertices(dim, a_eq, b_eq, a_ub, b_ub) -> np.ndarray:
         return np.empty((0, dim))
 
     found = {}
-    for subset in itertools.combinations(range(a_ub.shape[0]), n_active):
-        mat = np.vstack([a_eq, a_ub[list(subset)]]) if a_eq.size else a_ub[list(subset)]
-        rhs = np.concatenate([b_eq, b_ub[list(subset)]]) if a_eq.size else b_ub[list(subset)]
-        if mat.shape[0] == 0:
-            continue
-        if np.linalg.matrix_rank(mat) < dim:
-            continue
-        if mat.shape[0] == dim:
-            try:
-                x = np.linalg.solve(mat, rhs)
-            except np.linalg.LinAlgError:
-                continue
-        else:
-            x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        if l1(mat @ x - rhs) > 1e-9 * (1.0 + l1(rhs)):
-            continue  # active set inconsistent
-        x[np.abs(x) < 1e-13] = 0.0
-        if a_ub.size and np.min(b_ub - a_ub @ x) < VERTEX_SLACK:
-            continue
-        if a_eq.size and l1(a_eq @ x - b_eq) > 1e-9 * (1.0 + l1(b_eq)):
-            continue
-        found[tuple(np.round(x, 12))] = x
+    subsets = itertools.combinations(range(a_ub.shape[0]), n_active)
+    while chunk := list(itertools.islice(subsets, SUBSET_CHUNK)):
+        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), n_active)
+        for x in _subset_vertices(a_eq, b_eq, a_ub, b_ub, idx):
+            found[tuple(np.round(x, 12))] = x
     if not found:
         return np.empty((0, dim))
     return np.array(sorted(found.values(), key=tuple))
+
+
+def _subset_vertices(a_eq, b_eq, a_ub, b_ub, idx) -> np.ndarray:
+    """Admissible basic solutions of the active systems picked by ``idx``.
+
+    Row i of ``idx`` lists the inequality rows made active on top of the
+    equalities; the result keeps subset order.
+    """
+    n, dim = idx.shape[0], a_ub.shape[1]
+    mats = np.concatenate([np.broadcast_to(a_eq, (n, *a_eq.shape)), a_ub[idx]], axis=1)
+    rhs = np.concatenate([np.broadcast_to(b_eq, (n, b_eq.size)), b_ub[idx]], axis=1)
+    full = np.linalg.matrix_rank(mats) >= dim
+    mats, rhs = mats[full], rhs[full]
+    if mats.shape[1] == dim:
+        try:
+            x = np.linalg.solve(mats, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # an exactly singular matrix: drop only that one
+            solved = {}
+            for i, (mat, b) in enumerate(zip(mats, rhs)):
+                try:
+                    solved[i] = np.linalg.solve(mat, b)
+                except np.linalg.LinAlgError:
+                    pass
+            keep = list(solved)
+            mats, rhs = mats[keep], rhs[keep]
+            x = np.array(list(solved.values())).reshape(len(keep), dim)
+    else:  # dependent equality rows: over-determined but consistent systems
+        x = np.array([np.linalg.lstsq(mat, b, rcond=None)[0] for mat, b in zip(mats, rhs)])
+        x = x.reshape(mats.shape[0], dim)
+
+    # every product below is one gemv per candidate, as in a per-subset loop
+    residual = np.abs(np.matmul(mats, x[..., None])[..., 0] - rhs).sum(axis=1)
+    ok = ~(residual > 1e-9 * (1.0 + np.abs(rhs).sum(axis=1)))  # active set consistent
+    x = x[ok]
+    x[np.abs(x) < 1e-13] = 0.0
+    ok = np.ones(x.shape[0], dtype=bool)
+    if a_ub.size:
+        slack = b_ub - np.matmul(a_ub, x[..., None])[..., 0]
+        ok &= ~(slack.min(axis=1) < VERTEX_SLACK)
+    if a_eq.size:
+        eq_err = np.abs(np.matmul(a_eq, x[..., None])[..., 0] - b_eq).sum(axis=1)
+        ok &= ~(eq_err > 1e-9 * (1.0 + l1(b_eq)))
+    return x[ok]
 
 
 def work_conserving_constraints(spec: NetworkSpec, empty_stations):

@@ -71,14 +71,26 @@ def _require(mapping: dict, keys, where: str) -> None:
         raise ParseError(f"missing key {missing[0]!r} in {where}")
 
 
+def _finite(value, key: str, where: str) -> np.ndarray:
+    """``value`` as a float array; text and YAML's ``.nan`` and ``.inf`` are rejected."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"key {key!r} in {where} must be numeric, got {value!r}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"key {key!r} in {where} must be finite, got {arr.tolist()}")
+    return arr
+
+
 def _parse_network(doc: dict) -> NetworkSpec | None:
     present = _NETWORK_KEYS & set(doc)
     if not present:
         return None
     required = {"classes", "stations", "alpha", "mu", "routing", "constituency", "discipline"}
-    _require(doc, required, "network description")
-    k = int(doc["classes"])
-    j = int(doc["stations"])
+    where = "network description"
+    _require(doc, required, where)
+    k = int(_finite(doc["classes"], "classes", where))
+    j = int(_finite(doc["stations"], "stations", where))
     discipline = str(doc["discipline"])
     priority = None
     if discipline == PRIORITY:
@@ -93,10 +105,10 @@ def _parse_network(doc: dict) -> NetworkSpec | None:
     elif "priority_order" in doc:
         raise ParseError("priority_order is only valid with the priority discipline")
 
-    alpha = np.asarray(doc["alpha"], dtype=float)
-    mu = np.asarray(doc["mu"], dtype=float)
-    routing = np.asarray(doc["routing"], dtype=float)
-    constituency = np.asarray(doc["constituency"], dtype=float)
+    alpha = _finite(doc["alpha"], "alpha", where)
+    mu = _finite(doc["mu"], "mu", where)
+    routing = _finite(doc["routing"], "routing", where)
+    constituency = _finite(doc["constituency"], "constituency", where)
     if alpha.shape != (k,) or mu.shape != (k,):
         raise ParseError(f"alpha and mu must have {k} entries")
     if routing.shape != (k, k):
@@ -109,13 +121,18 @@ def _parse_network(doc: dict) -> NetworkSpec | None:
 def _parse_skorokhod(section) -> LspInstance:
     if not isinstance(section, dict):
         raise ParseError("skorokhod section must be a mapping")
-    _reject_unknown(section, _SKOROKHOD_KEYS, "skorokhod section")
-    _require(section, {"theta", "reflection", "z0"}, "skorokhod section")
+    where = "skorokhod section"
+    _reject_unknown(section, _SKOROKHOD_KEYS, where)
+    _require(section, {"theta", "reflection", "z0"}, where)
     return LspInstance(
-        np.asarray(section["theta"], dtype=float),
-        np.asarray(section["reflection"], dtype=float),
-        np.asarray(section["z0"], dtype=float),
-        push_bound=float(section["push_bound"]) if "push_bound" in section else None,
+        _finite(section["theta"], "theta", where),
+        _finite(section["reflection"], "reflection", where),
+        _finite(section["z0"], "z0", where),
+        push_bound=(
+            float(_finite(section["push_bound"], "push_bound", where))
+            if "push_bound" in section
+            else None
+        ),
     )
 
 
@@ -164,7 +181,11 @@ def parse_spec_text(text: str) -> ParsedSpecFile:
             raise ParseError("simulate section must be a mapping")
         _reject_unknown(section, _SIMULATE_KEYS, "simulate section")
         simulate_cfg = {
-            "x0": [float(v) for v in section["x0"]] if "x0" in section else None,
+            "x0": (
+                [float(v) for v in _finite(section["x0"], "x0", "simulate section")]
+                if "x0" in section
+                else None
+            ),
             "selector": str(section.get("selector", "max_drain")),
         }
 
@@ -175,8 +196,9 @@ def parse_spec_text(text: str) -> ParsedSpecFile:
             raise ParseError("fluidlimit section must be a mapping")
         _reject_unknown(section, _FLUIDLIMIT_KEYS, "fluidlimit section")
         fluidlimit_cfg = {
-            "direction": [float(v) for v in section.get("direction", [])] or None,
-            "scales": [float(v) for v in section.get("scales", [])] or None,
+            key: [float(v) for v in _finite(section.get(key, []), key, "fluidlimit section")]
+            or None
+            for key in ("direction", "scales")
         }
 
     return ParsedSpecFile(network, lsp, queueing, simulate_cfg, fluidlimit_cfg)

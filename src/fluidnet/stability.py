@@ -9,6 +9,7 @@ recorded in the verdict.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +85,9 @@ def draining_time(
     if selectors is None:
         selectors = default_selectors()
     starts = unit_sphere_states(spec.K, samples, seed)
-    jobs = [(x, sel) for x in starts for sel in selectors]
+    # each job owns its selector: stateful ones (RandomVertex, FixedSequence)
+    # must not be advanced by runs in other pool threads
+    jobs = [(x, copy.deepcopy(sel)) for x in starts for sel in selectors]
     results = parallel_map(
         lambda job: simulate(spec, job[0], job[1], horizon, h).drained_at, jobs
     )

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,12 @@ class TestRhs:
     def test_dimension_check(self, single_queue):
         with pytest.raises(DimensionMismatch):
             rhs(single_queue, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("x0", [[np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]])
+def test_non_finite_initial_state_rejected(tandem, x0):
+    with pytest.raises(ValueError, match="finite"):
+        simulate(tandem, x0, FirstVertex(), 1.0, 0.1)
 
 
 class TestSimulate:
@@ -156,6 +164,26 @@ def test_thread_cap_does_not_change_results(tandem, monkeypatch):
     threaded = draining_time(tandem, samples=4, horizon=10.0, seed=5)
     assert threaded.status == base.status
     assert threaded.tau == base.tau
+
+    # stateful selectors: a selector shared by pool threads would be advanced
+    # by other runs, so each job must own its copy
+    def stateful_tau():
+        return draining_time(
+            fixtures.reentrant_line(),
+            selectors=(RandomVertex(7), FixedSequence([1, 0, 2, 1])),
+            samples=6, horizon=20.0, h=0.02, seed=1,
+        ).tau
+
+    monkeypatch.setenv("FLUIDNET_THREADS", "1")
+    want = stateful_tau()
+    assert want is not None
+    monkeypatch.setenv("FLUIDNET_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # frequent thread switches expose a shared selector
+    try:
+        assert [stateful_tau() for _ in range(3)] == [want] * 3
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestViability:

@@ -88,6 +88,18 @@ class TestValidate:
         with pytest.raises(NegativeRate):
             validate([0.1], [0.0], [[0.0]], [[1]], WORK_CONSERVING)
 
+    @pytest.mark.parametrize(
+        "alpha, mu",
+        [([np.nan], [1.0]), ([np.inf], [1.0]), ([0.1], [np.inf]), ([0.1], [np.nan])],
+    )
+    def test_non_finite_rate(self, alpha, mu):
+        with pytest.raises(NegativeRate):
+            validate(alpha, mu, [[0.0]], [[1]], WORK_CONSERVING)
+
+    def test_non_finite_routing_rejected(self):
+        with pytest.raises(RoutingNotSubstochastic):
+            validate([0, 0], [1, 1], [[0.0, np.nan], [0, 0]], np.eye(2), WORK_CONSERVING)
+
     def test_constituency_not_partition(self):
         with pytest.raises(ConstituencyNotPartition):
             validate([0, 0], [1, 1], np.zeros((2, 2)), [[1, 1], [0, 1]], WORK_CONSERVING)

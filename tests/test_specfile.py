@@ -94,6 +94,36 @@ def test_queueing_section():
     assert parsed.queueing.interarrival == ("exponential", "none")
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("alpha: [1.0, 0.0]", "alpha: [.nan, 0.0]", "alpha"),
+        ("alpha: [1.0, 0.0]", "alpha: [.inf, 0.0]", "alpha"),
+        ("mu: [2.0, 3.0]", "mu: [2.0, .inf]", "mu"),
+        ("  - [0.0, 1.0]", "  - [0.0, -.inf]", "routing"),
+        ("classes: 2", "classes: .inf", "classes"),
+        ("stations: 2", "stations: .nan", "stations"),
+        ("alpha: [1.0, 0.0]", "alpha: [fast, 0.0]", "alpha"),
+    ],
+)
+def test_non_finite_or_text_network_value_names_key(old, new, key):
+    with pytest.raises(ParseError, match=f"key '{key}'"):
+        parse_spec_text(TANDEM_YAML.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("simulate:\n  x0: [.nan, 0.0]\n", "x0"),
+        ("fluidlimit:\n  scales: [10.0, .inf]\n", "scales"),
+        ("skorokhod:\n  theta: [-1.0]\n  reflection: [[1.0]]\n  z0: [.nan]\n", "z0"),
+    ],
+)
+def test_non_finite_section_value_names_key(section, key):
+    with pytest.raises(ParseError, match=f"key '{key}'"):
+        parse_spec_text(TANDEM_YAML + section)
+
+
 def test_parse_file(tmp_path):
     path = tmp_path / "net.yaml"
     path.write_text(TANDEM_YAML)
