@@ -9,7 +9,9 @@ to fluid solutions empirically.
 """
 from __future__ import annotations
 
+import bisect
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,23 +105,6 @@ class SamplePath:
         return self.counts[idx]
 
 
-def _service_rates(qspec: QueueingSpec, q: np.ndarray) -> np.ndarray:
-    net = qspec.network
-    rates = np.zeros(net.K)
-    for j in range(net.J):
-        classes = [k for k in net.classes_at(j) if q[k] > 0]
-        if not classes:
-            continue
-        if net.discipline == PRIORITY:
-            top = min(classes, key=lambda k: net.priority[k])
-            rates[top] = 1.0
-        else:
-            share = 1.0 / len(classes)
-            for k in classes:
-                rates[k] = share
-    return rates
-
-
 def simulate_queueing(
     qspec: QueueingSpec,
     q0,
@@ -136,34 +121,60 @@ def simulate_queueing(
     fresh draws from the laws are used otherwise.  Runs are bit-reproducible
     for a fixed seed: a single counter-based generator drives every draw in
     event order.
+
+    Everything fixed for the run is built once before the event loop: each
+    station's classes (highest priority first under priority service), the
+    per-class law flags and means, and the cumulative routing rows.  The loop
+    runs on Python ints and floats.  It makes the same scalar draws in the same
+    order, with the same arithmetic, as the numpy-array loop kept as the
+    reference in ``tests/test_queueing_reference.py``, so the output bytes are
+    the same.  At exact ties completions beat arrivals, and the lowest class
+    index goes first.
     """
     net = qspec.network
-    q = np.asarray(q0, dtype=np.int64).copy()
-    if q.shape != (net.K,):
-        raise DimensionMismatch(f"initial counts have shape {q.shape}, expected ({net.K},)")
-    if np.any(q < 0):
+    q_arr = np.asarray(q0, dtype=np.int64)
+    if q_arr.shape != (net.K,):
+        raise DimensionMismatch(f"initial counts have shape {q_arr.shape}, expected ({net.K},)")
+    if np.any(q_arr < 0):
         raise ValueError("queue lengths must be nonnegative integers")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    exponential = rng.exponential
+    uniform = rng.random
+
+    n_classes = net.K
+    priority = net.discipline == PRIORITY
+    stations = [
+        sorted(net.classes_at(j), key=net.priority.__getitem__) if priority
+        else list(net.classes_at(j))
+        for j in range(net.J)
+    ]
+    route_cum = np.cumsum(net.routing, axis=1).tolist()
+    service_mean = [1.0 / float(m) for m in net.mu]
+    service_exp = [law == EXPONENTIAL for law in qspec.service]
+    arrivals = qspec.arrival_classes
+    arrival_mean = [1.0 / float(a) if a > 0 else math.inf for a in net.alpha]
+    arrival_exp = [law == EXPONENTIAL for law in qspec.interarrival]
 
     def draw_interarrival(k: int) -> float:
-        if qspec.interarrival[k] == EXPONENTIAL:
-            return float(rng.exponential(1.0 / net.alpha[k]))
-        return 1.0 / float(net.alpha[k])
+        if arrival_exp[k]:
+            return float(exponential(arrival_mean[k]))
+        return arrival_mean[k]
 
     def draw_service(k: int) -> float:
-        if qspec.service[k] == EXPONENTIAL:
-            return float(rng.exponential(1.0 / net.mu[k]))
-        return 1.0 / float(net.mu[k])
+        if service_exp[k]:
+            return float(exponential(service_mean[k]))
+        return service_mean[k]
 
-    next_arrival = np.full(net.K, np.inf)
-    for k in qspec.arrival_classes:
+    q = q_arr.tolist()
+    next_arrival = [math.inf] * n_classes
+    for k in arrivals:
         if residual_arrivals is not None and np.isfinite(residual_arrivals[k]):
             next_arrival[k] = float(residual_arrivals[k])
         else:
             next_arrival[k] = draw_interarrival(k)
 
-    head_work = np.zeros(net.K)
-    for k in range(net.K):
+    head_work = [0.0] * n_classes
+    for k in range(n_classes):
         if q[k] > 0:
             if residual_services is not None and residual_services[k] > 0:
                 head_work[k] = float(residual_services[k])
@@ -171,66 +182,89 @@ def simulate_queueing(
                 head_work[k] = draw_service(k)
 
     t = 0.0
-    busy = np.zeros(net.K)
+    busy = [0.0] * n_classes
     times = [0.0]
-    counts = [q.copy()]
-    busies = [busy.copy()]
-    route_cum = np.cumsum(net.routing, axis=1)
+    counts = list(q)
+    busies = list(busy)
 
     events = 0
     while True:
-        rates = _service_rates(qspec, q)
-        # earliest event; completions beat arrivals at exact ties, low class index first
-        event_t = np.inf
-        event = ("end", -1)
-        for k in range(net.K):
-            if q[k] > 0 and rates[k] > 0:
-                when = t + head_work[k] / rates[k]
-                if when < event_t:
-                    event_t, event = when, ("done", k)
-        for k in range(net.K):
+        # (class, rate) of every class in service, in class order
+        serving = []
+        for members in stations:
+            if priority:
+                for k in members:
+                    if q[k] > 0:
+                        serving.append((k, 1.0))
+                        break
+            else:
+                waiting = [k for k in members if q[k] > 0]
+                if waiting:
+                    share = 1.0 / len(waiting)
+                    serving.extend((k, share) for k in waiting)
+        if len(stations) > 1:
+            serving.sort()
+
+        event_t = math.inf
+        event_k = -1
+        arrive = False
+        for k, rate in serving:
+            when = t + head_work[k] / rate
+            if when < event_t:
+                event_t, event_k = when, k
+        for k in arrivals:
             if next_arrival[k] < event_t:
-                event_t, event = next_arrival[k], ("arrive", k)
-        if event_t >= horizon:
-            event, event_t = ("end", -1), horizon
+                event_t, event_k, arrive = next_arrival[k], k, True
+        # event_k < 0 alone ends the run only under a NaN horizon: no event left
+        if event_t >= horizon or event_k < 0:
+            if event_t >= horizon:
+                event_t = horizon
+            dt = event_t - t
+            rate_of = dict(serving)
+            for k in range(n_classes):
+                busy[k] += rate_of.get(k, 0.0) * dt
+            times.append(event_t)
+            counts.extend(q)
+            busies.extend(busy)
+            break
 
         dt = event_t - t
-        serving = (q > 0) & (rates > 0)
-        head_work[serving] -= rates[serving] * dt
-        busy += rates * dt
+        for k, rate in serving:
+            step = rate * dt
+            head_work[k] -= step
+            busy[k] += step
         t = event_t
 
-        kind, k = event
-        if kind == "end":
-            times.append(t)
-            counts.append(q.copy())
-            busies.append(busy.copy())
-            break
-        if kind == "done":
+        k = event_k
+        if arrive:
+            q[k] += 1
+            if q[k] == 1:
+                head_work[k] = draw_service(k)
+            next_arrival[k] = t + draw_interarrival(k)
+        else:
             head_work[k] = 0.0
             q[k] -= 1
-            draw = float(rng.random())
-            dest = int(np.searchsorted(route_cum[k], draw, side="right"))
-            if dest < net.K:
+            dest = bisect.bisect_right(route_cum[k], float(uniform()))
+            if dest < n_classes:
                 q[dest] += 1
                 if q[dest] == 1:
                     head_work[dest] = draw_service(dest)
             if q[k] > 0:
                 head_work[k] = draw_service(k)
-        else:  # arrival
-            q[k] += 1
-            if q[k] == 1:
-                head_work[k] = draw_service(k)
-            next_arrival[k] = t + draw_interarrival(k)
 
         times.append(t)
-        counts.append(q.copy())
-        busies.append(busy.copy())
+        counts.extend(q)
+        busies.extend(busy)
         events += 1
         if events > max_events:
             raise EventBudgetExceeded(f"exceeded {max_events} events")
 
-    return SamplePath(np.asarray(times), np.asarray(counts), np.asarray(busies))
+    shape = (len(times), n_classes)
+    return SamplePath(
+        np.asarray(times),
+        np.asarray(counts, dtype=np.int64).reshape(shape),
+        np.asarray(busies).reshape(shape),
+    )
 
 
 @dataclass(frozen=True, eq=False)

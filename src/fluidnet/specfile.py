@@ -82,6 +82,15 @@ def _finite(value, key: str, where: str) -> np.ndarray:
     return arr
 
 
+def _integer(value, key: str, where: str) -> int:
+    """``value`` as an int; text, booleans and non-integral numbers are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParseError(f"key {key!r} in {where} must be an integer, got {value!r}")
+
+
 def _parse_network(doc: dict) -> NetworkSpec | None:
     present = _NETWORK_KEYS & set(doc)
     if not present:
@@ -89,13 +98,16 @@ def _parse_network(doc: dict) -> NetworkSpec | None:
     required = {"classes", "stations", "alpha", "mu", "routing", "constituency", "discipline"}
     where = "network description"
     _require(doc, required, where)
-    k = int(_finite(doc["classes"], "classes", where))
-    j = int(_finite(doc["stations"], "stations", where))
+    k = _integer(doc["classes"], "classes", where)
+    j = _integer(doc["stations"], "stations", where)
     discipline = str(doc["discipline"])
     priority = None
     if discipline == PRIORITY:
         _require(doc, {"priority_order"}, "priority network description")
-        order = [int(c) for c in doc["priority_order"]]
+        order = doc["priority_order"]
+        if not isinstance(order, list):
+            raise ParseError(f"key 'priority_order' in {where} must be a list, got {order!r}")
+        order = [_integer(c, "priority_order", where) for c in order]
         if sorted(order) != list(range(k)):
             raise ParseError(f"priority_order must list every class exactly once, got {order}")
         ranks = [0] * k

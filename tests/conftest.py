@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fluidnet import fixtures
+
+# Every property test draws the same examples on every run, so tier-1 is as
+# reproducible as the reports it checks.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

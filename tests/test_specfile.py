@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import yaml
 
 from fluidnet import fixtures
 from fluidnet.errors import ParseError
-from fluidnet.specfile import network_to_yaml, parse_spec_file, parse_spec_text
+from fluidnet.specfile import network_to_dict, network_to_yaml, parse_spec_file, parse_spec_text
 
 TANDEM_YAML = """
 classes: 2
@@ -109,6 +110,33 @@ def test_queueing_section():
 def test_non_finite_or_text_network_value_names_key(old, new, key):
     with pytest.raises(ParseError, match=f"key '{key}'"):
         parse_spec_text(TANDEM_YAML.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("priority_order", ["a", 0, 1, 2]),
+        ("priority_order", [3.9, 0, 1, 2]),
+        ("priority_order", [3, 0, 1, True]),
+        ("priority_order", "3012"),
+        ("classes", 4.7),
+        ("classes", "four"),
+        ("stations", 2.5),
+        ("stations", [2]),
+    ],
+)
+def test_non_integral_network_count_names_key(key, value):
+    doc = network_to_dict(fixtures.lu_kumar())
+    doc[key] = value
+    with pytest.raises(ParseError, match=f"key '{key}'.*must be"):
+        parse_spec_text(yaml.safe_dump(doc))
+
+
+def test_integral_float_counts_accepted():
+    doc = network_to_dict(fixtures.lu_kumar())
+    doc["classes"] = 4.0
+    doc["priority_order"] = [3.0, 0, 1, 2]
+    assert parse_spec_text(yaml.safe_dump(doc)).network.priority == fixtures.lu_kumar().priority
 
 
 @pytest.mark.parametrize(
