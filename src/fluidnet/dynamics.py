@@ -9,6 +9,14 @@ checkpoints spaced ``h`` apart; in between they are frozen.
 At a boundary state the admissible polytope is intersected with the velocity
 constraints that keep near-empty classes nonnegative, so any vertex the
 selector picks yields a viable step.
+
+Within one ``simulate`` run each boundary configuration (empty set, near-zero
+classes, pinned) builds its constraint system and rank-tests its active
+subsets once.  Classes sliding along the boundary carry dust of about 1e-18,
+which changes only the floors, that is the right-hand side; each such stamp
+reuses the kept subsets and solves the same matrices with the same
+right-hand sides as a full enumeration would, so the output is byte-identical
+to enumerating from scratch at every stamp.  Nothing is kept between runs.
 """
 from __future__ import annotations
 
@@ -21,15 +29,15 @@ from scipy.optimize import linprog
 from ._util import fmt, l1
 from .errors import DimensionMismatch, StepTooLarge
 from .model import (
-    PRIORITY,
     WORK_CONSERVING,
     ControlPolytope,
     NetworkSpec,
+    admissible_constraints,
+    boundary_configurations,
     empty_threshold,
     enumerate_polytope_vertices,
-    priority_constraints,
-    work_conserving_constraints,
-    boundary_configurations,
+    rank_tested_subsets,
+    subset_vertices,
 )
 
 _EVENT_CAP = 1_000_000
@@ -149,24 +157,47 @@ class RandomVertex(ControlSelector):
         return polytope.vertices[int(self._rng.integers(len(polytope)))]
 
 
-class MaxDrain(ControlSelector):
+class _TotalVelocityRank(ControlSelector):
+    """Picks a vertex by the total velocity of each vertex, rounded to 12 digits.
+
+    The pick depends only on the polytope and its velocities, and ``simulate``
+    hands back the same objects on every cache hit, so it is made once per
+    polytope object.
+    """
+
+    def __init__(self):
+        self._last = (None, None, None)
+
+    def start_run(self):
+        self._last = (None, None, None)
+
+    def choose(self, t, q, polytope, velocities):
+        last_poly, last_velocities, u = self._last
+        if polytope is not last_poly or velocities is not last_velocities:
+            u = polytope.vertices[self._pick(np.round(velocities.sum(axis=1), 12))]
+            self._last = (polytope, velocities, u)
+        return u
+
+    def _pick(self, totals) -> int:
+        raise NotImplementedError
+
+
+class MaxDrain(_TotalVelocityRank):
     """Vertex minimizing d/dt of the total mass; ties to the first vertex."""
 
     name = "max_drain"
 
-    def choose(self, t, q, polytope, velocities):
-        totals = velocities.sum(axis=1)
-        return polytope.vertices[int(np.argmin(np.round(totals, 12)))]
+    def _pick(self, totals):
+        return int(np.argmin(totals))
 
 
-class MinDrain(ControlSelector):
+class MinDrain(_TotalVelocityRank):
     """Vertex maximizing d/dt of the total mass; ties to the first vertex."""
 
     name = "min_drain"
 
-    def choose(self, t, q, polytope, velocities):
-        totals = velocities.sum(axis=1)
-        return polytope.vertices[int(np.argmax(np.round(totals, 12)))]
+    def _pick(self, totals):
+        return int(np.argmax(totals))
 
 
 class FixedSequence(ControlSelector):
@@ -192,29 +223,29 @@ class FixedSequence(ControlSelector):
         return polytope.vertices[idx % len(polytope)]
 
 
-def _active_sets(spec: NetworkSpec, q: np.ndarray, eps: float):
-    """(empty set for the discipline, near-zero classes) at state q.
+def _active_sets(spec: NetworkSpec, q: list, eps: float):
+    """(empty set for the discipline, near-zero classes) at levels q, a list of floats.
 
     A station is treated as empty as soon as every one of its classes is
     below the threshold; this keeps the viability-constrained polytope
     nonempty in all cases.
     """
-    zero_classes = frozenset(int(k) for k in np.flatnonzero(q < eps))
+    zero_classes = frozenset(k for k, level in enumerate(q) if level < eps)
     if spec.discipline == WORK_CONSERVING:
         empty = frozenset(
-            j for j in range(spec.J)
-            if all(k in zero_classes for k in spec.classes_at(j))
+            j for j, members in enumerate(spec.station_classes)
+            if zero_classes.issuperset(members)
         )
     else:
         empty = zero_classes
     return empty, zero_classes
 
 
-def _viable_polytope(spec: NetworkSpec, empty, zero_classes, floors, pinned=False):
+class _ViableSystem:
     """Admissible polytope intersected with the viability half-spaces.
 
     For each near-zero class k the selected velocity must satisfy
-    v_k >= -floors[k], i.e. (outflow @ u)_k <= alpha_k + floors[k]; a positive
+    v_k >= -floor_k, i.e. (outflow @ u)_k <= alpha_k + floor_k; a positive
     floor lets residual dust drain to exactly zero within one step.
 
     ``pinned`` additionally caps every velocity at zero.  It is applied when
@@ -222,28 +253,40 @@ def _viable_polytope(spec: NetworkSpec, empty, zero_classes, floors, pinned=Fals
     held: growing mass from empty while capacity idles would violate the
     idling complementarity over any interval, so the only faithful directions
     at the drained state are the nonincreasing ones.
+
+    One system serves one boundary configuration (empty, zero classes,
+    pinned) within one ``simulate`` run.  The floors move only the right-hand
+    side of the viability rows, so the active subsets that pass the rank test
+    are found once and each new set of floors costs only the solves.
+    ``exact`` holds the polytope and its vertex velocities for all-zero floors
+    once they are known.
     """
-    if spec.discipline == WORK_CONSERVING:
-        a_eq, b_eq, a_ub, b_ub = work_conserving_constraints(spec, empty)
-    else:
-        a_eq, b_eq, a_ub, b_ub = priority_constraints(spec, empty)
-    if zero_classes:
-        idx = sorted(zero_classes)
-        a_ub = np.vstack([a_ub, spec.outflow[idx]])
-        b_ub = np.concatenate([b_ub, spec.alpha[idx] + np.asarray([floors[k] for k in idx])])
-    if pinned:
-        a_ub = np.vstack([a_ub, -spec.outflow])
-        b_ub = np.concatenate([b_ub, -spec.alpha])
-    verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
-    if verts.shape[0] == 0 and zero_classes:
-        # cannot happen for a valid description (idling the near-zero classes is
-        # always viable), but fall back to the raw polytope rather than crash
-        if spec.discipline == WORK_CONSERVING:
-            a_eq, b_eq, a_ub, b_ub = work_conserving_constraints(spec, empty)
-        else:
-            a_eq, b_eq, a_ub, b_ub = priority_constraints(spec, empty)
-        verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
-    return ControlPolytope(verts, frozenset(empty), spec.discipline)
+
+    def __init__(self, spec: NetworkSpec, empty, zero_classes, pinned: bool):
+        self.spec = spec
+        self.empty = frozenset(empty)
+        self.zeros = sorted(zero_classes)
+        a_eq, b_eq, a_ub, b_ub = admissible_constraints(spec, empty)
+        rows = [a_ub, spec.outflow[self.zeros]]
+        self._b_head, self._b_tail = b_ub, np.empty(0)
+        if pinned:
+            rows.append(-spec.outflow)
+            self._b_tail = -spec.alpha
+        self._a_eq, self._b_eq, self._a_ub = a_eq, b_eq, np.vstack(rows)
+        self._alpha_zero = spec.alpha[self.zeros]
+        self._subsets = rank_tested_subsets(a_eq, self._a_ub)
+        self.exact = None
+
+    def polytope(self, floors: list) -> ControlPolytope:
+        """The viable polytope for the given floor of each near-zero class, in class order."""
+        spec = self.spec
+        b_ub = np.concatenate([self._b_head, self._alpha_zero + np.asarray(floors), self._b_tail])
+        verts = subset_vertices(self._a_eq, self._b_eq, self._a_ub, b_ub, self._subsets)
+        if verts.shape[0] == 0 and self.zeros:
+            # cannot happen for a valid description (idling the near-zero classes is
+            # always viable), but fall back to the raw polytope rather than crash
+            verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, self.empty))
+        return ControlPolytope(verts, self.empty, spec.discipline)
 
 
 def zero_invariant(spec: NetworkSpec) -> bool:
@@ -291,44 +334,49 @@ def simulate(
     eps = empty_threshold(x0)
     selector.start_run()
     can_hold_zero = zero_invariant(spec)
+    velocity_map = -spec.outflow.T
+    n_classes = spec.K
 
     q = x0.copy()
-    total_alloc = np.zeros(spec.K)
+    ql = q.tolist()
+    total_alloc = np.zeros(n_classes)
     t = 0.0
     grid = [0.0]
     levels = [q.copy()]
     allocation = [total_alloc.copy()]
     controls = []
 
-    cache: dict = {}
+    systems: dict = {}  # (empty, zero classes, pinned) -> _ViableSystem, for this run only
     drained_at = None
-    first_below = 0.0 if np.all(x0 < eps) else None
+    first_below = 0.0 if max(ql) < eps else None
     below_streak = 1 if first_below is not None else 0
     events = 0
     end = horizon * (1 - 1e-15) - 1e-15
 
     while t < end:
-        empty, zeros = _active_sets(spec, q, eps)
-        pinned = can_hold_zero and len(zeros) == spec.K
-        exact = all(q[k] == 0.0 for k in zeros)
-        key = (empty, zeros, pinned) if exact else None
-        if key is not None and key in cache:
-            poly, velocities = cache[key]
+        empty, zeros = _active_sets(spec, ql, eps)
+        pinned = can_hold_zero and len(zeros) == n_classes
+        key = (empty, zeros, pinned)
+        system = systems.get(key)
+        if system is None:
+            system = systems[key] = _ViableSystem(spec, empty, zeros, pinned)
+        exact = all(ql[k] == 0.0 for k in zeros)
+        if exact and system.exact is not None:
+            poly, velocities = system.exact
         else:
-            floors = {k: q[k] / h for k in zeros}
-            poly = _viable_polytope(spec, empty, zeros, floors, pinned=pinned)
-            velocities = poly.vertices @ (-spec.outflow.T) + spec.alpha
-            if key is not None:
-                cache[key] = (poly, velocities)
+            poly = system.polytope([ql[k] / h for k in system.zeros])
+            velocities = poly.vertices @ velocity_map + spec.alpha
+            if exact:
+                system.exact = (poly, velocities)
 
         u = np.asarray(selector.choose(t, q, poly, velocities), dtype=float)
         v = spec.alpha - spec.outflow @ u
 
         dt = min(h, horizon - t)
         crossing = []
-        for k in range(spec.K):
-            if v[k] < -1e-14 and q[k] > 0.0:
-                t_k = q[k] / -v[k]
+        for k, v_k in enumerate(v.tolist()):
+            if v_k < -1e-14 and ql[k] > 0.0:
+                t_k = ql[k] / -v_k
                 if t_k < dt * (1 - 1e-12):
                     dt = t_k
                     crossing = [k]
@@ -340,6 +388,7 @@ def simulate(
         for k in crossing:
             q[k] = 0.0
         np.maximum(q, 0.0, out=q)
+        ql = q.tolist()
 
         grid.append(t)
         levels.append(q.copy())
@@ -350,7 +399,7 @@ def simulate(
         if events > max_events:
             raise StepTooLarge(f"more than {max_events} sub-steps; reduce h or horizon")
 
-        if np.all(q < eps):
+        if max(ql) < eps:
             if first_below is None:
                 first_below = t
             below_streak += 1
@@ -386,12 +435,8 @@ def viability_check(spec: NetworkSpec, x) -> bool:
     zero = sorted(int(k) for k in np.flatnonzero(x < eps))
     if not zero:
         return True
-    empty, _ = _active_sets(spec, x, eps)
-    if spec.discipline == WORK_CONSERVING:
-        a_eq, b_eq, a_ub, b_ub = work_conserving_constraints(spec, empty)
-    else:
-        a_eq, b_eq, a_ub, b_ub = priority_constraints(spec, empty)
-    verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
+    empty, _ = _active_sets(spec, x.tolist(), eps)
+    verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, empty))
     if verts.shape[0] == 0:
         return False
     velocities = verts @ (-spec.outflow.T) + spec.alpha
@@ -460,11 +505,7 @@ def lipschitz_constant(spec: NetworkSpec) -> float:
     """
     u_max = 0.0
     for empty in boundary_configurations(spec):
-        if spec.discipline == WORK_CONSERVING:
-            a_eq, b_eq, a_ub, b_ub = work_conserving_constraints(spec, empty)
-        else:
-            a_eq, b_eq, a_ub, b_ub = priority_constraints(spec, empty)
-        verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
+        verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, empty))
         if verts.shape[0]:
             u_max = max(u_max, float(np.abs(verts).sum(axis=1).max()))
     w_norm = float(np.abs(spec.outflow).sum(axis=0).max())

@@ -70,6 +70,10 @@ class DimensionTooLarge(FluidNetError):
     """Combinatorial check refused: too many principal submatrices or active indices."""
 
 
+class BadHorizon(FluidNetError):
+    """A simulation horizon is negative, infinite or NaN."""
+
+
 class EventBudgetExceeded(FluidNetError):
     """Discrete-event simulation exceeded its event budget."""
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._util import fmt, parallel_map
 from .dynamics import FirstVertex, MaxDrain, MinDrain, RandomVertex, Trajectory, simulate
-from .errors import DimensionMismatch, EventBudgetExceeded
+from .errors import BadHorizon, DimensionMismatch, EventBudgetExceeded
 from .model import PRIORITY, NetworkSpec
 
 EXPONENTIAL = "exponential"
@@ -129,7 +129,7 @@ def simulate_queueing(
     order, with the same arithmetic, as the numpy-array loop kept as the
     reference in ``tests/test_queueing_reference.py``, so the output bytes are
     the same.  At exact ties completions beat arrivals, and the lowest class
-    index goes first.
+    index goes first.  A negative, infinite or NaN horizon raises BadHorizon.
     """
     net = qspec.network
     q_arr = np.asarray(q0, dtype=np.int64)
@@ -137,6 +137,8 @@ def simulate_queueing(
         raise DimensionMismatch(f"initial counts have shape {q_arr.shape}, expected ({net.K},)")
     if np.any(q_arr < 0):
         raise ValueError("queue lengths must be nonnegative integers")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise BadHorizon(f"horizon must be finite and nonnegative, got {horizon!r}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     exponential = rng.exponential
     uniform = rng.random
@@ -215,10 +217,8 @@ def simulate_queueing(
         for k in arrivals:
             if next_arrival[k] < event_t:
                 event_t, event_k, arrive = next_arrival[k], k, True
-        # event_k < 0 alone ends the run only under a NaN horizon: no event left
-        if event_t >= horizon or event_k < 0:
-            if event_t >= horizon:
-                event_t = horizon
+        if event_t >= horizon:  # also when no event is left (event_t is inf)
+            event_t = horizon
             dt = event_t - t
             rate_of = dict(serving)
             for k in range(n_classes):

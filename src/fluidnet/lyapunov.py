@@ -32,12 +32,10 @@ from .dynamics import (
 from .errors import TruncatedWarning
 from .gfn import ExplicitPathFamily, NetworkPathFamily
 from .model import (
-    PRIORITY,
     WORK_CONSERVING,
     NetworkSpec,
+    admissible_polytope,
     boundary_configurations,
-    priority_polytope,
-    work_conserving_polytope,
 )
 
 
@@ -174,6 +172,7 @@ class _PrefixSelector(ControlSelector):
 
     def start_run(self):
         self._calls = 0
+        self._tail.start_run()
 
     def choose(self, t, q, polytope, velocities):
         if self._calls < len(self.prefix):
@@ -338,10 +337,7 @@ def _drift_vertices(spec: NetworkSpec):
     """Deduplicated (control, velocity) rows over all boundary configurations."""
     seen = {}
     for empty in boundary_configurations(spec):
-        if spec.discipline == WORK_CONSERVING:
-            poly = work_conserving_polytope(spec, empty)
-        else:
-            poly = priority_polytope(spec, empty)
+        poly = admissible_polytope(spec, empty)
         velocities = poly.vertices @ (-spec.outflow.T) + spec.alpha
         for u, v in zip(poly.vertices, velocities):
             seen[tuple(np.round(v, 12))] = (u, v)
@@ -401,10 +397,7 @@ def _sampled_drift_check(spec, derivative_fn, positivity_fn, *, epsilon, samples
     worst_margin = np.inf
     checked = 0
     for empty in boundary_configurations(spec):
-        if spec.discipline == WORK_CONSERVING:
-            poly = work_conserving_polytope(spec, empty)
-        else:
-            poly = priority_polytope(spec, empty)
+        poly = admissible_polytope(spec, empty)
         velocities = poly.vertices @ (-spec.outflow.T) + spec.alpha
         states = _pattern_states(spec, empty, samples, rng)
         values = positivity_fn(states)

@@ -13,6 +13,8 @@ are tiny, so combinatorial enumeration over active constraint subsets is both
 fast and deterministic.  The subsets are processed in fixed-size chunks, each
 with one batched rank test and one batched solve; the vertices and their
 lexicographic order are the same as from one rank test and solve per subset.
+The rank test depends only on the constraint matrices, so a caller whose
+right-hand sides change can keep the subsets that pass it.
 """
 from __future__ import annotations
 
@@ -112,6 +114,7 @@ class NetworkSpec:
     # derived, filled in __post_init__
     outflow: np.ndarray = field(init=False, repr=False)
     station_of: np.ndarray = field(init=False, repr=False)
+    station_classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     priority_groups: tuple[tuple[int, ...], ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -124,6 +127,11 @@ class NetworkSpec:
         object.__setattr__(self, "outflow", _readonly(w))
         object.__setattr__(
             self, "station_of", np.argmax(self.constituency, axis=0).astype(int)
+        )
+        object.__setattr__(
+            self,
+            "station_classes",
+            tuple(tuple(np.flatnonzero(row).tolist()) for row in self.constituency),
         )
         groups = None
         if self.priority is not None:
@@ -147,7 +155,7 @@ class NetworkSpec:
         return int(self.constituency.shape[0])
 
     def classes_at(self, station: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.constituency[station]).tolist())
+        return self.station_classes[station]
 
     def nominal_allocation(self) -> np.ndarray:
         """Allocation rates that balance inflow exactly: solves outflow @ u = alpha."""
@@ -267,47 +275,74 @@ def enumerate_polytope_vertices(dim, a_eq, b_eq, a_ub, b_ub) -> np.ndarray:
     """Exact vertex enumeration for a small polytope.
 
     A vertex makes some subset of the inequality rows active so that, stacked
-    with the equalities, the active system has rank ``dim``.  All subsets of
-    the right size are tried, SUBSET_CHUNK at a time: each chunk's active
-    systems are stacked and get one batched rank test and one batched solve,
-    which run the same LAPACK routine per matrix as a one-by-one loop and so
-    give the same bits.  Candidates are kept when they satisfy every
-    constraint with slack >= VERTEX_SLACK.  Output rows are deduplicated (the
-    last subset wins among rows equal to 12 decimals) and sorted
-    lexicographically, which fixes a reproducible vertex order.
+    with the equalities, the active system has rank ``dim``.  The subsets that
+    pass that rank test depend only on the matrices (:func:`rank_tested_subsets`);
+    the vertices for given right-hand sides are then found among them
+    (:func:`subset_vertices`).
     """
     a_eq = np.asarray(a_eq, dtype=float).reshape(-1, dim)
     b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
     a_ub = np.asarray(a_ub, dtype=float).reshape(-1, dim)
     b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
+    return subset_vertices(a_eq, b_eq, a_ub, b_ub, rank_tested_subsets(a_eq, a_ub))
 
-    rank_eq = np.linalg.matrix_rank(a_eq) if a_eq.size else 0
-    n_active = dim - rank_eq
-    if n_active < 0:
-        return np.empty((0, dim))
 
-    found = {}
+def rank_tested_subsets(a_eq: np.ndarray, a_ub: np.ndarray) -> np.ndarray:
+    """Inequality-row subsets whose active system has full column rank.
+
+    Every subset of ``dim - rank(a_eq)`` rows of ``a_ub`` is tried in
+    lexicographic order, SUBSET_CHUNK at a time: each chunk's active systems
+    (the equalities stacked over the chosen rows) get one batched rank test,
+    which runs the same SVD per matrix as a one-by-one loop.  Row i of the
+    result lists the rows of one kept subset; the order is kept.
+    """
+    dim = a_ub.shape[1]
+    n_active = dim - (np.linalg.matrix_rank(a_eq) if a_eq.size else 0)
+    kept = [np.empty((0, n_active), dtype=np.intp)]
     subsets = itertools.combinations(range(a_ub.shape[0]), n_active)
     while chunk := list(itertools.islice(subsets, SUBSET_CHUNK)):
         idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), n_active)
-        for x in _subset_vertices(a_eq, b_eq, a_ub, b_ub, idx):
-            found[tuple(np.round(x, 12))] = x
+        kept.append(idx[np.linalg.matrix_rank(_active_systems(a_eq, a_ub, idx)) >= dim])
+    return np.concatenate(kept)
+
+
+def subset_vertices(a_eq, b_eq, a_ub, b_ub, subsets) -> np.ndarray:
+    """Vertices of {a_eq x = b_eq, a_ub x <= b_ub} among rank-tested subsets.
+
+    ``subsets`` comes from :func:`rank_tested_subsets` for the same matrices;
+    the right-hand sides may change between calls.  The active systems are
+    solved SUBSET_CHUNK at a time with one batched solve, which runs the same
+    LAPACK routine per matrix as a one-by-one loop and so gives the same bits.
+    Candidates are kept when they satisfy every constraint with slack >=
+    VERTEX_SLACK.  Output rows are deduplicated (the last subset wins among
+    rows equal to 12 decimals) and sorted lexicographically, which fixes a
+    reproducible vertex order.
+    """
+    found = {}
+    for start in range(0, subsets.shape[0], SUBSET_CHUNK):
+        x = _chunk_vertices(a_eq, b_eq, a_ub, b_ub, subsets[start:start + SUBSET_CHUNK])
+        for key, row in zip(np.round(x, 12).tolist(), x):
+            found[tuple(key)] = row
     if not found:
-        return np.empty((0, dim))
+        return np.empty((0, a_ub.shape[1]))
     return np.array(sorted(found.values(), key=tuple))
 
 
-def _subset_vertices(a_eq, b_eq, a_ub, b_ub, idx) -> np.ndarray:
-    """Admissible basic solutions of the active systems picked by ``idx``.
+def _active_systems(a_eq, a_ub, idx) -> np.ndarray:
+    """The equalities stacked over the inequality rows of each subset in ``idx``."""
+    n = idx.shape[0]
+    return np.concatenate([np.broadcast_to(a_eq, (n, *a_eq.shape)), a_ub[idx]], axis=1)
+
+
+def _chunk_vertices(a_eq, b_eq, a_ub, b_ub, idx) -> np.ndarray:
+    """Admissible basic solutions of the full-rank active systems picked by ``idx``.
 
     Row i of ``idx`` lists the inequality rows made active on top of the
     equalities; the result keeps subset order.
     """
     n, dim = idx.shape[0], a_ub.shape[1]
-    mats = np.concatenate([np.broadcast_to(a_eq, (n, *a_eq.shape)), a_ub[idx]], axis=1)
+    mats = _active_systems(a_eq, a_ub, idx)
     rhs = np.concatenate([np.broadcast_to(b_eq, (n, b_eq.size)), b_ub[idx]], axis=1)
-    full = np.linalg.matrix_rank(mats) >= dim
-    mats, rhs = mats[full], rhs[full]
     if mats.shape[1] == dim:
         try:
             x = np.linalg.solve(mats, rhs[..., None])[..., 0]
@@ -392,30 +427,38 @@ def priority_constraints(spec: NetworkSpec, empty_classes):
     return a_eq, b_eq, np.vstack(rows), np.concatenate(rhs)
 
 
+def admissible_constraints(spec: NetworkSpec, empty):
+    """Constraint system (a_eq, b_eq, a_ub, b_ub) of the admissible set.
+
+    ``empty`` holds the empty stations of a work-conserving network or the
+    empty classes of a priority network.
+    """
+    if spec.discipline == WORK_CONSERVING:
+        return work_conserving_constraints(spec, empty)
+    return priority_constraints(spec, empty)
+
+
+def admissible_polytope(spec: NetworkSpec, empty=()) -> ControlPolytope:
+    """Admissible allocation rates when the stations or classes in ``empty`` are empty."""
+    verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, empty))
+    if verts.shape[0] == 0:
+        what = "stations" if spec.discipline == WORK_CONSERVING else "classes"
+        raise InfeasibleActiveSet(f"no admissible allocation with empty {what} {sorted(empty)}")
+    return ControlPolytope(verts, frozenset(int(i) for i in empty), spec.discipline)
+
+
 def work_conserving_polytope(spec: NetworkSpec, empty_stations=()) -> ControlPolytope:
     """Admissible allocation rates when the given stations are empty."""
     if spec.discipline != WORK_CONSERVING:
         raise ValueError("work_conserving_polytope requires a work-conserving network")
-    a_eq, b_eq, a_ub, b_ub = work_conserving_constraints(spec, empty_stations)
-    verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
-    if verts.shape[0] == 0:
-        raise InfeasibleActiveSet(
-            f"no admissible allocation with empty stations {sorted(empty_stations)}"
-        )
-    return ControlPolytope(verts, frozenset(int(j) for j in empty_stations), WORK_CONSERVING)
+    return admissible_polytope(spec, empty_stations)
 
 
 def priority_polytope(spec: NetworkSpec, empty_classes=()) -> ControlPolytope:
     """Admissible allocation rates when the given classes are empty."""
     if spec.discipline != PRIORITY:
         raise ValueError("priority_polytope requires a priority network")
-    a_eq, b_eq, a_ub, b_ub = priority_constraints(spec, empty_classes)
-    verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
-    if verts.shape[0] == 0:
-        raise InfeasibleActiveSet(
-            f"no admissible allocation with empty classes {sorted(empty_classes)}"
-        )
-    return ControlPolytope(verts, frozenset(int(k) for k in empty_classes), PRIORITY)
+    return admissible_polytope(spec, empty_classes)
 
 
 def boundary_configurations(spec: NetworkSpec, *, max_size: int = 16):

@@ -1,18 +1,31 @@
-"""Property tests of the queueing simulator and the Skorokhod solver on
-random valid inputs."""
+"""Property tests of the fluid simulator, the queueing simulator, the
+Skorokhod solver and the spec file format on random valid inputs."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluidnet._util import l1
+from fluidnet.dynamics import (
+    FirstVertex,
+    FixedSequence,
+    MaxDrain,
+    MinDrain,
+    RandomVertex,
+    flow_balance_residual,
+    simulate,
+    zero_invariant,
+)
+from fluidnet.errors import StepTooLarge
 from fluidnet.fluidlimit import DETERMINISTIC, EXPONENTIAL, QueueingSpec, simulate_queueing
 from fluidnet.model import PRIORITY, WORK_CONSERVING, validate
 from fluidnet.skorokhod import LspInstance, solution_residual, solve_lsp
+from fluidnet.specfile import network_to_yaml, parse_spec_text
 
 unit = st.floats(0.0, 1.0)
 
 
 @st.composite
-def queueing_specs(draw):
+def networks(draw):
     k = draw(st.integers(1, 4))
     j = draw(st.integers(1, k))
     station = list(range(j)) + draw(st.lists(st.integers(0, j - 1), min_size=k - j,
@@ -29,7 +42,13 @@ def queueing_specs(draw):
     mu = np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=k, max_size=k)))
     discipline = draw(st.sampled_from([WORK_CONSERVING, PRIORITY]))
     priority = draw(st.permutations(range(k))) if discipline == PRIORITY else None
-    net = validate(alpha, mu, routing, constituency, discipline, priority)
+    return validate(alpha, mu, routing, constituency, discipline, priority)
+
+
+@st.composite
+def queueing_specs(draw):
+    net = draw(networks())
+    k = net.K
     laws = st.lists(st.sampled_from([EXPONENTIAL, DETERMINISTIC]), min_size=k, max_size=k)
     return QueueingSpec(net, draw(laws), draw(laws))
 
@@ -75,3 +94,43 @@ def test_lsp_solution_invariants(inst, h):
     assert sol.states.min() >= -1e-9
     assert np.all(np.diff(sol.pushing, axis=0) >= 0.0)
     assert solution_residual(inst, sol) <= 1e-7 * (1.0 + float(np.abs(inst.z0).sum()))
+
+
+SELECTORS = {
+    "first_vertex": FirstVertex,
+    "max_drain": MaxDrain,
+    "min_drain": MinDrain,
+    "random_vertex": lambda: RandomVertex(3),
+    "fixed_sequence": lambda: FixedSequence([2, 0, 1]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=networks(),
+    x0=st.lists(st.sampled_from([0.0, 0.0, 1e-12, 0.5]) | st.floats(0.0, 2.0),
+                min_size=4, max_size=4),
+    selector=st.sampled_from(sorted(SELECTORS)),
+    h=st.sampled_from([0.1, 0.05, 0.02]),
+    stop_on_drain=st.booleans(),
+)
+def test_fluid_trajectory_invariants(spec, x0, selector, h, stop_on_drain):
+    x0 = np.asarray(x0[: spec.K])
+    try:
+        traj = simulate(spec, x0, SELECTORS[selector](), 4.0, h,
+                        stop_on_drain=stop_on_drain, max_events=4000)
+    except StepTooLarge:
+        return  # a zero-crossing event storm; refused, not a wrong trajectory
+    assert flow_balance_residual(spec, traj) <= 1e-7 * (1.0 + l1(x0))
+    assert traj.levels.min() >= 0.0
+    assert np.diff(traj.idle(), axis=0).min(initial=0.0) >= -1e-10
+    assert traj.drained_at is None or zero_invariant(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=networks())
+def test_network_yaml_round_trip(spec):
+    back = parse_spec_text(network_to_yaml(spec)).network
+    for name in ("alpha", "mu", "routing", "constituency"):
+        assert getattr(back, name).tobytes() == getattr(spec, name).tobytes()
+    assert (back.discipline, back.priority) == (spec.discipline, spec.priority)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fluidnet import fixtures
-from fluidnet.errors import DimensionMismatch, EventBudgetExceeded
+from fluidnet.errors import BadHorizon, DimensionMismatch, EventBudgetExceeded
 from fluidnet.fluidlimit import (
     _EVENT_CAP,
     DETERMINISTIC,
@@ -241,8 +241,11 @@ def test_empty_start_without_arrivals():
 @pytest.mark.parametrize("q0", [[0], [3]])
 def test_degenerate_horizons_same_bytes(horizon, q0):
     qspec = fixtures.queueing_single_deterministic()
-    with np.errstate(invalid="ignore"):
+    if horizon == 0.0:
         run_both(qspec, q0, horizon, 1)
+    else:
+        with pytest.raises(BadHorizon, match="finite and nonnegative"):
+            simulate_queueing(qspec, q0, horizon, 1)
 
 
 def test_event_budget_raises_at_the_same_event():

@@ -1,0 +1,256 @@
+"""Differential test of ``simulate`` against a loop that enumerates at every miss.
+
+``reference_simulate`` is ``simulate`` as it was before each boundary
+configuration kept its rank-tested active subsets: a polytope is cached only
+when every near-zero class is exactly zero, any other stamp enumerates the
+viable polytope from scratch through ``enumerate_polytope_vertices``, and the
+stamp loop runs on numpy arrays.  ``RefMaxDrain`` and ``RefMinDrain`` rank the
+vertices at every call.  ``simulate`` must return the same bytes (``grid``,
+``levels``, ``allocation``, ``controls``) and the same ``drained_at``, because
+the reports are byte-reproducible.
+"""
+import numpy as np
+import pytest
+
+from fluidnet import dynamics, fixtures
+from fluidnet.dynamics import (
+    ControlSelector,
+    FirstVertex,
+    FixedSequence,
+    MaxDrain,
+    MinDrain,
+    RandomVertex,
+    Trajectory,
+    simulate,
+    zero_invariant,
+)
+from fluidnet.errors import StepTooLarge
+from fluidnet.model import (
+    PRIORITY,
+    WORK_CONSERVING,
+    ControlPolytope,
+    empty_threshold,
+    enumerate_polytope_vertices,
+)
+from test_enumerate import constraints, random_network
+
+
+class RefMaxDrain(ControlSelector):
+    name = "max_drain"
+
+    def choose(self, t, q, polytope, velocities):
+        return polytope.vertices[int(np.argmin(np.round(velocities.sum(axis=1), 12)))]
+
+
+class RefMinDrain(ControlSelector):
+    name = "min_drain"
+
+    def choose(self, t, q, polytope, velocities):
+        return polytope.vertices[int(np.argmax(np.round(velocities.sum(axis=1), 12)))]
+
+
+def reference_active_sets(spec, q, eps):
+    zero_classes = frozenset(int(k) for k in np.flatnonzero(q < eps))
+    if spec.discipline == WORK_CONSERVING:
+        empty = frozenset(
+            j for j in range(spec.J)
+            if all(k in zero_classes for k in np.flatnonzero(spec.constituency[j]).tolist())
+        )
+    else:
+        empty = zero_classes
+    return empty, zero_classes
+
+
+def reference_viable_polytope(spec, empty, zero_classes, floors, pinned=False):
+    a_eq, b_eq, a_ub, b_ub = constraints(spec, empty)
+    if zero_classes:
+        idx = sorted(zero_classes)
+        a_ub = np.vstack([a_ub, spec.outflow[idx]])
+        b_ub = np.concatenate([b_ub, spec.alpha[idx] + np.asarray([floors[k] for k in idx])])
+    if pinned:
+        a_ub = np.vstack([a_ub, -spec.outflow])
+        b_ub = np.concatenate([b_ub, -spec.alpha])
+    verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
+    if verts.shape[0] == 0 and zero_classes:
+        verts = enumerate_polytope_vertices(spec.K, *constraints(spec, empty))
+    return ControlPolytope(verts, frozenset(empty), spec.discipline)
+
+
+def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
+                       max_events=1_000_000):
+    x0 = np.maximum(np.asarray(x0, dtype=float).copy(), 0.0)
+    eps = empty_threshold(x0)
+    selector.start_run()
+    can_hold_zero = zero_invariant(spec)
+
+    q = x0.copy()
+    total_alloc = np.zeros(spec.K)
+    t = 0.0
+    grid = [0.0]
+    levels = [q.copy()]
+    allocation = [total_alloc.copy()]
+    controls = []
+
+    cache = {}
+    drained_at = None
+    first_below = 0.0 if np.all(x0 < eps) else None
+    below_streak = 1 if first_below is not None else 0
+    events = 0
+    end = horizon * (1 - 1e-15) - 1e-15
+
+    while t < end:
+        empty, zeros = reference_active_sets(spec, q, eps)
+        pinned = can_hold_zero and len(zeros) == spec.K
+        exact = all(q[k] == 0.0 for k in zeros)
+        key = (empty, zeros, pinned) if exact else None
+        if key is not None and key in cache:
+            poly, velocities = cache[key]
+        else:
+            floors = {k: q[k] / h for k in zeros}
+            poly = reference_viable_polytope(spec, empty, zeros, floors, pinned=pinned)
+            velocities = poly.vertices @ (-spec.outflow.T) + spec.alpha
+            if key is not None:
+                cache[key] = (poly, velocities)
+
+        u = np.asarray(selector.choose(t, q, poly, velocities), dtype=float)
+        v = spec.alpha - spec.outflow @ u
+
+        dt = min(h, horizon - t)
+        crossing = []
+        for k in range(spec.K):
+            if v[k] < -1e-14 and q[k] > 0.0:
+                t_k = q[k] / -v[k]
+                if t_k < dt * (1 - 1e-12):
+                    dt = t_k
+                    crossing = [k]
+                elif t_k <= dt * (1 + 1e-12) and crossing:
+                    crossing.append(k)
+        q = q + v * dt
+        total_alloc = total_alloc + u * dt
+        t = t + dt
+        for k in crossing:
+            q[k] = 0.0
+        np.maximum(q, 0.0, out=q)
+
+        grid.append(t)
+        levels.append(q.copy())
+        allocation.append(total_alloc.copy())
+        controls.append(u)
+
+        events += 1
+        if events > max_events:
+            raise StepTooLarge(f"more than {max_events} sub-steps; reduce h or horizon")
+
+        if np.all(q < eps):
+            if first_below is None:
+                first_below = t
+            below_streak += 1
+            if below_streak >= 2 and can_hold_zero and drained_at is None:
+                drained_at = first_below
+                if stop_on_drain:
+                    break
+        else:
+            first_below = None
+            below_streak = 0
+
+    return Trajectory(
+        grid=np.asarray(grid),
+        levels=np.asarray(levels),
+        allocation=np.asarray(allocation),
+        controls=np.asarray(controls) if controls else np.empty((0, spec.K)),
+        spec=spec,
+        drained_at=drained_at,
+    )
+
+
+# (selector under test, reference selector) factories
+SELECTORS = {
+    "first_vertex": (FirstVertex, FirstVertex),
+    "max_drain": (MaxDrain, RefMaxDrain),
+    "min_drain": (MinDrain, RefMinDrain),
+    "random_vertex": (lambda: RandomVertex(7), lambda: RandomVertex(7)),
+    "fixed_sequence": (lambda: FixedSequence([1, 0, 2, 1]), lambda: FixedSequence([1, 0, 2, 1])),
+}
+MAX_EVENTS = 3000  # sliding can cut a step into an event storm; both sides must raise alike
+
+
+def outcome(run, spec, x0, selector, horizon, h, stop_on_drain):
+    try:
+        traj = run(spec, x0, selector, horizon, h, stop_on_drain=stop_on_drain,
+                   max_events=MAX_EVENTS)
+    except StepTooLarge as exc:
+        return str(exc)
+    arrays = (traj.grid, traj.levels, traj.allocation, traj.controls)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], traj.drained_at
+
+
+def same_run(spec, x0, selector_name, horizon, h, stop_on_drain) -> bool:
+    make, make_ref = SELECTORS[selector_name]
+    got = outcome(simulate, spec, x0, make(), horizon, h, stop_on_drain)
+    want = outcome(reference_simulate, spec, x0, make_ref(), horizon, h, stop_on_drain)
+    return got == want
+
+
+def random_case(seed):
+    """A seeded network of either discipline and a start with some empty classes."""
+    rng = np.random.default_rng([20240817, seed])
+    k = int(rng.choice([1, 2, 2, 3, 3, 3, 4, 4, 4]))  # the K=5 references take seconds each
+    spec = random_network(rng, k, (WORK_CONSERVING, PRIORITY)[seed % 2])
+    x0 = rng.dirichlet(np.ones(k)) * rng.uniform(0.5, 2.0)
+    x0[rng.uniform(size=k) < 0.3] = 0.0
+    return spec, x0
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_matches_reference_on_random_networks(block):
+    for seed in range(20 * block, 20 * block + 20):
+        spec, x0 = random_case(seed)
+        for i, name in enumerate(SELECTORS):
+            stop = (seed + i) % 2 == 0
+            assert same_run(spec, x0, name, 4.0, 0.05, stop), (seed, name, stop)
+
+
+FIXTURES = {**fixtures.stable_fixture_set(), "lu_kumar": fixtures.lu_kumar()}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("stop_on_drain", [True, False])
+def test_matches_reference_on_fixtures(name, stop_on_drain):
+    spec = FIXTURES[name]
+    boundary_start = np.ones(spec.K)
+    boundary_start[0] = 0.0
+    for x0 in (np.ones(spec.K) / spec.K, boundary_start):
+        for selector_name in SELECTORS:
+            assert same_run(spec, x0, selector_name, 8.0, 0.02, stop_on_drain), selector_name
+
+
+def test_post_drain_dust_is_covered():
+    """The comparison reaches the regime the subset reuse is for: floors that
+    are neither zero nor the same from one stamp to the next."""
+    spec = fixtures.reentrant_line()
+    traj = simulate(spec, np.ones(3) / 3, FirstVertex(), 8.0, 0.02, stop_on_drain=False)
+    assert traj.drained
+    late = traj.levels[traj.grid > traj.drained_at + 1.0]
+    dust = (late > 0.0) & (late < empty_threshold(np.ones(3) / 3))
+    assert dust.any(axis=1).mean() > 0.5
+
+
+def test_structure_shared_across_keys_is_detected(monkeypatch):
+    """A viable system reused for another set of near-zero classes must fail."""
+    real = dynamics._ViableSystem
+    shared = {}
+
+    def keyed_by_empty_set_only(spec, empty, zero_classes, pinned):
+        key = (id(spec), empty)
+        if key not in shared:
+            shared[key] = real(spec, empty, zero_classes, pinned)
+        return shared[key]
+
+    monkeypatch.setattr(dynamics, "_ViableSystem", keyed_by_empty_set_only)
+
+    def mismatch(seed):
+        spec, x0 = random_case(seed)
+        shared.clear()
+        return not same_run(spec, x0, "max_drain", 4.0, 0.05, False)
+
+    assert any(mismatch(seed) for seed in range(20))
