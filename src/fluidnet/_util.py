@@ -1,13 +1,10 @@
-"""Small shared helpers: norms, RNG spawning, bounded parallel map, atomic IO."""
+"""Small shared helpers: norms, seeding, atomic IO, number formatting."""
 from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-THREADS_ENV = "FLUIDNET_THREADS"
 
 
 def l1(x) -> float:
@@ -20,28 +17,9 @@ def rng_from(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent child generators derived from one top-level seed."""
-    return [np.random.Generator(np.random.Philox(c))
-            for c in np.random.SeedSequence(seed).spawn(n)]
-
-
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map preserving input order; worker count capped by FLUIDNET_THREADS."""
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def child_seeds(seed: int, n: int) -> list[int]:
+    """n independent 31-bit seeds spawned from one top-level seed."""
+    return [int(c.generate_state(1)[0]) % (2**31) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, to_jsonable
+from ._util import atomic_write_text, child_seeds, to_jsonable
 from .dynamics import (
     FirstVertex,
     MaxDrain,
@@ -31,7 +31,7 @@ from .dynamics import (
     simulate,
     trajectory_csv,
 )
-from .errors import FluidNetError, IoError, ParseError
+from .errors import BadHorizon, BadStep, FluidNetError, IoError, ParseError
 from .fluidlimit import distance_table_csv, fluid_limit_compare, queueing_spec
 from .gfn import axiom_report, network_family
 from .lyapunov import (
@@ -98,10 +98,10 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.h <= 0:
-            raise ValueError("step must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not self.h > 0:
+            raise BadStep(f"step must be positive, got {self.h!r}")
+        if not self.horizon > 0:
+            raise BadHorizon(f"horizon must be positive, got {self.horizon!r}")
 
 
 def _selector_from_name(name: str, seed: int):
@@ -114,10 +114,6 @@ def _selector_from_name(name: str, seed: int):
             f"unknown selector {name!r}; choose from "
             f"{sorted(_SELECTORS) + ['random_vertex']}"
         ) from None
-
-
-def _seeds_from(seed: int, n: int) -> list[int]:
-    return [int(c.generate_state(1)[0]) % (2**31) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
 def _need_network(parsed):
@@ -225,7 +221,7 @@ def run(config: RunConfig) -> int:
         cfg = parsed.fluidlimit or {}
         direction = cfg.get("direction") or (np.ones(spec.K) / spec.K).tolist()
         scales = cfg.get("scales") or [10.0, 100.0]
-        seeds = _seeds_from(config.seed, min(config.samples, 10))
+        seeds = child_seeds(config.seed, min(config.samples, 10))
         table = fluid_limit_compare(
             qspec, spec, direction, scales, config.horizon, seeds, h=config.h
         )
@@ -282,22 +278,18 @@ def main(argv=None) -> int:
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        input_path=args.input,
-        command=args.command,
-        out_dir=args.out,
-        seed=args.seed,
-        h=args.step,
-        horizon=args.horizon,
-        samples=args.samples,
-        depth=args.depth,
-        multistarts=args.multistarts,
-    )
     try:
-        return run(config)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return run(RunConfig(
+            input_path=args.input,
+            command=args.command,
+            out_dir=args.out,
+            seed=args.seed,
+            h=args.step,
+            horizon=args.horizon,
+            samples=args.samples,
+            depth=args.depth,
+            multistarts=args.multistarts,
+        ))
     except FluidNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,10 @@ Between control switches the fluid level moves with constant velocity
 ``alpha - outflow @ u``, so explicit Euler stepping with event splitting at
 zero crossings integrates the dynamics exactly up to the control-switch
 resolution ``h``.  Controls are re-selected at every boundary event and at
-checkpoints spaced ``h`` apart; in between they are frozen.
+checkpoints spaced ``h`` apart; in between they are frozen.  The stepping
+loop, ``_event_split``, is shared with ``skorokhod.solve_lsp``; it rejects a
+negative or non-finite horizon (BadHorizon) and a step that is not finite and
+positive (BadStep).
 
 At a boundary state the admissible polytope is intersected with the velocity
 constraints that keep near-empty classes nonnegative, so any vertex the
@@ -21,13 +24,14 @@ to enumerating from scratch at every stamp.  Nothing is kept between runs.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import fmt, l1
-from .errors import DimensionMismatch, StepTooLarge
+from ._util import fmt, l1, rng_from
+from .errors import BadHorizon, BadStep, DimensionMismatch, StepTooLarge
 from .model import (
     WORK_CONSERVING,
     ControlPolytope,
@@ -149,7 +153,7 @@ class RandomVertex(ControlSelector):
         self._rng = None
 
     def start_run(self):
-        self._rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed)))
+        self._rng = rng_from(self.seed)
 
     def choose(self, t, q, polytope, velocities):
         if self._rng is None:
@@ -300,6 +304,73 @@ def zero_invariant(spec: NetworkSpec) -> bool:
     return all(u[list(g)].sum() <= tol for g in spec.priority_groups)
 
 
+def _check_horizon(horizon) -> None:
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise BadHorizon(f"horizon must be finite and nonnegative, got {horizon!r}")
+
+
+def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int,
+                 control, stop=None):
+    """Euler steps of at most h, cut at the earliest zero crossing.
+
+    The one stepper behind :func:`simulate` and ``skorokhod.solve_lsp``.
+    Before each step ``control(t, x, xs)`` gets the time and the state, as an
+    array and as a list of floats, and returns ``(u, v, exempt)``: the control
+    held over the step, the velocity it gives, and the components whose zero
+    crossings do not cut the step.  A component that reaches zero is snapped
+    to exactly 0, and every level is clamped at zero.  After each stamp
+    ``stop(t, xs)``, if given, ends the run when it returns True.
+
+    Returns the grid, the states, the cumulative controls and the controls
+    (one row per step) as arrays.
+    """
+    _check_horizon(horizon)
+    if not (math.isfinite(h) and h > 0):
+        raise BadStep(f"step must be finite and positive, got {h!r}")
+    x = x0
+    xs = x.tolist()
+    cum = np.zeros(x.shape[0])
+    t = 0.0
+    grid, states, cumulative, controls = [t], [x.copy()], [cum], []
+    end = horizon * (1 - 1e-15) - 1e-15
+
+    while t < end:
+        u, v, exempt = control(t, x, xs)
+        dt = min(h, horizon - t)
+        crossing = []
+        for k, v_k in enumerate(v.tolist()):
+            if v_k < -1e-14 and xs[k] > 0.0 and k not in exempt:
+                t_k = xs[k] / -v_k
+                if t_k < dt * (1 - 1e-12):
+                    dt = t_k
+                    crossing = [k]
+                elif t_k <= dt * (1 + 1e-12) and crossing:
+                    crossing.append(k)
+        x = x + v * dt
+        cum = cum + u * dt
+        t = t + dt
+        for k in crossing:
+            x[k] = 0.0
+        np.maximum(x, 0.0, out=x)
+        xs = x.tolist()
+
+        grid.append(t)
+        states.append(x.copy())
+        cumulative.append(cum)
+        controls.append(u)
+        if len(controls) > max_events:
+            raise StepTooLarge(f"more than {max_events} sub-steps; reduce h or horizon")
+        if stop is not None and stop(t, xs):
+            break
+
+    return (
+        np.asarray(grid),
+        np.asarray(states),
+        np.asarray(cumulative),
+        np.asarray(controls) if controls else np.empty((0, x.shape[0])),
+    )
+
+
 def simulate(
     spec: NetworkSpec,
     x0,
@@ -316,12 +387,10 @@ def simulate(
     checkpoints every ``h``.  Steps are cut at the earliest zero crossing so
     stamps land exactly on the boundary.  The run stops early once the total
     mass stays below the emptiness threshold for two consecutive stamps and
-    the empty state can be held (unless ``stop_on_drain`` is False).
+    the empty state can be held (unless ``stop_on_drain`` is False).  A
+    negative or non-finite horizon raises BadHorizon, a step that is not
+    finite and positive BadStep.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
     x0 = np.asarray(x0, dtype=float).copy()
     if x0.shape != (spec.K,):
         raise DimensionMismatch(f"initial state has shape {x0.shape}, expected ({spec.K},)")
@@ -336,24 +405,9 @@ def simulate(
     can_hold_zero = zero_invariant(spec)
     velocity_map = -spec.outflow.T
     n_classes = spec.K
-
-    q = x0.copy()
-    ql = q.tolist()
-    total_alloc = np.zeros(n_classes)
-    t = 0.0
-    grid = [0.0]
-    levels = [q.copy()]
-    allocation = [total_alloc.copy()]
-    controls = []
-
     systems: dict = {}  # (empty, zero classes, pinned) -> _ViableSystem, for this run only
-    drained_at = None
-    first_below = 0.0 if max(ql) < eps else None
-    below_streak = 1 if first_below is not None else 0
-    events = 0
-    end = horizon * (1 - 1e-15) - 1e-15
 
-    while t < end:
+    def select(t, q, ql):
         empty, zeros = _active_sets(spec, ql, eps)
         pinned = can_hold_zero and len(zeros) == n_classes
         key = (empty, zeros, pinned)
@@ -368,57 +422,31 @@ def simulate(
             velocities = poly.vertices @ velocity_map + spec.alpha
             if exact:
                 system.exact = (poly, velocities)
-
         u = np.asarray(selector.choose(t, q, poly, velocities), dtype=float)
-        v = spec.alpha - spec.outflow @ u
+        return u, spec.alpha - spec.outflow @ u, ()
 
-        dt = min(h, horizon - t)
-        crossing = []
-        for k, v_k in enumerate(v.tolist()):
-            if v_k < -1e-14 and ql[k] > 0.0:
-                t_k = ql[k] / -v_k
-                if t_k < dt * (1 - 1e-12):
-                    dt = t_k
-                    crossing = [k]
-                elif t_k <= dt * (1 + 1e-12) and crossing:
-                    crossing.append(k)
-        q = q + v * dt
-        total_alloc = total_alloc + u * dt
-        t = t + dt
-        for k in crossing:
-            q[k] = 0.0
-        np.maximum(q, 0.0, out=q)
-        ql = q.tolist()
+    drained_at = None
+    first_below = 0.0 if x0.max() < eps else None
+    below_streak = 1 if first_below is not None else 0
 
-        grid.append(t)
-        levels.append(q.copy())
-        allocation.append(total_alloc.copy())
-        controls.append(u)
-
-        events += 1
-        if events > max_events:
-            raise StepTooLarge(f"more than {max_events} sub-steps; reduce h or horizon")
-
+    def drained(t, ql):
+        nonlocal drained_at, first_below, below_streak
         if max(ql) < eps:
             if first_below is None:
                 first_below = t
             below_streak += 1
             if below_streak >= 2 and can_hold_zero and drained_at is None:
                 drained_at = first_below
-                if stop_on_drain:
-                    break
+                return stop_on_drain
         else:
             first_below = None
             below_streak = 0
+        return False
 
-    return Trajectory(
-        grid=np.asarray(grid),
-        levels=np.asarray(levels),
-        allocation=np.asarray(allocation),
-        controls=np.asarray(controls) if controls else np.empty((0, spec.K)),
-        spec=spec,
-        drained_at=drained_at,
+    grid, levels, allocation, controls = _event_split(
+        x0, horizon, h, max_events, select, drained
     )
+    return Trajectory(grid, levels, allocation, controls, spec=spec, drained_at=drained_at)
 
 
 def viability_check(spec: NetworkSpec, x) -> bool:

@@ -74,6 +74,14 @@ class BadHorizon(FluidNetError):
     """A simulation horizon is negative, infinite or NaN."""
 
 
+class BadStep(FluidNetError):
+    """A step size is zero, negative, infinite or NaN."""
+
+
+class NoSeeds(FluidNetError):
+    """A sampled comparison was given no seeds to run."""
+
+
 class EventBudgetExceeded(FluidNetError):
     """Discrete-event simulation exceeded its event budget."""
 

@@ -16,9 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import fmt, parallel_map
-from .dynamics import FirstVertex, MaxDrain, MinDrain, RandomVertex, Trajectory, simulate
-from .errors import BadHorizon, DimensionMismatch, EventBudgetExceeded
+from ._util import child_seeds, fmt, rng_from
+from .dynamics import (
+    FirstVertex,
+    MaxDrain,
+    MinDrain,
+    RandomVertex,
+    Trajectory,
+    _check_horizon,
+    simulate,
+)
+from .errors import DimensionMismatch, EventBudgetExceeded, NoSeeds
 from .model import PRIORITY, NetworkSpec
 
 EXPONENTIAL = "exponential"
@@ -137,9 +145,8 @@ def simulate_queueing(
         raise DimensionMismatch(f"initial counts have shape {q_arr.shape}, expected ({net.K},)")
     if np.any(q_arr < 0):
         raise ValueError("queue lengths must be nonnegative integers")
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise BadHorizon(f"horizon must be finite and nonnegative, got {horizon!r}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    _check_horizon(horizon)
+    rng = rng_from(seed)
     exponential = rng.exponential
     uniform = rng.random
 
@@ -324,8 +331,7 @@ def distance_to_fluid(scaled: ScaledPath, traj: Trajectory, horizon: float):
 
 def default_fluid_ensemble(seed: int = 42, n_random: int = 8):
     selectors = [MaxDrain(), MinDrain(), FirstVertex()]
-    children = np.random.SeedSequence(seed).spawn(n_random)
-    selectors.extend(RandomVertex(int(c.generate_state(1)[0]) % (2**31)) for c in children)
+    selectors.extend(RandomVertex(s) for s in child_seeds(seed, n_random))
     return selectors
 
 
@@ -345,8 +351,12 @@ def fluid_limit_compare(
     For each scale r the start is round(r * q_direction) customers with fresh
     residuals; each seeded run is scaled back and compared against every
     trajectory in the selector ensemble, keeping the best match.  Rows carry
-    the per-seed time-mean and sup distances.
+    the per-seed time-mean and sup distances.  An empty seed list raises
+    NoSeeds.
     """
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise NoSeeds("fluid-limit comparison needs at least one seed")
     q_direction = np.asarray(q_direction, dtype=float)
     if ensemble is None:
         ensemble = default_fluid_ensemble()
@@ -357,20 +367,14 @@ def fluid_limit_compare(
         q_int = np.round(r * q_direction).astype(np.int64)
         x0 = q_int / r
         fluid_trajs = [simulate(spec, x0, sel, horizon, h) for sel in ensemble]
-
-        def one_seed(seed, _q=q_int, _r=r, _trajs=fluid_trajs):
-            path = simulate_queueing(qspec, _q, _r * horizon, int(seed))
-            scaled = ScaledPath(path, _r)
-            best = min(
-                (distance_to_fluid(scaled, traj, horizon) for traj in _trajs),
+        sups = []
+        for seed in seeds:
+            scaled = ScaledPath(simulate_queueing(qspec, q_int, r * horizon, seed), r)
+            sup, mean = min(
+                (distance_to_fluid(scaled, traj, horizon) for traj in fluid_trajs),
                 key=lambda pair: pair[0],
             )
-            return best
-
-        results = parallel_map(one_seed, list(seeds))
-        sups = []
-        for seed, (sup, mean) in zip(seeds, results):
-            rows.append({"r": r, "seed": int(seed), "mean_dist": mean, "max_dist": sup})
+            rows.append({"r": r, "seed": seed, "mean_dist": mean, "max_dist": sup})
             sups.append(sup)
         aggregate[r] = {
             "mean_of_max": float(np.mean(sups)),

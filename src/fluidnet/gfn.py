@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import l1
+from ._util import l1, rng_from
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -326,7 +326,7 @@ def axiom_report(
     flow-balance residual (normalized by 1 + initial mass) and the worst
     Lipschitz estimate against the theoretical constant.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = rng_from(seed)
     selectors = [FirstVertex(), MaxDrain(), MinDrain()]
     base = []
     for i in range(n_base):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import l1, to_jsonable
+from ._util import child_seeds, l1, rng_from, to_jsonable
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -209,10 +209,7 @@ def approximate_V(family, x, budget: SearchBudget = SearchBudget()) -> VEstimate
         for prefix in itertools.product(range(_BRANCH_BASE), repeat=depth):
             selectors.append(_PrefixSelector(prefix))
     if budget.multistarts > 0:
-        children = np.random.SeedSequence(budget.seed).spawn(budget.multistarts)
-        selectors.extend(
-            RandomVertex(int(c.generate_state(1)[0]) % (2**31)) for c in children
-        )
+        selectors.extend(RandomVertex(s) for s in child_seeds(budget.seed, budget.multistarts))
 
     best_value = -np.inf
     best_traj = None
@@ -393,7 +390,7 @@ def _sampled_drift_check(spec, derivative_fn, positivity_fn, *, epsilon, samples
     derivative; positivity_fn(states) -> per-state candidate value (must be
     strictly positive away from zero).
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = rng_from(seed)
     worst_margin = np.inf
     checked = 0
     for empty in boundary_configurations(spec):

@@ -6,9 +6,12 @@ grows only while Z_j sits on the boundary.  Solvability for every drift is
 equivalent to R being completely-S (every principal submatrix admits x >= 0
 with Rx > 0), which is decided here by small LPs.
 
-The solver steps with the same event-splitting scheme as the fluid dynamics:
-per step the boundary push is the minimal-l1 rate, supported on the active
-set, that keeps active components nonnegative through the step.  Minimality
+The solver steps with the event-splitting stepper of the fluid dynamics,
+``dynamics._event_split``, which also rejects a negative or non-finite
+horizon (BadHorizon) and a step that is not finite and positive (BadStep).
+Per step the boundary push is the minimal-l1 rate, supported on the active
+set, that keeps active components nonnegative through the step; the active
+components are exempt from the stepper's zero-crossing cut.  Minimality
 fixes a deterministic selection among the generally non-unique solutions.
 """
 from __future__ import annotations
@@ -21,13 +24,13 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ._util import fmt, l1
+from .dynamics import _EVENT_CAP, _event_split
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     InfeasibleActiveSet,
     NotCompletelyS,
     PushBoundExceeded,
-    StepTooLarge,
 )
 
 _ACTIVE_CAP = 8  # combinatorial push enumeration is C(2a, a) in the active count
@@ -232,12 +235,14 @@ def _minimal_push(r: np.ndarray, active, c: np.ndarray, tol: float,
 
 
 def solve_lsp(inst: LspInstance, horizon: float, h: float,
-              *, max_events: int = 1_000_000) -> LspSolution:
+              *, max_events: int = _EVENT_CAP) -> LspSolution:
     """Complementarity time-stepping with event splitting at zero crossings.
 
     Refuses instances whose reflection matrix is not completely-S.  Raises
     PushBoundExceeded when the minimal admissible push tops the instance's
-    bound (the configured bound was too low for this drift).
+    bound (the configured bound was too low for this drift), BadHorizon for a
+    negative or non-finite horizon and BadStep for a step that is not finite
+    and positive.
 
     The candidate push bases of each active set are built once per call, on
     the first stamp that meets that set; later stamps only solve them for the
@@ -246,25 +251,15 @@ def solve_lsp(inst: LspInstance, horizon: float, h: float,
     """
     if not is_completely_s(inst.reflection):
         raise NotCompletelyS("reflection matrix is not completely-S")
-    if h <= 0 or horizon < 0:
-        raise ValueError("need h > 0 and horizon >= 0")
     theta, r = inst.theta, inst.reflection
     bases = {}
     eps = 1e-9 * (1.0 + l1(inst.z0))
     tol = 1e-9 * (1.0 + l1(theta))
 
-    z = inst.z0.copy()
-    y = np.zeros(inst.J)
-    t = 0.0
-    grid = [0.0]
-    states = [z.copy()]
-    pushing = [y.copy()]
-    controls = []
-    events = 0
-    end = horizon * (1 - 1e-15) - 1e-15
-
-    while t < end:
-        active = [j for j in range(inst.J) if z[j] < eps]
+    def push(t, z, zs):
+        # the active components are held at the boundary by the push, so
+        # their crossings do not cut the step
+        active = [j for j, level in enumerate(zs) if level < eps]
         if active:
             c = -theta[active] - z[active] / h
             u = _minimal_push(r, active, c, tol, bases)
@@ -274,39 +269,9 @@ def solve_lsp(inst: LspInstance, horizon: float, h: float,
                 )
         else:
             u = np.zeros(inst.J)
-        v = theta + r @ u
+        return u, theta + r @ u, active
 
-        dt = min(h, horizon - t)
-        crossing = []
-        for j in range(inst.J):
-            if j not in active and v[j] < -1e-14 and z[j] > 0.0:
-                t_j = z[j] / -v[j]
-                if t_j < dt * (1 - 1e-12):
-                    dt = t_j
-                    crossing = [j]
-                elif t_j <= dt * (1 + 1e-12) and crossing:
-                    crossing.append(j)
-        z = z + v * dt
-        y = y + u * dt
-        t = t + dt
-        for j in crossing:
-            z[j] = 0.0
-        np.maximum(z, 0.0, out=z)
-
-        grid.append(t)
-        states.append(z.copy())
-        pushing.append(y.copy())
-        controls.append(u)
-        events += 1
-        if events > max_events:
-            raise StepTooLarge(f"more than {max_events} sub-steps; reduce h or horizon")
-
-    return LspSolution(
-        grid=np.asarray(grid),
-        states=np.asarray(states),
-        pushing=np.asarray(pushing),
-        controls=np.asarray(controls) if controls else np.empty((0, inst.J)),
-    )
+    return LspSolution(*_event_split(inst.z0, horizon, h, max_events, push))
 
 
 def solution_residual(inst: LspInstance, sol: LspSolution) -> float:

@@ -9,12 +9,11 @@ recorded in the verdict.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import l1, parallel_map, to_jsonable
+from ._util import child_seeds, l1, rng_from, to_jsonable
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -60,7 +59,7 @@ def default_selectors() -> tuple[ControlSelector, ...]:
 
 def unit_sphere_states(k: int, samples: int, seed: int) -> np.ndarray:
     """Basis vectors plus Dirichlet-uniform draws on the unit l1 simplex."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = rng_from(seed)
     rows = [np.eye(k)]
     if samples > 0:
         rows.append(rng.dirichlet(np.ones(k), size=samples))
@@ -85,12 +84,9 @@ def draining_time(
     if selectors is None:
         selectors = default_selectors()
     starts = unit_sphere_states(spec.K, samples, seed)
-    # each job owns its selector: stateful ones (RandomVertex, FixedSequence)
-    # must not be advanced by runs in other pool threads
-    jobs = [(x, copy.deepcopy(sel)) for x in starts for sel in selectors]
-    results = parallel_map(
-        lambda job: simulate(spec, job[0], job[1], horizon, h).drained_at, jobs
-    )
+    results = [
+        simulate(spec, x, sel, horizon, h).drained_at for x in starts for sel in selectors
+    ]
     evidence = {
         "starts": int(starts.shape[0]),
         "selectors": [sel.name for sel in selectors],
@@ -125,8 +121,7 @@ def instability_witness(
     """
     starts = unit_sphere_states(spec.K, samples, seed)
     selectors: list[ControlSelector] = [MinDrain(), FirstVertex()]
-    children = np.random.SeedSequence(seed).spawn(multistarts)
-    selectors.extend(RandomVertex(int(c.generate_state(1)[0]) % (2**31)) for c in children)
+    selectors.extend(RandomVertex(s) for s in child_seeds(seed, multistarts))
 
     best_inf = -np.inf
     best_traj = None

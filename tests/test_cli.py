@@ -118,6 +118,30 @@ def test_fluidlimit_command(spec_file, tmp_path):
         assert handle.readline().strip() == "r,seed,mean_dist,max_dist"
 
 
+def test_fluidlimit_without_samples_exit_one(spec_file, tmp_path):
+    text = network_to_yaml(fixtures.two_class_priority()) + (
+        "queueing:\n  interarrival: exponential\n  service: exponential\n"
+    )
+    out = tmp_path / "out"
+    assert run_cli("fluidlimit", spec_file(text), out, "--horizon", "2", "--samples", "0") == 1
+    assert not os.path.exists(out / "distances.csv")
+
+
+@pytest.mark.parametrize("flags", [("--step", "nan"), ("--horizon", "nan")])
+def test_nan_step_or_horizon_exit_one(spec_file, tmp_path, flags):
+    out = tmp_path / "out"
+    assert run_cli("simulate", spec_file(fixtures.tandem()), out, *flags) == 1
+    assert not os.path.exists(out / "trajectory.csv")
+
+
+@pytest.mark.parametrize("flags", [("--step", "0"), ("--horizon", "-1")])
+def test_nonpositive_step_or_horizon_one_error_line(spec_file, tmp_path, capsys, flags):
+    assert run_cli("simulate", spec_file(fixtures.tandem()), tmp_path / "out", *flags) == 1
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err
+
+
 def test_byte_identical_reruns(spec_file, tmp_path):
     path = spec_file(fixtures.tandem())
     outputs = []

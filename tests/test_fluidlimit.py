@@ -3,7 +3,7 @@ import pytest
 
 from fluidnet import fixtures
 from fluidnet.dynamics import MaxDrain, simulate
-from fluidnet.errors import EventBudgetExceeded
+from fluidnet.errors import EventBudgetExceeded, NoSeeds
 from fluidnet.fluidlimit import (
     DETERMINISTIC,
     EXPONENTIAL,
@@ -125,6 +125,23 @@ class TestFluidDistance:
         csv = distance_table_csv(table)
         assert csv.splitlines()[0] == "r,seed,mean_dist,max_dist"
         assert len(csv.splitlines()) == 5
+
+    def test_compare_without_seeds_rejected(self, monkeypatch):
+        from fluidnet import fluidlimit
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before checking the seeds")
+
+        monkeypatch.setattr(fluidlimit, "simulate", refuse)
+        with pytest.raises(NoSeeds):
+            fluid_limit_compare(
+                fixtures.queueing_two_class_priority(),
+                fixtures.two_class_priority(),
+                [0.5, 0.5],
+                [5, 20],
+                2.0,
+                seeds=[],
+            )
 
     def test_empty_start_no_arrivals_zero_distance(self):
         net = fixtures.single_queue(0.0, 1.0)

@@ -5,6 +5,8 @@ import pytest
 
 from fluidnet import fixtures
 from fluidnet.errors import (
+    BadHorizon,
+    BadStep,
     DimensionTooLarge,
     NotCompletelyS,
     PushBoundExceeded,
@@ -141,6 +143,16 @@ class TestSolveLsp:
     def test_refuses_non_completely_s(self):
         with pytest.raises(NotCompletelyS):
             solve_lsp(LspInstance([-1.0, 0.0], [[1, 0], [0, -1]], [1.0, 1.0]), 1.0, 0.1)
+
+    @pytest.mark.parametrize("horizon", [-1.0, np.inf, np.nan])
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(BadHorizon):
+            solve_lsp(fixtures.lsp_one_dimensional(), horizon, 0.1)
+
+    @pytest.mark.parametrize("h", [0.0, -0.01, np.nan])
+    def test_bad_step_rejected(self, h):
+        with pytest.raises(BadStep):
+            solve_lsp(fixtures.lsp_one_dimensional(), 1.0, h)
 
     def test_push_bound_exceeded(self):
         inst = LspInstance([-5.0], [[1.0]], [0.5], push_bound=1.0)
