@@ -6,20 +6,39 @@ import tempfile
 
 import numpy as np
 
+from .errors import BadCount, BadSeed
+
 
 def l1(x) -> float:
     """The l1 norm used throughout: sum of absolute component values."""
     return float(np.abs(np.asarray(x, dtype=float)).sum())
 
 
+def check_seed(seed: int) -> int:
+    """The seed itself if it is nonnegative, as SeedSequence requires; else BadSeed."""
+    if seed < 0:
+        raise BadSeed(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
+def check_count(name: str, value: int, cap: int | None = None) -> int:
+    """The count itself if it is nonnegative and at most ``cap``; else BadCount."""
+    if value < 0:
+        raise BadCount(f"{name} must be nonnegative, got {value}")
+    if cap is not None and value > cap:
+        raise BadCount(f"{name} must lie in 0..{cap}, got {value}")
+    return value
+
+
 def rng_from(seed: int) -> np.random.Generator:
     """Counter-based generator so spawned streams are independent and reproducible."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(seed))))
 
 
 def child_seeds(seed: int, n: int) -> list[int]:
     """n independent 31-bit seeds spawned from one top-level seed."""
-    return [int(c.generate_state(1)[0]) % (2**31) for c in np.random.SeedSequence(seed).spawn(n)]
+    children = np.random.SeedSequence(check_seed(seed)).spawn(check_count("seed count", n))
+    return [int(c.generate_state(1)[0]) % (2**31) for c in children]
 
 
 def atomic_write_text(path, text: str) -> None:

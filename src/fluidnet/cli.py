@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, child_seeds, to_jsonable
+from ._util import atomic_write_text, check_count, child_seeds, to_jsonable
 from .dynamics import (
     FirstVertex,
     MaxDrain,
@@ -31,10 +31,17 @@ from .dynamics import (
     simulate,
     trajectory_csv,
 )
-from .errors import BadHorizon, BadStep, FluidNetError, IoError, ParseError
+from .errors import (
+    BadHorizon,
+    BadStep,
+    FluidNetError,
+    IoError,
+    ParseError,
+)
 from .fluidlimit import distance_table_csv, fluid_limit_compare, queueing_spec
 from .gfn import axiom_report, network_family
 from .lyapunov import (
+    MAX_DEPTH,
     SearchBudget,
     approximate_V,
     check_sandwich,
@@ -56,25 +63,6 @@ log = logging.getLogger("fluidnet")
 
 COMMANDS = ("simulate", "stability", "lyapunov", "skorokhod", "fluidlimit", "gfn-check")
 
-
-def emit_plot_data(artifact, path) -> None:
-    """Write a trajectory, reflected-drift solution, or distance table as a
-    plotting-ready CSV.  An empty trajectory yields a header-only file."""
-    from .dynamics import Trajectory
-    from .skorokhod import LspSolution
-
-    if isinstance(artifact, Trajectory):
-        text = trajectory_csv(artifact)
-    elif isinstance(artifact, LspSolution):
-        text = solution_csv(artifact)
-    elif isinstance(artifact, dict) and "rows" in artifact:
-        text = distance_table_csv(artifact)
-    else:
-        raise TypeError(f"cannot serialize {type(artifact)!r} as plot data")
-    try:
-        atomic_write_text(path, text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 _SELECTORS = {
     "first_vertex": FirstVertex,
@@ -102,6 +90,15 @@ class RunConfig:
             raise BadStep(f"step must be positive, got {self.h!r}")
         if not self.horizon > 0:
             raise BadHorizon(f"horizon must be positive, got {self.horizon!r}")
+        check_count("samples", self.samples)
+        # checks the seed, depth and multistarts before any command runs
+        self.search_budget()
+
+    def search_budget(self) -> SearchBudget:
+        return SearchBudget(
+            horizon=self.horizon, step=self.h,
+            depth=self.depth, multistarts=self.multistarts, seed=self.seed,
+        )
 
 
 def _selector_from_name(name: str, seed: int):
@@ -184,10 +181,7 @@ def run(config: RunConfig) -> int:
             big_l = lipschitz_constant(spec)
             triple = comparison_functions(big_l, verdict.tau)
             family = network_family(spec, horizon=config.horizon, h=config.h)
-            budget = SearchBudget(
-                horizon=config.horizon, step=config.h,
-                depth=config.depth, multistarts=config.multistarts, seed=config.seed,
-            )
+            budget = config.search_budget()
             states = unit_sphere_states(spec.K, min(config.samples, 8), config.seed)
             pairs = []
             for x in states:
@@ -268,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--step", type=float, default=0.01, help="control-switch step h")
     parser.add_argument("--horizon", type=float, default=50.0)
     parser.add_argument("--samples", type=int, default=16)
-    parser.add_argument("--depth", type=int, default=0)
+    parser.add_argument("--depth", type=int, default=0,
+                        help=f"best-path search branching depth, 0..{MAX_DEPTH}")
     parser.add_argument("--multistarts", type=int, default=0)
     return parser
 

@@ -31,15 +31,22 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ._util import fmt, l1, rng_from
-from .errors import BadHorizon, BadStep, DimensionMismatch, StepTooLarge
+from .errors import (
+    BadHorizon,
+    BadStep,
+    DimensionMismatch,
+    NegativeState,
+    NonFiniteInput,
+    StepTooLarge,
+)
 from .model import (
     WORK_CONSERVING,
     ControlPolytope,
     NetworkSpec,
     admissible_constraints,
-    boundary_configurations,
     empty_threshold,
     enumerate_polytope_vertices,
+    maximal_configurations,
     rank_tested_subsets,
     subset_vertices,
 )
@@ -389,15 +396,16 @@ def simulate(
     mass stays below the emptiness threshold for two consecutive stamps and
     the empty state can be held (unless ``stop_on_drain`` is False).  A
     negative or non-finite horizon raises BadHorizon, a step that is not
-    finite and positive BadStep.
+    finite and positive BadStep, a non-finite initial state NonFiniteInput
+    and a negative one NegativeState.
     """
     x0 = np.asarray(x0, dtype=float).copy()
     if x0.shape != (spec.K,):
         raise DimensionMismatch(f"initial state has shape {x0.shape}, expected ({spec.K},)")
     if not np.all(np.isfinite(x0)):
-        raise ValueError(f"initial state must be finite, got {x0.tolist()}")
+        raise NonFiniteInput(f"initial state must be finite, got {x0.tolist()}")
     if np.any(x0 < -1e-9 * (1 + l1(x0))):
-        raise ValueError(f"initial state must be nonnegative, got {x0.tolist()}")
+        raise NegativeState(f"initial state must be nonnegative, got {x0.tolist()}")
     x0 = np.maximum(x0, 0.0)
 
     eps = empty_threshold(x0)
@@ -528,11 +536,13 @@ def complementarity_residual(spec: NetworkSpec, traj: Trajectory) -> float:
 def lipschitz_constant(spec: NetworkSpec) -> float:
     """A priori slope bound: |alpha| + |outflow| * max vertex allocation mass.
 
-    The max runs over the vertices of every boundary configuration; matrix
-    norm is the induced l1 norm (max column sum).
+    The max runs over the vertices of every proper boundary configuration,
+    which are the vertices of the maximal ones
+    (:func:`model.maximal_configurations`); matrix norm is the induced l1
+    norm (max column sum).
     """
     u_max = 0.0
-    for empty in boundary_configurations(spec):
+    for empty in maximal_configurations(spec):
         verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, empty))
         if verts.shape[0]:
             u_max = max(u_max, float(np.abs(verts).sum(axis=1).max()))

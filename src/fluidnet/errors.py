@@ -82,6 +82,30 @@ class NoSeeds(FluidNetError):
     """A sampled comparison was given no seeds to run."""
 
 
+# The classes below also derive from ValueError, so callers that catch
+# ValueError around these checks keep catching them.
+
+
+class NonFiniteInput(FluidNetError, ValueError):
+    """An initial state, drift or reflection matrix holds NaN or infinity."""
+
+
+class NegativeState(FluidNetError, ValueError):
+    """An initial state has a negative component."""
+
+
+class BadPushBound(FluidNetError, ValueError):
+    """A reflection push bound is zero, negative or NaN."""
+
+
+class BadSeed(FluidNetError, ValueError):
+    """A seed is negative."""
+
+
+class BadCount(FluidNetError, ValueError):
+    """A sample, multistart or search-depth count is negative or above its cap."""
+
+
 class EventBudgetExceeded(FluidNetError):
     """Discrete-event simulation exceeded its event budget."""
 

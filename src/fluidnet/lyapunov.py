@@ -7,8 +7,10 @@ functions built from the Lipschitz constant and the draining time, and it
 decreases along every path at least as fast as the current mass.
 
 Certificates are checked against the drift set: linear candidates by one LP
-over all boundary configurations, piecewise-linear and quadratic candidates
-by seeded sampled-drift verification.
+over the vertex velocities of the n maximal boundary configurations (whose
+vertices are those of every proper configuration, see
+``model.maximal_configurations``), piecewise-linear and quadratic candidates
+by seeded sampled-drift verification over every boundary configuration.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import child_seeds, l1, rng_from, to_jsonable
+from ._util import check_count, check_seed, child_seeds, l1, rng_from, to_jsonable
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -36,6 +38,7 @@ from .model import (
     NetworkSpec,
     admissible_polytope,
     boundary_configurations,
+    maximal_configurations,
 )
 
 
@@ -138,6 +141,14 @@ def comparison_functions(lipschitz: float, tau: float) -> ComparisonTriple:
 # best-path search
 
 
+#: Depth d branches 3 + 9 + ... + 3^d prefix selectors, one simulate each, so
+#: each level triples the search.  The ``lyapunov`` command at its defaults
+#: (horizon 50, step 0.01, K + 8 states) took 13-105 s at depth 5, 37-326 s at
+#: depth 6 and 123-953 s at depth 7 on the five stable fixtures (one process
+#: on a 2-core x86-64 machine); the cap keeps the slowest under six minutes.
+MAX_DEPTH = 6
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     horizon: float = 40.0
@@ -145,6 +156,11 @@ class SearchBudget:
     depth: int = 0
     multistarts: int = 0
     seed: int = 42
+
+    def __post_init__(self):
+        check_seed(self.seed)
+        check_count("multistarts", self.multistarts)
+        check_count("depth", self.depth, MAX_DEPTH)
 
 
 @dataclass(frozen=True)
@@ -331,9 +347,13 @@ class Certificate:
 
 
 def _drift_vertices(spec: NetworkSpec):
-    """Deduplicated (control, velocity) rows over all boundary configurations."""
+    """Deduplicated (control, velocity) rows of every proper boundary configuration.
+
+    Only the n maximal configurations are enumerated: their vertices are the
+    vertices of all 2^n - 1 proper ones (``model.maximal_configurations``).
+    """
     seen = {}
-    for empty in boundary_configurations(spec):
+    for empty in maximal_configurations(spec):
         poly = admissible_polytope(spec, empty)
         velocities = poly.vertices @ (-spec.outflow.T) + spec.alpha
         for u, v in zip(poly.vertices, velocities):
@@ -349,7 +369,8 @@ def linear_certificate_search(spec: NetworkSpec, *, weight_floor: float = 1e-6,
 
     Finds h in [weight_floor, 1]^K maximizing the margin epsilon subject to
     h . v <= -epsilon for every admissible vertex velocity v of every
-    boundary configuration.  Infeasibility yields Unknown, never Falsified:
+    proper boundary configuration, collected from the n maximal ones by
+    :func:`_drift_vertices`.  Infeasibility yields Unknown, never Falsified:
     linear certificates are sufficient, not necessary.
     """
     _, drifts = _drift_vertices(spec)

@@ -461,7 +461,11 @@ def priority_polytope(spec: NetworkSpec, empty_classes=()) -> ControlPolytope:
     return admissible_polytope(spec, empty_classes)
 
 
-def boundary_configurations(spec: NetworkSpec, *, max_size: int = 16):
+#: Largest station or class count whose boundary configurations are enumerated
+CONFIGURATION_CAP = 16
+
+
+def boundary_configurations(spec: NetworkSpec):
     """All boundary configurations relevant to drift checks.
 
     Yields every proper subset of stations (work-conserving) or classes
@@ -469,8 +473,31 @@ def boundary_configurations(spec: NetworkSpec, *, max_size: int = 16):
     fluid, so the configuration is realized by a nonzero state.
     """
     n = spec.J if spec.discipline == WORK_CONSERVING else spec.K
-    if n > max_size:
-        raise DimensionTooLarge(f"{2 ** n} boundary configurations exceeds cap 2^{max_size}")
+    if n > CONFIGURATION_CAP:
+        raise DimensionTooLarge(
+            f"{2 ** n} boundary configurations exceeds cap 2^{CONFIGURATION_CAP}"
+        )
     items = range(n)
     for size in range(n):
         yield from (frozenset(c) for c in itertools.combinations(items, size))
+
+
+def maximal_configurations(spec: NetworkSpec):
+    """The n maximal proper boundary configurations, n - 1 items each.
+
+    Yields the subsets of n - 1 stations (work-conserving) or classes
+    (priority) in lexicographic order; for n = 1 the single empty set.  For
+    E within E', the admissible set of E is the face of the admissible set of
+    E' on which the extra rows of E' (capacity one on a station or priority
+    group that is now busy) hold with equality, and every vertex of a face is
+    a vertex of the polytope.  So the vertices of these n configurations are
+    the vertices of all 2^n - 1 proper ones.  Each is still enumerated
+    exactly, at C(rows, n - 1) subsets, hence the same cap as
+    :func:`boundary_configurations`.
+    """
+    n = spec.J if spec.discipline == WORK_CONSERVING else spec.K
+    if n > CONFIGURATION_CAP:
+        raise DimensionTooLarge(
+            f"{n} maximal boundary configurations exceeds cap {CONFIGURATION_CAP}"
+        )
+    yield from (frozenset(c) for c in itertools.combinations(range(n), n - 1))

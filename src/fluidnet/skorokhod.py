@@ -26,9 +26,12 @@ from scipy.optimize import linprog
 from ._util import fmt, l1
 from .dynamics import _EVENT_CAP, _event_split
 from .errors import (
+    BadPushBound,
     DimensionMismatch,
     DimensionTooLarge,
     InfeasibleActiveSet,
+    NegativeState,
+    NonFiniteInput,
     NotCompletelyS,
     PushBoundExceeded,
 )
@@ -86,6 +89,13 @@ def _default_push_bound(theta: np.ndarray, r: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LspInstance:
+    """A validated linear Skorokhod problem.
+
+    Raises DimensionMismatch for inconsistent shapes, NonFiniteInput for NaN
+    or infinity in theta, R or Z0, NegativeState for a negative Z0 and
+    BadPushBound for a push bound that is not positive.
+    """
+
     theta: np.ndarray
     reflection: np.ndarray
     z0: np.ndarray
@@ -100,14 +110,18 @@ class LspInstance:
             raise DimensionMismatch(
                 f"inconsistent shapes: theta {theta.shape}, R {r.shape}, Z0 {z0.shape}"
             )
+        arrays = (("theta", theta), ("reflection", r), ("z0", z0))
+        for name, val in arrays:
+            if not np.all(np.isfinite(val)):
+                raise NonFiniteInput(f"{name} must be finite, got {val.tolist()}")
         if np.any(z0 < 0):
-            raise ValueError("initial state must be nonnegative")
+            raise NegativeState(f"initial state must be nonnegative, got {z0.tolist()}")
         bound = self.push_bound
         if bound is None:
             bound = _default_push_bound(theta, r)
-        if bound <= 0:
-            raise ValueError("push bound must be positive")
-        for name, val in (("theta", theta), ("reflection", r), ("z0", z0)):
+        if not bound > 0:
+            raise BadPushBound(f"push bound must be positive, got {bound!r}")
+        for name, val in arrays:
             val.setflags(write=False)
             object.__setattr__(self, name, val)
         object.__setattr__(self, "push_bound", float(bound))

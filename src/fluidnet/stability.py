@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import child_seeds, l1, rng_from, to_jsonable
+from ._util import check_count, child_seeds, l1, rng_from, to_jsonable
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -59,6 +59,7 @@ def default_selectors() -> tuple[ControlSelector, ...]:
 
 def unit_sphere_states(k: int, samples: int, seed: int) -> np.ndarray:
     """Basis vectors plus Dirichlet-uniform draws on the unit l1 simplex."""
+    check_count("samples", samples)
     rng = rng_from(seed)
     rows = [np.eye(k)]
     if samples > 0:

@@ -5,6 +5,7 @@ import pytest
 
 from fluidnet import fixtures
 from fluidnet.cli import main
+from fluidnet.lyapunov import MAX_DEPTH
 from fluidnet.specfile import network_to_yaml
 
 LSP_YAML = "skorokhod:\n  theta: [-1.0]\n  reflection: [[1.0]]\n  z0: [1.0]\n"
@@ -30,6 +31,10 @@ def run_cli(command, input_path, out_dir, *extra):
 def read_report(out_dir):
     with open(os.path.join(out_dir, "report.json")) as handle:
         return json.load(handle)
+
+
+def one_error_line(err):
+    return len([line for line in err.splitlines() if line.startswith("error:")]) == 1
 
 
 def test_stability_stable_exit_zero(spec_file, tmp_path):
@@ -138,8 +143,7 @@ def test_nan_step_or_horizon_exit_one(spec_file, tmp_path, flags):
 def test_nonpositive_step_or_horizon_one_error_line(spec_file, tmp_path, capsys, flags):
     assert run_cli("simulate", spec_file(fixtures.tandem()), tmp_path / "out", *flags) == 1
     err = capsys.readouterr().err
-    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
-    assert "Traceback" not in err
+    assert one_error_line(err) and "Traceback" not in err
 
 
 def test_byte_identical_reruns(spec_file, tmp_path):
@@ -162,28 +166,29 @@ def test_different_seed_logged(spec_file, tmp_path):
     assert report["parameters"]["seed"] == 123
 
 
-def test_emit_plot_data(tmp_path):
-    import numpy as np
-
-    from fluidnet.cli import emit_plot_data
-    from fluidnet.dynamics import MaxDrain, Trajectory, simulate
-
-    traj = simulate(fixtures.single_queue(), [1.0], MaxDrain(), 3.0, 0.5)
-    target = tmp_path / "traj.csv"
-    emit_plot_data(traj, target)
-    assert target.read_text().splitlines()[0] == "t,Q1,T1,u1"
-
-    empty = Trajectory(
-        np.empty(0), np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2))
+@pytest.mark.parametrize("command,flags", [
+    ("stability", ("--seed", "-1")),
+    ("fluidlimit", ("--samples", "-1")),
+    ("stability", ("--samples", "-1")),
+    ("lyapunov", ("--multistarts", "-1")),
+    ("lyapunov", ("--depth", "-1")),
+    ("lyapunov", ("--depth", str(MAX_DEPTH + 1))),
+])
+def test_bad_run_parameter_exit_one(spec_file, tmp_path, capsys, command, flags):
+    text = network_to_yaml(fixtures.two_class_priority()) + (
+        "queueing:\n  interarrival: exponential\n  service: exponential\n"
     )
-    header_only = tmp_path / "empty.csv"
-    emit_plot_data(empty, header_only)
-    assert header_only.read_text() == "t,Q1,Q2,T1,T2,u1,u2\n"
+    out = tmp_path / "out"
+    assert run_cli(command, spec_file(text), out, "--horizon", "2", *flags) == 1
+    err = capsys.readouterr().err
+    assert one_error_line(err) and "Traceback" not in err
+    assert not os.path.exists(out / "report.json")
 
-    with pytest.raises(TypeError):
-        emit_plot_data(42, tmp_path / "nope.csv")
 
-    from fluidnet.errors import IoError
-
-    with pytest.raises(IoError):
-        emit_plot_data(traj, tmp_path / "missing-dir" / "x.csv")
+def test_negative_x0_exit_one(spec_file, tmp_path, capsys):
+    text = network_to_yaml(fixtures.tandem()) + "simulate:\n  x0: [-1.0, 0.0]\n"
+    out = tmp_path / "out"
+    assert run_cli("simulate", spec_file(text), out, "--horizon", "2") == 1
+    err = capsys.readouterr().err
+    assert one_error_line(err) and "nonnegative" in err
+    assert not os.path.exists(out / "report.json")

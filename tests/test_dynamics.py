@@ -19,7 +19,14 @@ from fluidnet.dynamics import (
     viability_check,
     zero_invariant,
 )
-from fluidnet.errors import BadHorizon, BadStep, DimensionMismatch, StepTooLarge
+from fluidnet.errors import (
+    BadHorizon,
+    BadStep,
+    DimensionMismatch,
+    NegativeState,
+    NonFiniteInput,
+    StepTooLarge,
+)
 from fluidnet.model import validate
 
 
@@ -48,6 +55,13 @@ class TestRhs:
 def test_non_finite_initial_state_rejected(tandem, x0):
     with pytest.raises(ValueError, match="finite"):
         simulate(tandem, x0, FirstVertex(), 1.0, 0.1)
+    with pytest.raises(NonFiniteInput):
+        simulate(tandem, x0, FirstVertex(), 1.0, 0.1)
+
+
+def test_negative_initial_state_rejected(tandem):
+    with pytest.raises(NegativeState, match="nonnegative"):
+        simulate(tandem, [-1.0, 0.0], FirstVertex(), 1.0, 0.1)
 
 
 class TestSimulate:
@@ -275,6 +289,8 @@ def test_trajectory_csv_format(draining_queue):
     assert len(lines) == traj.grid.shape[0] + 1
     first = [float(v) for v in lines[1].split(",")]
     assert first == [0.0, 1.0, 0.0, 1.0]
+    empty = Trajectory(np.empty(0), np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)))
+    assert trajectory_csv(empty) == "t,Q1,Q2,T1,T2,u1,u2\n"
 
 
 def test_trajectory_idle_processes(tandem, two_class_priority):

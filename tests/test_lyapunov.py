@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from fluidnet import fixtures
 from fluidnet.dynamics import MaxDrain, RandomVertex, simulate
-from fluidnet.errors import TruncatedWarning
+from fluidnet.errors import BadCount, BadSeed, TruncatedWarning
 from fluidnet.gfn import example_family, network_family, scale, shift
 from fluidnet.lyapunov import (
+    MAX_DEPTH,
     SearchBudget,
     approximate_V,
     check_decrease,
@@ -103,6 +104,14 @@ class TestApproximateV:
             for d, m in [(0, 0), (1, 0), (2, 0), (2, 3)]
         ]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_budget_checks(self):
+        assert SearchBudget(depth=MAX_DEPTH).depth == MAX_DEPTH
+        for bad in ({"depth": -1}, {"depth": MAX_DEPTH + 1}, {"multistarts": -1}):
+            with pytest.raises(BadCount):
+                SearchBudget(**bad)
+        with pytest.raises(BadSeed):
+            SearchBudget(seed=-1, multistarts=2)
 
     def test_diverged_status(self, overloaded_queue):
         fam = network_family(overloaded_queue, horizon=5.0, h=0.1)

@@ -6,8 +6,12 @@ import pytest
 from fluidnet import fixtures
 from fluidnet.errors import (
     BadHorizon,
+    BadPushBound,
     BadStep,
     DimensionTooLarge,
+    FluidNetError,
+    NegativeState,
+    NonFiniteInput,
     NotCompletelyS,
     PushBoundExceeded,
 )
@@ -96,6 +100,31 @@ class TestCompletelyS:
     def test_dimension_cap(self):
         with pytest.raises(DimensionTooLarge):
             is_completely_s(np.eye(25))
+
+
+class TestLspInstance:
+    @pytest.mark.parametrize("theta,r,z0", [
+        ([np.nan], [[1.0]], [1.0]),
+        ([-1.0], [[np.inf]], [1.0]),
+        ([-1.0], [[1.0]], [np.nan]),
+        ([-1.0], [[1.0]], [np.inf]),
+    ])
+    def test_non_finite_input_rejected(self, theta, r, z0):
+        with pytest.raises(NonFiniteInput, match="finite"):
+            LspInstance(theta, r, z0)
+
+    def test_negative_state_rejected(self):
+        with pytest.raises(NegativeState):
+            LspInstance([-1.0], [[1.0]], [-0.5])
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan])
+    def test_nonpositive_push_bound_rejected(self, bound):
+        with pytest.raises(BadPushBound):
+            LspInstance([-1.0], [[1.0]], [1.0], push_bound=bound)
+
+    def test_errors_are_also_value_errors(self):
+        for error in (NonFiniteInput, NegativeState, BadPushBound):
+            assert issubclass(error, FluidNetError) and issubclass(error, ValueError)
 
 
 class TestSolveLsp:

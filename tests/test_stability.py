@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fluidnet import fixtures
+from fluidnet._util import child_seeds, rng_from
+from fluidnet.errors import BadCount, BadSeed
 from fluidnet.stability import (
     Verdict,
     draining_time,
@@ -103,3 +105,21 @@ def test_verdict_report_shape(single_queue):
     report = verdict.to_report()
     assert report["status"] == "stable"
     assert isinstance(report["tau"], float)
+
+
+def test_negative_samples_rejected(tandem):
+    with pytest.raises(BadCount, match="samples must be nonnegative"):
+        draining_time(tandem, samples=-1, horizon=5.0, h=0.05, seed=1)
+    with pytest.raises(BadCount):
+        instability_witness(tandem, samples=-1, horizon=5.0, h=0.05)
+
+
+def test_negative_seed_rejected(tandem):
+    with pytest.raises(BadSeed, match="seed must be nonnegative"):
+        draining_time(tandem, samples=2, horizon=5.0, h=0.05, seed=-1)
+    with pytest.raises(BadSeed):
+        rng_from(-1)
+    with pytest.raises(BadSeed):
+        child_seeds(-1, 2)
+    with pytest.raises(BadCount):
+        child_seeds(1, -1)
