@@ -43,9 +43,8 @@ from .model import (
     WORK_CONSERVING,
     ControlPolytope,
     NetworkSpec,
-    priority_polytope,
+    admissible_polytope,
     validate,
-    work_conserving_polytope,
 )
 from .skorokhod import (
     LspInstance,

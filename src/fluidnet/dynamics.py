@@ -9,17 +9,19 @@ loop, ``_event_split``, is shared with ``skorokhod.solve_lsp``; it rejects a
 negative or non-finite horizon (BadHorizon) and a step that is not finite and
 positive (BadStep).
 
-At a boundary state the admissible polytope is intersected with the velocity
+The service discipline enters only through the spec's capacity rows: idle
+time, holding the empty state and the admissible set are all per row.  At a
+boundary state the admissible polytope is intersected with the velocity
 constraints that keep near-empty classes nonnegative, so any vertex the
 selector picks yields a viable step.
 
-Within one ``simulate`` run each boundary configuration (empty set, near-zero
-classes, pinned) builds its constraint system and rank-tests its active
-subsets once.  Classes sliding along the boundary carry dust of about 1e-18,
-which changes only the floors, that is the right-hand side; each such stamp
-reuses the kept subsets and solves the same matrices with the same
-right-hand sides as a full enumeration would, so the output is byte-identical
-to enumerating from scratch at every stamp.  Nothing is kept between runs.
+Within one ``simulate`` run each set of near-zero classes builds its
+constraint system and rank-tests its active subsets once.  Classes sliding
+along the boundary carry dust of about 1e-18, which changes only the floors,
+that is the right-hand side; each such stamp reuses the kept subsets and
+solves the same matrices with the same right-hand sides as a full
+enumeration would, so the output is byte-identical to enumerating from
+scratch at every stamp.  Nothing is kept between runs.
 """
 from __future__ import annotations
 
@@ -40,10 +42,10 @@ from .errors import (
     StepTooLarge,
 )
 from .model import (
-    WORK_CONSERVING,
     ControlPolytope,
     NetworkSpec,
     admissible_constraints,
+    empty_rows,
     empty_threshold,
     enumerate_polytope_vertices,
     maximal_configurations,
@@ -118,16 +120,11 @@ class Trajectory:
         return out
 
     def idle(self) -> np.ndarray:
-        """Cumulative idle time per station (work-conserving) or unused
-        capacity per class (priority) at every stamp."""
+        """Cumulative unused capacity per capacity row (the idle time of each
+        station of a work-conserving network) at every stamp."""
         if self.spec is None:
             raise ValueError("idle processes require the generating network")
-        t = self.grid[:, None]
-        if self.spec.discipline == WORK_CONSERVING:
-            return t - self.allocation @ self.spec.constituency.T
-        groups = self.spec.priority_groups
-        cols = [t[:, 0] - self.allocation[:, list(g)].sum(axis=1) for g in groups]
-        return np.column_stack(cols)
+        return self.grid[:, None] - self.allocation @ self.spec.capacity.T
 
 
 class ControlSelector:
@@ -234,24 +231,6 @@ class FixedSequence(ControlSelector):
         return polytope.vertices[idx % len(polytope)]
 
 
-def _active_sets(spec: NetworkSpec, q: list, eps: float):
-    """(empty set for the discipline, near-zero classes) at levels q, a list of floats.
-
-    A station is treated as empty as soon as every one of its classes is
-    below the threshold; this keeps the viability-constrained polytope
-    nonempty in all cases.
-    """
-    zero_classes = frozenset(k for k, level in enumerate(q) if level < eps)
-    if spec.discipline == WORK_CONSERVING:
-        empty = frozenset(
-            j for j, members in enumerate(spec.station_classes)
-            if zero_classes.issuperset(members)
-        )
-    else:
-        empty = zero_classes
-    return empty, zero_classes
-
-
 class _ViableSystem:
     """Admissible polytope intersected with the viability half-spaces.
 
@@ -265,9 +244,9 @@ class _ViableSystem:
     idling complementarity over any interval, so the only faithful directions
     at the drained state are the nonincreasing ones.
 
-    One system serves one boundary configuration (empty, zero classes,
-    pinned) within one ``simulate`` run.  The floors move only the right-hand
-    side of the viability rows, so the active subsets that pass the rank test
+    One system serves one set of near-zero classes (which fixes ``empty``
+    and ``pinned``) within one ``simulate`` run.  The floors move only the
+    right-hand side of the viability rows, so the active subsets that pass the rank test
     are found once and each new set of floors costs only the solves.
     ``exact`` holds the polytope and its vertex velocities for all-zero floors
     once they are known.
@@ -305,10 +284,7 @@ def zero_invariant(spec: NetworkSpec) -> bool:
     u = spec.nominal_allocation()
     if np.any(u < -1e-12):
         return False
-    tol = 1 + 1e-9
-    if spec.discipline == WORK_CONSERVING:
-        return bool(np.all(spec.constituency @ u <= tol))
-    return all(u[list(g)].sum() <= tol for g in spec.priority_groups)
+    return bool(np.all(spec.capacity @ u <= 1 + 1e-9))
 
 
 def _check_horizon(horizon) -> None:
@@ -412,16 +388,14 @@ def simulate(
     selector.start_run()
     can_hold_zero = zero_invariant(spec)
     velocity_map = -spec.outflow.T
-    n_classes = spec.K
-    systems: dict = {}  # (empty, zero classes, pinned) -> _ViableSystem, for this run only
+    systems: dict = {}  # near-zero classes -> _ViableSystem, for this run only
 
     def select(t, q, ql):
-        empty, zeros = _active_sets(spec, ql, eps)
-        pinned = can_hold_zero and len(zeros) == n_classes
-        key = (empty, zeros, pinned)
-        system = systems.get(key)
+        zeros = frozenset(k for k, level in enumerate(ql) if level < eps)
+        system = systems.get(zeros)
         if system is None:
-            system = systems[key] = _ViableSystem(spec, empty, zeros, pinned)
+            pinned = can_hold_zero and len(zeros) == spec.K
+            system = systems[zeros] = _ViableSystem(spec, empty_rows(spec, zeros), zeros, pinned)
         exact = all(ql[k] == 0.0 for k in zeros)
         if exact and system.exact is not None:
             poly, velocities = system.exact
@@ -471,7 +445,7 @@ def viability_check(spec: NetworkSpec, x) -> bool:
     zero = sorted(int(k) for k in np.flatnonzero(x < eps))
     if not zero:
         return True
-    empty, _ = _active_sets(spec, x.tolist(), eps)
+    empty = empty_rows(spec, zero)
     verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, empty))
     if verts.shape[0] == 0:
         return False
@@ -514,23 +488,19 @@ def flow_balance_residual(spec: NetworkSpec, traj: Trajectory) -> float:
 def complementarity_residual(spec: NetworkSpec, traj: Trajectory) -> float:
     """Discrete idling-while-loaded functional, trapezoidal in the level.
 
-    Work-conserving: sum over intervals of (C Q)^T (e - C u) dt.  Priority:
-    sum over classes of the level times the growth of unused capacity at that
-    class's priority level.
+    Sum over intervals of (M Q)^T (e - A u) dt, with A the capacity rows and
+    M their member indicators (both the constituency when work-conserving).
     """
     if traj.controls.shape[0] == 0:
         return 0.0
     dt = np.diff(traj.grid)
     q_mid = 0.5 * (traj.levels[:-1] + traj.levels[1:])
-    if spec.discipline == WORK_CONSERVING:
-        station_level = q_mid @ spec.constituency.T
-        idle_rate = 1.0 - traj.controls @ spec.constituency.T
-        return float(np.sum(station_level * idle_rate * dt[:, None]))
-    total = 0.0
-    for k, group in enumerate(spec.priority_groups):
-        y_rate = 1.0 - traj.controls[:, list(group)].sum(axis=1)
-        total += float(np.sum(q_mid[:, k] * y_rate * dt))
-    return total
+    owner = np.zeros(spec.capacity.shape)
+    for row, classes in enumerate(spec.members):
+        owner[row, list(classes)] = 1.0
+    row_level = q_mid @ owner.T
+    idle_rate = 1.0 - traj.controls @ spec.capacity.T
+    return float(np.sum(row_level * idle_rate * dt[:, None]))
 
 
 def lipschitz_constant(spec: NetworkSpec) -> float:

@@ -106,6 +106,10 @@ class BadCount(FluidNetError, ValueError):
     """A sample, multistart or search-depth count is negative or above its cap."""
 
 
+class UnknownDiscipline(SpecError, ValueError):
+    """A network names a service discipline other than work_conserving or priority."""
+
+
 class EventBudgetExceeded(FluidNetError):
     """Discrete-event simulation exceeded its event budget."""
 

@@ -34,7 +34,6 @@ from .dynamics import (
 from .errors import TruncatedWarning
 from .gfn import ExplicitPathFamily, NetworkPathFamily
 from .model import (
-    WORK_CONSERVING,
     NetworkSpec,
     admissible_polytope,
     boundary_configurations,
@@ -392,12 +391,7 @@ def linear_certificate_search(spec: NetworkSpec, *, weight_floor: float = 1e-6,
 
 def _pattern_states(spec: NetworkSpec, empty, n_samples: int, rng) -> np.ndarray:
     """Unit-l1-sphere states realizing a boundary configuration."""
-    if spec.discipline == WORK_CONSERVING:
-        zero_classes = sorted(
-            k for j in empty for k in spec.classes_at(j)
-        )
-    else:
-        zero_classes = sorted(empty)
+    zero_classes = sorted(k for row in empty for k in spec.members[row])
     support = [k for k in range(spec.K) if k not in zero_classes]
     states = np.zeros((n_samples, spec.K))
     states[:, support] = rng.dirichlet(np.ones(len(support)), size=n_samples)

@@ -7,14 +7,17 @@ receives exogenous inflow at rate ``alpha[k]``, is drained at potential rate
 class k is served at station j.
 
 The admissible allocation rates u (one per class, u = dT/dt) form a polytope
-that depends on which stations or classes are currently empty.  Polytopes are
-represented by their vertex lists, enumerated exactly: problem dimensions here
-are tiny, so combinatorial enumeration over active constraint subsets is both
-fast and deterministic.  The subsets are processed in fixed-size chunks, each
-with one batched rank test and one batched solve; the vertices and their
-lexicographic order are the same as from one rank test and solve per subset.
-The rank test depends only on the constraint matrices, so a caller whose
-right-hand sides change can keep the subsets that pass it.
+that depends on which capacity rows (``NetworkSpec.capacity``) are empty: one
+per station, its constituency row, when work-conserving; one per class m, over
+the classes at m's station ranked no later than m, under priority.  Busy rows
+are used at full rate, empty rows may idle.  Polytopes are represented by
+their vertex lists, enumerated exactly: problem dimensions here are tiny, so
+combinatorial enumeration over active constraint subsets is both fast and
+deterministic.  The subsets are processed in fixed-size chunks, each with one
+batched rank test and one batched solve; the vertices and their lexicographic
+order are the same as from one rank test and solve per subset.  The rank test
+depends only on the constraint matrices, so a caller whose right-hand sides
+change can keep the subsets that pass it.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ from .errors import (
     NegativeRate,
     RoutingNotSubstochastic,
     SpectralRadiusTooLarge,
+    UnknownDiscipline,
 )
 
 WORK_CONSERVING = "work_conserving"
@@ -102,7 +106,8 @@ class NetworkSpec:
 
     Construct through :func:`validate`; the constructor itself performs no
     checking.  ``priority`` holds one rank per class (lower rank = served
-    first); it is None for work-conserving networks.
+    first); it is None for work-conserving networks.  ``members`` lists the
+    classes that must be empty for each capacity row to be empty.
     """
 
     alpha: np.ndarray
@@ -113,9 +118,9 @@ class NetworkSpec:
     priority: tuple[int, ...] | None = None
     # derived, filled in __post_init__
     outflow: np.ndarray = field(init=False, repr=False)
-    station_of: np.ndarray = field(init=False, repr=False)
     station_classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    priority_groups: tuple[tuple[int, ...], ...] | None = field(init=False, repr=False)
+    capacity: np.ndarray = field(init=False, repr=False)
+    members: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _readonly(self.alpha))
@@ -126,25 +131,20 @@ class NetworkSpec:
         w = (np.eye(k) - self.routing.T) @ np.diag(self.mu)
         object.__setattr__(self, "outflow", _readonly(w))
         object.__setattr__(
-            self, "station_of", np.argmax(self.constituency, axis=0).astype(int)
-        )
-        object.__setattr__(
             self,
             "station_classes",
             tuple(tuple(np.flatnonzero(row).tolist()) for row in self.constituency),
         )
-        groups = None
-        if self.priority is not None:
-            rank = self.priority
-            groups = tuple(
-                tuple(
-                    l
-                    for l in range(k)
-                    if self.station_of[l] == self.station_of[m] and rank[l] <= rank[m]
-                )
-                for m in range(k)
-            )
-        object.__setattr__(self, "priority_groups", groups)
+        if self.priority is None:
+            capacity, members = self.constituency, self.station_classes
+        else:
+            # row m: the classes at m's station served no later than m
+            station = np.argmax(self.constituency, axis=0)
+            rank = np.asarray(self.priority)
+            capacity = (station[:, None] == station) & (rank <= rank[:, None])
+            members = tuple((m,) for m in range(k))
+        object.__setattr__(self, "capacity", _readonly(capacity))
+        object.__setattr__(self, "members", members)
 
     @property
     def K(self) -> int:
@@ -171,7 +171,7 @@ def validate(alpha, mu, routing, constituency, discipline, priority=None) -> Net
 
     Raises the specific error type for each failure mode: NegativeRate,
     ConstituencyNotPartition, RoutingNotSubstochastic, SpectralRadiusTooLarge,
-    BadPermutation, DimensionMismatch.
+    BadPermutation, DimensionMismatch, UnknownDiscipline.
     """
     alpha = np.asarray(alpha, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -208,7 +208,7 @@ def validate(alpha, mu, routing, constituency, discipline, priority=None) -> Net
         raise SpectralRadiusTooLarge(f"routing spectral radius {rho:.12g} >= 1")
 
     if discipline not in DISCIPLINES:
-        raise ValueError(f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}")
+        raise UnknownDiscipline(f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}")
     ranks = None
     if discipline == PRIORITY:
         if priority is None:
@@ -375,90 +375,46 @@ def _chunk_vertices(a_eq, b_eq, a_ub, b_ub, idx) -> np.ndarray:
     return x[ok]
 
 
-def work_conserving_constraints(spec: NetworkSpec, empty_stations):
-    """Constraint system of the admissible set for the given empty stations.
+def empty_rows(spec: NetworkSpec, zero_classes) -> frozenset:
+    """The capacity rows all of whose member classes are in ``zero_classes``.
 
-    Busy stations must allocate at full rate (equality); empty stations may
-    idle (inequality); allocations are nonnegative.
+    A station is treated as empty as soon as every one of its classes is;
+    this keeps the viability-constrained polytope nonempty in all cases.
     """
-    empty = frozenset(int(j) for j in empty_stations)
-    for j in empty:
-        if not 0 <= j < spec.J:
-            raise DimensionMismatch(f"station index {j} out of range for J={spec.J}")
-    c = spec.constituency
-    busy = [j for j in range(spec.J) if j not in empty]
-    a_eq = c[busy] if busy else np.empty((0, spec.K))
-    b_eq = np.ones(len(busy))
-    rows = [-np.eye(spec.K)]
-    rhs = [np.zeros(spec.K)]
-    if empty:
-        idx = sorted(empty)
-        rows.append(c[idx])
-        rhs.append(np.ones(len(idx)))
-    return a_eq, b_eq, np.vstack(rows), np.concatenate(rhs)
-
-
-def priority_constraints(spec: NetworkSpec, empty_classes):
-    """Constraint system under a priority discipline for the given empty classes.
-
-    For a nonempty class k the capacity at or above k's priority level is
-    fully used (equality over its priority group); for an empty class the
-    group sum is only bounded by one.
-    """
-    if spec.priority_groups is None:
-        raise ValueError("priority constraints require a priority discipline")
-    empty = frozenset(int(k) for k in empty_classes)
-    for k in empty:
-        if not 0 <= k < spec.K:
-            raise DimensionMismatch(f"class index {k} out of range for K={spec.K}")
-    k_n = spec.K
-    indicators = np.zeros((k_n, k_n))
-    for k, group in enumerate(spec.priority_groups):
-        indicators[k, list(group)] = 1.0
-    busy = [k for k in range(k_n) if k not in empty]
-    a_eq = indicators[busy] if busy else np.empty((0, k_n))
-    b_eq = np.ones(len(busy))
-    rows = [-np.eye(k_n)]
-    rhs = [np.zeros(k_n)]
-    if empty:
-        idx = sorted(empty)
-        rows.append(indicators[idx])
-        rhs.append(np.ones(len(idx)))
-    return a_eq, b_eq, np.vstack(rows), np.concatenate(rhs)
+    zero = frozenset(zero_classes)
+    return frozenset(i for i, classes in enumerate(spec.members) if zero.issuperset(classes))
 
 
 def admissible_constraints(spec: NetworkSpec, empty):
     """Constraint system (a_eq, b_eq, a_ub, b_ub) of the admissible set.
 
-    ``empty`` holds the empty stations of a work-conserving network or the
-    empty classes of a priority network.
+    ``empty`` holds the indices of the empty capacity rows (the empty stations
+    of a work-conserving network, the empty classes of a priority network).
+    A busy row must be used at full rate (capacity row @ u = 1), an empty one
+    may idle (capacity row @ u <= 1), and allocations are nonnegative.
     """
-    if spec.discipline == WORK_CONSERVING:
-        return work_conserving_constraints(spec, empty)
-    return priority_constraints(spec, empty)
+    n = spec.capacity.shape[0]
+    empty = frozenset(int(i) for i in empty)
+    for i in empty:
+        if not 0 <= i < n:
+            raise DimensionMismatch(f"capacity row {i} out of range for {n} rows")
+    busy = [i for i in range(n) if i not in empty]
+    idx = sorted(empty)
+    a_ub = np.vstack([-np.eye(spec.K), spec.capacity[idx]])
+    b_ub = np.concatenate([np.zeros(spec.K), np.ones(len(idx))])
+    return spec.capacity[busy], np.ones(len(busy)), a_ub, b_ub
+
+
+# Old per-discipline names, kept because the fixed benchmark harness (perfbench/) calls them.
+work_conserving_constraints = priority_constraints = admissible_constraints
 
 
 def admissible_polytope(spec: NetworkSpec, empty=()) -> ControlPolytope:
-    """Admissible allocation rates when the stations or classes in ``empty`` are empty."""
+    """Admissible allocation rates when the capacity rows in ``empty`` are empty."""
     verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, empty))
     if verts.shape[0] == 0:
-        what = "stations" if spec.discipline == WORK_CONSERVING else "classes"
-        raise InfeasibleActiveSet(f"no admissible allocation with empty {what} {sorted(empty)}")
+        raise InfeasibleActiveSet(f"no admissible allocation with empty rows {sorted(empty)}")
     return ControlPolytope(verts, frozenset(int(i) for i in empty), spec.discipline)
-
-
-def work_conserving_polytope(spec: NetworkSpec, empty_stations=()) -> ControlPolytope:
-    """Admissible allocation rates when the given stations are empty."""
-    if spec.discipline != WORK_CONSERVING:
-        raise ValueError("work_conserving_polytope requires a work-conserving network")
-    return admissible_polytope(spec, empty_stations)
-
-
-def priority_polytope(spec: NetworkSpec, empty_classes=()) -> ControlPolytope:
-    """Admissible allocation rates when the given classes are empty."""
-    if spec.discipline != PRIORITY:
-        raise ValueError("priority_polytope requires a priority network")
-    return admissible_polytope(spec, empty_classes)
 
 
 #: Largest station or class count whose boundary configurations are enumerated
@@ -468,11 +424,12 @@ CONFIGURATION_CAP = 16
 def boundary_configurations(spec: NetworkSpec):
     """All boundary configurations relevant to drift checks.
 
-    Yields every proper subset of stations (work-conserving) or classes
-    (priority) as a candidate empty set: properness means some class can hold
+    Yields every proper subset of capacity rows (stations of a
+    work-conserving network, classes of a priority one) as a candidate empty
+    set: properness means some class can hold
     fluid, so the configuration is realized by a nonzero state.
     """
-    n = spec.J if spec.discipline == WORK_CONSERVING else spec.K
+    n = spec.capacity.shape[0]
     if n > CONFIGURATION_CAP:
         raise DimensionTooLarge(
             f"{2 ** n} boundary configurations exceeds cap 2^{CONFIGURATION_CAP}"
@@ -485,17 +442,16 @@ def boundary_configurations(spec: NetworkSpec):
 def maximal_configurations(spec: NetworkSpec):
     """The n maximal proper boundary configurations, n - 1 items each.
 
-    Yields the subsets of n - 1 stations (work-conserving) or classes
-    (priority) in lexicographic order; for n = 1 the single empty set.  For
-    E within E', the admissible set of E is the face of the admissible set of
-    E' on which the extra rows of E' (capacity one on a station or priority
-    group that is now busy) hold with equality, and every vertex of a face is
-    a vertex of the polytope.  So the vertices of these n configurations are
+    Yields the subsets of n - 1 of the n capacity rows in lexicographic
+    order; for n = 1 the single empty set.  For E within E', the admissible
+    set of E is the face of the admissible set of E' on which the extra
+    capacity rows of E' (busy under E) hold with equality, and every vertex
+    of a face is a vertex of the polytope.  So the vertices of these n configurations are
     the vertices of all 2^n - 1 proper ones.  Each is still enumerated
     exactly, at C(rows, n - 1) subsets, hence the same cap as
     :func:`boundary_configurations`.
     """
-    n = spec.J if spec.discipline == WORK_CONSERVING else spec.K
+    n = spec.capacity.shape[0]
     if n > CONFIGURATION_CAP:
         raise DimensionTooLarge(
             f"{n} maximal boundary configurations exceeds cap {CONFIGURATION_CAP}"

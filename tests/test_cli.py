@@ -68,6 +68,15 @@ def test_unknown_key_exit_one(spec_file, tmp_path):
     assert run_cli("simulate", path, tmp_path / "out") == 1
 
 
+def test_unknown_discipline_one_error_line(spec_file, tmp_path, capsys):
+    text = network_to_yaml(fixtures.tandem()).replace("work_conserving", "fifo")
+    out = tmp_path / "out"
+    assert run_cli("simulate", spec_file(text), out) == 1
+    err = capsys.readouterr().err
+    assert one_error_line(err) and "Traceback" not in err and "fifo" in err
+    assert not os.path.exists(out / "report.json")
+
+
 def test_simulate_writes_trajectory(spec_file, tmp_path):
     out = tmp_path / "out"
     code = run_cli("simulate", spec_file(fixtures.tandem()), out, "--horizon", "5")

@@ -158,9 +158,9 @@ class TestSimulate:
 
 
 def test_selector_outputs_lie_in_polytope(tandem):
-    from fluidnet.model import work_conserving_polytope
+    from fluidnet.model import admissible_polytope
 
-    poly = work_conserving_polytope(tandem, [1])
+    poly = admissible_polytope(tandem, [1])
     velocities = poly.vertices @ (-tandem.outflow.T) + tandem.alpha
     for sel in [FirstVertex(), MaxDrain(), MinDrain(), RandomVertex(2), FixedSequence([1])]:
         sel.start_run()
@@ -206,23 +206,18 @@ def test_bad_step_rejected(tandem, h):
 class TestViability:
     def oracle(self, spec, x, n=4000, seed=5):
         """Dense sampling over hull weights; feasibility implies LP feasibility."""
-        from fluidnet.dynamics import _active_sets
         from fluidnet.model import (
+            admissible_constraints,
+            empty_rows,
+            empty_threshold,
             enumerate_polytope_vertices,
-            priority_constraints,
-            work_conserving_constraints,
         )
-        from fluidnet.model import empty_threshold
 
         eps = empty_threshold(x)
-        empty, _ = _active_sets(spec, np.asarray(x, float), eps)
-        if spec.discipline == "work_conserving":
-            a_eq, b_eq, a_ub, b_ub = work_conserving_constraints(spec, empty)
-        else:
-            a_eq, b_eq, a_ub, b_ub = priority_constraints(spec, empty)
+        zero = [k for k in range(spec.K) if x[k] < eps]
+        a_eq, b_eq, a_ub, b_ub = admissible_constraints(spec, empty_rows(spec, zero))
         verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
         vel = verts @ (-spec.outflow.T) + spec.alpha
-        zero = [k for k in range(spec.K) if x[k] < eps]
         rng = np.random.default_rng(seed)
         weights = rng.dirichlet(np.ones(len(verts)), size=n)
         weights = np.vstack([weights, np.eye(len(verts))])

@@ -16,11 +16,10 @@ from fluidnet.model import (
     PRIORITY,
     VERTEX_SLACK,
     WORK_CONSERVING,
+    admissible_constraints,
     boundary_configurations,
     enumerate_polytope_vertices,
-    priority_constraints,
     validate,
-    work_conserving_constraints,
 )
 
 
@@ -87,9 +86,7 @@ def random_network(rng, k, discipline):
 
 
 def constraints(spec, empty):
-    if spec.discipline == WORK_CONSERVING:
-        return work_conserving_constraints(spec, empty)
-    return priority_constraints(spec, empty)
+    return admissible_constraints(spec, empty)
 
 
 def viability_rows(spec, empty, zeros, floors, pinned):
@@ -167,7 +164,7 @@ def test_per_matrix_solve_when_batched_solve_fails(monkeypatch):
 def test_no_active_rows_needed():
     """Full-rank equalities leave n_active == 0: the only candidate is a_eq's solution."""
     spec = fixtures.lu_kumar()
-    a_eq, b_eq, a_ub, b_ub = priority_constraints(spec, [])
+    a_eq, b_eq, a_ub, b_ub = admissible_constraints(spec, [])
     assert np.linalg.matrix_rank(a_eq) == spec.K
     assert len(assert_same_bytes(spec.K, a_eq, b_eq, a_ub, b_ub)) == 1
     got = assert_same_bytes(2, np.eye(2), [0.5, 0.25], np.empty((0, 2)), [])
@@ -176,7 +173,7 @@ def test_no_active_rows_needed():
 
 def test_no_equality_rows():
     spec = fixtures.reentrant_line()
-    a_eq, b_eq, a_ub, b_ub = work_conserving_constraints(spec, range(spec.J))
+    a_eq, b_eq, a_ub, b_ub = admissible_constraints(spec, range(spec.J))
     assert a_eq.size == 0
     assert len(assert_same_bytes(spec.K, a_eq, b_eq, a_ub, b_ub)) > 1
 

@@ -12,16 +12,16 @@ from fluidnet.errors import (
     NegativeRate,
     RoutingNotSubstochastic,
     SpectralRadiusTooLarge,
+    SpecError,
+    UnknownDiscipline,
 )
 from fluidnet.model import (
     PRIORITY,
     WORK_CONSERVING,
-    priority_constraints,
-    priority_polytope,
+    admissible_constraints,
+    admissible_polytope,
     spectral_radius,
     validate,
-    work_conserving_constraints,
-    work_conserving_polytope,
 )
 
 
@@ -118,6 +118,11 @@ class TestValidate:
         with pytest.raises(BadPermutation):
             validate([0, 0], [1, 1], np.zeros((2, 2)), [[1, 1]], PRIORITY)
 
+    def test_unknown_discipline(self):
+        with pytest.raises(UnknownDiscipline, match="fifo") as info:
+            validate([0, 0], [1, 1], np.zeros((2, 2)), [[1, 1]], "fifo")
+        assert isinstance(info.value, SpecError) and isinstance(info.value, ValueError)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             validate([0, 0], [1], np.zeros((2, 2)), [[1, 1]], WORK_CONSERVING)
@@ -134,42 +139,42 @@ class TestWorkConservingPolytope:
         )
 
     def test_busy_station_is_simplex_face(self):
-        poly = work_conserving_polytope(self.two_on_one, [])
+        poly = admissible_polytope(self.two_on_one, [])
         assert vertex_set(poly) == {(0.0, 1.0), (1.0, 0.0)}
 
     def test_empty_station_is_full_simplex(self):
-        poly = work_conserving_polytope(self.two_on_one, [0])
+        poly = admissible_polytope(self.two_on_one, [0])
         assert vertex_set(poly) == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)}
 
     def test_two_stations_one_empty(self):
         spec = validate([0, 0], [1, 1], np.zeros((2, 2)), np.eye(2), WORK_CONSERVING)
-        poly = work_conserving_polytope(spec, [1])
+        poly = admissible_polytope(spec, [1])
         assert vertex_set(poly) == {(1.0, 0.0), (1.0, 1.0)}
 
     def test_matches_lp_oracle(self, rng):
         spec = fixtures.two_station_work_conserving()
         for empty in [(), (0,), (1,), (0, 1)]:
-            a_eq, b_eq, a_ub, b_ub = work_conserving_constraints(spec, empty)
-            got = vertex_set(work_conserving_polytope(spec, empty))
+            a_eq, b_eq, a_ub, b_ub = admissible_constraints(spec, empty)
+            got = vertex_set(admissible_polytope(spec, empty))
             want = lp_vertex_oracle(a_eq, b_eq, a_ub, b_ub, spec.K, rng)
             assert got == want
 
     def test_full_allocation_when_all_busy(self):
         spec = fixtures.two_station_work_conserving()
-        poly = work_conserving_polytope(spec, [])
+        poly = admissible_polytope(spec, [])
         residual = np.abs(spec.constituency @ poly.vertices.T - 1.0)
         assert residual.max() < 1e-12
 
     def test_vertex_slack(self):
         spec = fixtures.reentrant_line()
         for empty in [(), (0,), (1,), (0, 1)]:
-            poly = work_conserving_polytope(spec, empty)
-            a_eq, b_eq, a_ub, b_ub = work_conserving_constraints(spec, empty)
+            poly = admissible_polytope(spec, empty)
+            a_eq, b_eq, a_ub, b_ub = admissible_constraints(spec, empty)
             slack = b_ub[None, :] - poly.vertices @ a_ub.T
             assert slack.min() >= -1e-12
 
     def test_contains(self):
-        poly = work_conserving_polytope(self.two_on_one, [])
+        poly = admissible_polytope(self.two_on_one, [])
         assert poly.contains(np.array([0.5, 0.5]))
         assert not poly.contains(np.array([0.5, 0.1]))
 
@@ -181,29 +186,29 @@ class TestPriorityPolytope:
         )
 
     def test_both_nonempty_preempts(self):
-        poly = priority_polytope(self.spec, [])
+        poly = admissible_polytope(self.spec, [])
         assert vertex_set(poly) == {(1.0, 0.0)}
 
     def test_high_class_empty(self):
-        poly = priority_polytope(self.spec, [0])
+        poly = admissible_polytope(self.spec, [0])
         assert vertex_set(poly) == {(0.0, 1.0), (1.0, 0.0)}
 
     def test_single_class_empty_interval(self):
         spec = validate([0], [1], [[0.0]], [[1]], PRIORITY, priority=(0,))
-        poly = priority_polytope(spec, [0])
+        poly = admissible_polytope(spec, [0])
         assert vertex_set(poly) == {(0.0,), (1.0,)}
 
     def test_matches_lp_oracle(self, rng, lu_kumar):
         for empty in [(), (0,), (1, 2), (0, 1, 2, 3)]:
-            a_eq, b_eq, a_ub, b_ub = priority_constraints(lu_kumar, empty)
-            got = vertex_set(priority_polytope(lu_kumar, empty))
+            a_eq, b_eq, a_ub, b_ub = admissible_constraints(lu_kumar, empty)
+            got = vertex_set(admissible_polytope(lu_kumar, empty))
             want = lp_vertex_oracle(a_eq, b_eq, a_ub, b_ub, lu_kumar.K, rng)
             assert got == want
 
     def test_vertex_slack(self, lu_kumar):
         for empty in [(), (0, 3), (1, 2, 3)]:
-            poly = priority_polytope(lu_kumar, empty)
-            a_eq, b_eq, a_ub, b_ub = priority_constraints(lu_kumar, empty)
+            poly = admissible_polytope(lu_kumar, empty)
+            a_eq, b_eq, a_ub, b_ub = admissible_constraints(lu_kumar, empty)
             slack = b_ub[None, :] - poly.vertices @ a_ub.T
             assert slack.min() >= -1e-12
 
@@ -223,7 +228,7 @@ def test_relabeling_equivariance(perm):
         spec.discipline,
     )
     for empty in [(), (0,), (1,)]:
-        base = work_conserving_polytope(spec, empty)
-        relab = work_conserving_polytope(permuted, empty)
+        base = admissible_polytope(spec, empty)
+        relab = admissible_polytope(permuted, empty)
         want = {tuple(np.round(v[inv], 9)) for v in relab.vertices}
         assert vertex_set(base) == want
