@@ -1,12 +1,13 @@
 """Small shared helpers: norms, seeding, atomic IO, number formatting."""
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
 import numpy as np
 
-from .errors import BadCount, BadSeed
+from .errors import BadCount, BadFactor, BadSeed
 
 
 def l1(x) -> float:
@@ -21,12 +22,22 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def check_count(name: str, value: int, cap: int | None = None) -> int:
-    """The count itself if it is nonnegative and at most ``cap``; else BadCount."""
-    if value < 0:
-        raise BadCount(f"{name} must be nonnegative, got {value}")
+def check_count(name: str, value: int, cap: int | None = None, low: int = 0) -> int:
+    """The count itself if it is at least ``low`` (default: nonnegative) and
+    at most ``cap``; else BadCount."""
+    if value < low:
+        bound = "nonnegative" if low == 0 else f"at least {low}"
+        raise BadCount(f"{name} must be {bound}, got {value}")
     if cap is not None and value > cap:
         raise BadCount(f"{name} must lie in 0..{cap}, got {value}")
+    return value
+
+
+def check_factor(name: str, value: float) -> float:
+    """The value as a float if it is finite and positive; else BadFactor (NaN too)."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise BadFactor(f"{name} must be finite and positive, got {value!r}")
     return value
 
 

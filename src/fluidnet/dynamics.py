@@ -16,16 +16,23 @@ constraints that keep near-empty classes nonnegative, so any vertex the
 selector picks yields a viable step.
 
 Within one ``simulate`` run each set of near-zero classes builds its
-constraint system and rank-tests its active subsets once.  Classes sliding
-along the boundary carry dust of about 1e-18, which changes only the floors,
-that is the right-hand side; each such stamp reuses the kept subsets and
-solves the same matrices with the same right-hand sides as a full
-enumeration would, so the output is byte-identical to enumerating from
-scratch at every stamp.  Nothing is kept between runs.
+constraint system once, and rank-tests its active subsets on its first
+enumeration.  A stamp whose near-zero classes all sit below
+:func:`dust_threshold` (sliding classes carry dust of about 1e-18) counts them
+as exactly zero and reuses that system's polytope for all-zero floors; any
+other stamp reuses the kept subsets and solves only for the new floors.  The
+drained polytope (every class near zero, the empty state holdable) comes in
+closed form from a box in velocity space where a slack guard allows, and by
+enumeration otherwise.  Vertices are ordered by their 12-decimal key
+(``model.vertex_order``), so the selectors pick the same vertex whichever
+route found it.  The output is therefore not byte-identical to enumerating
+every polytope from scratch: dust floors and box vertices differ from it in
+the last bits.  Nothing is kept between runs.
 """
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,9 +58,29 @@ from .model import (
     maximal_configurations,
     rank_tested_subsets,
     subset_vertices,
+    vertex_order,
 )
 
 _EVENT_CAP = 1_000_000
+#: a pinned polytope comes from the box only if every other row keeps this slack
+BOX_SLACK = 1e-9
+
+
+def dust_threshold(x0) -> float:
+    """A near-zero class below this level counts as exactly zero in ``simulate``.
+
+    Dust is what a sliding class keeps when its velocity is zero in exact
+    arithmetic: the rounding of alpha - outflow @ u, a few ulps of the rates,
+    times a step, about 1e-19..1e-18 on the fixtures.  Such a class gets
+    floor 0, not level / h, so the stamp reuses the cached polytope for
+    all-zero floors.  The state is not touched, so flow balance is
+    unchanged; the path differs at most by the level the class is not allowed
+    to drain in that step.  1e-15 (1 + |x0|) bounds that by a few ulps of the
+    state scale (the double epsilon is 2.2e-16), scales with the initial mass
+    like :func:`model.empty_threshold`, and lies six orders below it, so
+    floors of a step-sized level still reach the polytope.
+    """
+    return 1e-15 * (1.0 + l1(x0))
 
 
 def rhs(spec: NetworkSpec, u) -> np.ndarray:
@@ -140,7 +167,7 @@ class ControlSelector:
 
 
 class FirstVertex(ControlSelector):
-    """Always the lexicographically smallest vertex."""
+    """Always the first vertex, the one with the smallest 12-decimal key."""
 
     name = "first_vertex"
 
@@ -246,37 +273,70 @@ class _ViableSystem:
 
     One system serves one set of near-zero classes (which fixes ``empty``
     and ``pinned``) within one ``simulate`` run.  The floors move only the
-    right-hand side of the viability rows, so the active subsets that pass the rank test
-    are found once and each new set of floors costs only the solves.
-    ``exact`` holds the polytope and its vertex velocities for all-zero floors
-    once they are known.
+    right-hand side of the viability rows, so the active subsets that pass the
+    rank test are found once, on the first enumeration, and each new set of
+    floors costs only the solves.  ``exact`` holds the polytope and its vertex
+    velocities for all-zero floors once they are known.
+
+    A pinned system first tries the box (:meth:`_box_vertices`) and
+    enumerates only where the box guard fails.
     """
 
     def __init__(self, spec: NetworkSpec, empty, zero_classes, pinned: bool):
         self.spec = spec
         self.empty = frozenset(empty)
         self.zeros = sorted(zero_classes)
+        self.pinned = pinned
         a_eq, b_eq, a_ub, b_ub = admissible_constraints(spec, empty)
         rows = [a_ub, spec.outflow[self.zeros]]
-        self._b_head, self._b_tail = b_ub, np.empty(0)
+        self._a_head, self._b_head, self._b_tail = a_ub, b_ub, np.empty(0)
         if pinned:
             rows.append(-spec.outflow)
             self._b_tail = -spec.alpha
         self._a_eq, self._b_eq, self._a_ub = a_eq, b_eq, np.vstack(rows)
         self._alpha_zero = spec.alpha[self.zeros]
-        self._subsets = rank_tested_subsets(a_eq, self._a_ub)
+        self._subsets = None  # rank-tested on the first enumeration
         self.exact = None
 
     def polytope(self, floors: list) -> ControlPolytope:
         """The viable polytope for the given floor of each near-zero class, in class order."""
         spec = self.spec
-        b_ub = np.concatenate([self._b_head, self._alpha_zero + np.asarray(floors), self._b_tail])
-        verts = subset_vertices(self._a_eq, self._b_eq, self._a_ub, b_ub, self._subsets)
+        verts = self._box_vertices(np.asarray(floors, dtype=float)) if self.pinned else None
+        if verts is None:
+            if self._subsets is None:
+                self._subsets = rank_tested_subsets(self._a_eq, self._a_ub)
+            b_ub = np.concatenate([self._b_head, self._alpha_zero + floors, self._b_tail])
+            verts = subset_vertices(self._a_eq, self._b_eq, self._a_ub, b_ub, self._subsets)
         if verts.shape[0] == 0 and self.zeros:
             # cannot happen for a valid description (idling the near-zero classes is
             # always viable), but fall back to the raw polytope rather than crash
             verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, self.empty))
         return ControlPolytope(verts, self.empty, spec.discipline)
+
+    def _box_vertices(self, floors: np.ndarray):
+        """The pinned polytope's vertices in closed form, or None if the box guard fails.
+
+        The pinned and viability rows read alpha <= outflow @ u <= alpha + f,
+        and outflow is invertible, so in velocity coordinates they cut out the
+        box [-f, 0]^K.  Where the remaining rows (u >= 0, capacity @ u <= 1)
+        have slack of at least BOX_SLACK at every corner, they hold on the
+        whole box and the vertices are u = outflow^-1 (alpha + c) over the
+        corners c of [0, f]: one point, the nominal allocation, when every
+        floor is 0.  Each corner is one solve, the same LAPACK call as a
+        one-by-one loop; the corners are ordered by :func:`model.vertex_order`.
+        """
+        spec = self.spec
+        positive = np.flatnonzero(floors > 0.0)
+        bits = np.array(list(itertools.product((0.0, 1.0), repeat=positive.size)))
+        corners = np.zeros((bits.shape[0], spec.K))
+        corners[:, positive] = bits * floors[positive]
+        n = corners.shape[0]
+        u = np.linalg.solve(np.broadcast_to(spec.outflow, (n, spec.K, spec.K)),
+                            (spec.alpha + corners)[..., None])[..., 0]
+        slack = self._b_head - np.matmul(self._a_head, u[..., None])[..., 0]
+        if slack.min() < BOX_SLACK:
+            return None
+        return vertex_order([u], spec.K)
 
 
 def zero_invariant(spec: NetworkSpec) -> bool:
@@ -385,6 +445,7 @@ def simulate(
     x0 = np.maximum(x0, 0.0)
 
     eps = empty_threshold(x0)
+    dust = dust_threshold(x0)
     selector.start_run()
     can_hold_zero = zero_invariant(spec)
     velocity_map = -spec.outflow.T
@@ -396,11 +457,12 @@ def simulate(
         if system is None:
             pinned = can_hold_zero and len(zeros) == spec.K
             system = systems[zeros] = _ViableSystem(spec, empty_rows(spec, zeros), zeros, pinned)
-        exact = all(ql[k] == 0.0 for k in zeros)
+        floors = [ql[k] / h if ql[k] >= dust else 0.0 for k in system.zeros]
+        exact = not any(floors)
         if exact and system.exact is not None:
             poly, velocities = system.exact
         else:
-            poly = system.polytope([ql[k] / h for k in system.zeros])
+            poly = system.polytope(floors)
             velocities = poly.vertices @ velocity_map + spec.alpha
             if exact:
                 system.exact = (poly, velocities)

@@ -106,6 +106,10 @@ class BadCount(FluidNetError, ValueError):
     """A sample, multistart or search-depth count is negative or above its cap."""
 
 
+class BadFactor(FluidNetError, ValueError):
+    """A scale factor, Lipschitz constant or draining time is not finite and positive."""
+
+
 class UnknownDiscipline(SpecError, ValueError):
     """A network names a service discipline other than work_conserving or priority."""
 

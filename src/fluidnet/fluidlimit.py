@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import child_seeds, fmt, rng_from
+from ._util import check_factor, child_seeds, fmt, rng_from
 from .dynamics import (
     FirstVertex,
     MaxDrain,
@@ -291,10 +291,11 @@ class ScaledPath:
 
 
 def scale_path(path: SamplePath, r: float, grid=None):
-    """Scaled view of a sample path; with a grid, sampled values on it."""
-    if r <= 0:
-        raise ValueError("scale factor must be positive")
-    scaled = ScaledPath(path, float(r))
+    """Scaled view of a sample path; with a grid, sampled values on it.
+
+    Raises BadFactor unless r is finite and positive.
+    """
+    scaled = ScaledPath(path, check_factor("scale factor", r))
     if grid is None:
         return scaled
     return scaled.value_at(np.asarray(grid, dtype=float))

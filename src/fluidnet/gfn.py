@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import l1, rng_from
+from ._util import check_count, l1, rng_from
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -324,8 +324,11 @@ def axiom_report(
 
     Applies random operations to simulated trajectories and records the worst
     flow-balance residual (normalized by 1 + initial mass) and the worst
-    Lipschitz estimate against the theoretical constant.
+    Lipschitz estimate against the theoretical constant.  A negative
+    ``n_ops`` or an ``n_base`` below 1 raises BadCount.
     """
+    check_count("n_ops", n_ops)
+    check_count("n_base", n_base, low=1)
     rng = rng_from(seed)
     selectors = [FirstVertex(), MaxDrain(), MinDrain()]
     base = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import check_count, check_seed, child_seeds, l1, rng_from, to_jsonable
+from ._util import check_count, check_factor, check_seed, child_seeds, l1, rng_from, to_jsonable
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -124,11 +124,11 @@ class ComparisonTriple:
 def comparison_functions(lipschitz: float, tau: float) -> ComparisonTriple:
     """The explicit gauges squeezing the best-path mass functional.
 
-    Lower: r^2 / (2 L).  Upper: r^2 (1 + L tau) tau.  Decay: r.
+    Lower: r^2 / (2 L).  Upper: r^2 (1 + L tau) tau.  Decay: r.  Raises
+    BadFactor unless L and tau are finite and positive.
     """
-    if lipschitz <= 0 or tau <= 0:
-        raise ValueError("lipschitz constant and draining time must be positive")
-    big_l, t = float(lipschitz), float(tau)
+    big_l = check_factor("lipschitz constant", lipschitz)
+    t = check_factor("draining time", tau)
     return ComparisonTriple(
         w1=ScalarFn(f"r^2/(2*{big_l:g})", lambda r: r * r / (2.0 * big_l)),
         w2=ScalarFn(f"r^2*(1+{big_l:g}*{t:g})*{t:g}", lambda r: r * r * (1.0 + big_l * t) * t),

@@ -14,10 +14,10 @@ are used at full rate, empty rows may idle.  Polytopes are represented by
 their vertex lists, enumerated exactly: problem dimensions here are tiny, so
 combinatorial enumeration over active constraint subsets is both fast and
 deterministic.  The subsets are processed in fixed-size chunks, each with one
-batched rank test and one batched solve; the vertices and their lexicographic
-order are the same as from one rank test and solve per subset.  The rank test
-depends only on the constraint matrices, so a caller whose right-hand sides
-change can keep the subsets that pass it.
+batched rank test and one batched solve; the vertices and their order (by the
+12-decimal key, :func:`vertex_order`) are the same as from one rank test and
+solve per subset.  The rank test depends only on the constraint matrices, so
+a caller whose right-hand sides change can keep the subsets that pass it.
 """
 from __future__ import annotations
 
@@ -230,9 +230,10 @@ def validate(alpha, mu, routing, constituency, discipline, priority=None) -> Net
 class ControlPolytope:
     """Vertex representation of an admissible allocation-rate set.
 
-    ``vertices`` has one row per vertex, rows sorted lexicographically;
-    ``active_set`` records the boundary configuration that produced it
-    (empty stations for work-conserving, empty classes for priority).
+    ``vertices`` has one row per vertex, sorted by the 12-decimal key of
+    :func:`vertex_order`; ``active_set`` records the boundary configuration
+    that produced it (empty stations for work-conserving, empty classes for
+    priority).
     """
 
     vertices: np.ndarray
@@ -314,18 +315,31 @@ def subset_vertices(a_eq, b_eq, a_ub, b_ub, subsets) -> np.ndarray:
     solved SUBSET_CHUNK at a time with one batched solve, which runs the same
     LAPACK routine per matrix as a one-by-one loop and so gives the same bits.
     Candidates are kept when they satisfy every constraint with slack >=
-    VERTEX_SLACK.  Output rows are deduplicated (the last subset wins among
-    rows equal to 12 decimals) and sorted lexicographically, which fixes a
-    reproducible vertex order.
+    VERTEX_SLACK; :func:`vertex_order` then dedupes and orders them.
+    """
+    return vertex_order(
+        [_chunk_vertices(a_eq, b_eq, a_ub, b_ub, subsets[start:start + SUBSET_CHUNK])
+         for start in range(0, subsets.shape[0], SUBSET_CHUNK)],
+        a_ub.shape[1],
+    )
+
+
+def vertex_order(blocks, dim: int) -> np.ndarray:
+    """The rows of ``blocks`` deduplicated and sorted by their 12-decimal key.
+
+    Rows with equal keys are one vertex, and the last of them is kept.  The
+    order follows the rounded key, not the raw floats, so coordinates that
+    are equal in exact arithmetic but differ in the last bits (a vertex found
+    by another route) do not reorder the vertices, and the selectors, which
+    index into this order, pick the same one.
     """
     found = {}
-    for start in range(0, subsets.shape[0], SUBSET_CHUNK):
-        x = _chunk_vertices(a_eq, b_eq, a_ub, b_ub, subsets[start:start + SUBSET_CHUNK])
+    for x in blocks:
         for key, row in zip(np.round(x, 12).tolist(), x):
             found[tuple(key)] = row
     if not found:
-        return np.empty((0, a_ub.shape[1]))
-    return np.array(sorted(found.values(), key=tuple))
+        return np.empty((0, dim))
+    return np.array([found[key] for key in sorted(found)])
 
 
 def _active_systems(a_eq, a_ub, idx) -> np.ndarray:

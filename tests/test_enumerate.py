@@ -59,7 +59,7 @@ def reference_enumerate(dim, a_eq, b_eq, a_ub, b_ub) -> np.ndarray:
         found[tuple(np.round(x, 12))] = x
     if not found:
         return np.empty((0, dim))
-    return np.array(sorted(found.values(), key=tuple))
+    return np.array([found[key] for key in sorted(found)])  # ordered by the rounded key
 
 
 def assert_same_bytes(dim, a_eq, b_eq, a_ub, b_ub):

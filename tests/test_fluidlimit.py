@@ -3,7 +3,7 @@ import pytest
 
 from fluidnet import fixtures
 from fluidnet.dynamics import MaxDrain, simulate
-from fluidnet.errors import EventBudgetExceeded, NoSeeds
+from fluidnet.errors import BadFactor, EventBudgetExceeded, NoSeeds
 from fluidnet.fluidlimit import (
     DETERMINISTIC,
     EXPONENTIAL,
@@ -97,6 +97,12 @@ class TestScaling:
         path = simulate_queueing(qspec, [0], 5.0, seed=1)
         scaled = scale_path(path, 7.0)
         assert np.abs(scaled.value_at(np.linspace(0, 0.7, 9))).max() == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_a_factor_that_is_not_finite_and_positive(self, bad):
+        path = simulate_queueing(fixtures.queueing_single_deterministic(), [3], 5.0, seed=1)
+        with pytest.raises(BadFactor, match="scale factor must be finite and positive"):
+            scale_path(path, bad, grid=[0.0, 1.0])
 
 
 class TestFluidDistance:

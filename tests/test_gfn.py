@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fluidnet.dynamics import MaxDrain, MinDrain, check_trajectory, simulate
 from fluidnet.errors import (
+    BadCount,
     EndpointMismatch,
     NonpositiveScale,
     ShiftBeyondHorizon,
@@ -230,3 +231,11 @@ class TestNetworkFamily:
         assert report["residual_ok"]
         assert report["lipschitz_ok"]
         assert sum(report["operations"].values()) == 60
+
+    def test_axiom_report_rejects_a_negative_operation_count(self, tandem):
+        with pytest.raises(BadCount, match="n_ops must be nonnegative, got -5"):
+            axiom_report(tandem, n_ops=-5)
+
+    def test_axiom_report_needs_a_base_path(self, tandem):
+        with pytest.raises(BadCount, match="n_base must be at least 1, got 0"):
+            axiom_report(tandem, n_base=0)

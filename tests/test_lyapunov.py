@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fluidnet import fixtures
 from fluidnet.dynamics import MaxDrain, RandomVertex, simulate
-from fluidnet.errors import BadCount, BadSeed, TruncatedWarning
+from fluidnet.errors import BadCount, BadFactor, BadSeed, TruncatedWarning
 from fluidnet.gfn import example_family, network_family, scale, shift
 from fluidnet.lyapunov import (
     MAX_DEPTH,
@@ -146,6 +146,13 @@ class TestComparisonFunctions:
 
     def test_class_k(self):
         assert comparison_functions(2.5, 1.3).is_class_k()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_a_factor_that_is_not_finite_and_positive(self, bad):
+        with pytest.raises(BadFactor, match="lipschitz constant must be finite and positive"):
+            comparison_functions(bad, 1.0)
+        with pytest.raises(BadFactor, match="draining time must be finite and positive"):
+            comparison_functions(1.0, bad)
 
 
 class TestSandwich:

@@ -5,6 +5,7 @@ import pytest
 
 from fluidnet import fixtures
 from fluidnet.errors import (
+    BadFactor,
     BadHorizon,
     BadPushBound,
     BadStep,
@@ -102,6 +103,64 @@ class TestCompletelyS:
             is_completely_s(np.eye(25))
 
 
+def lp_only_completely_s(r):
+    """The decision with one LP per principal submatrix, as before the witness."""
+    r = np.asarray(r, dtype=float)
+    return all(
+        is_s_matrix(r[np.ix_(idx, idx)])
+        for size in range(1, r.shape[0] + 1)
+        for idx in map(list, itertools.combinations(range(r.shape[0]), size))
+    )
+
+
+def random_reflections(rng):
+    """Uniform matrices (mostly not completely-S), Minkowski-like ones, and
+    ones whose row sums straddle zero so the LP must decide."""
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        yield rng.uniform(-1.0, 1.0, (n, n))
+        off = -rng.uniform(0.0, 1.2 / max(n - 1, 1), (n, n))
+        np.fill_diagonal(off, 1.0)
+        yield off
+        mixed = rng.uniform(-2.0, 2.0, (n, n))
+        np.fill_diagonal(mixed, rng.uniform(0.5, 1.5, n))
+        yield mixed
+
+
+class TestCompletelySWitness:
+    def test_matches_lp_only_decision(self, rng):
+        answers = [is_completely_s(r) == lp_only_completely_s(r) for r in random_reflections(rng)]
+        assert all(answers)
+
+    def test_both_answers_and_both_routes_occur(self, rng, monkeypatch):
+        """The random draws hold completely-S matrices and others, and the LP
+        runs for some submatrices the witness leaves open."""
+        from fluidnet import skorokhod
+
+        lp_calls = []
+        real = skorokhod.is_s_matrix
+        monkeypatch.setattr(skorokhod, "is_s_matrix", lambda m: lp_calls.append(m) or real(m))
+        decided = [is_completely_s(r) for r in random_reflections(rng)]
+        assert 0 < sum(decided) < len(decided)
+        assert lp_calls
+        # a positive diagonal with nonnegative off-diagonals needs no LP at all
+        lp_calls.clear()
+        assert is_completely_s(np.eye(4) + 0.1)
+        assert not lp_calls
+
+    def test_lp_decides_what_the_witness_leaves_open(self):
+        # row sums (-1, 1): the witness fails, but x = (3, 1) / 4 gives R x > 0
+        r = [[1.0, -2.0], [0.0, 1.0]]
+        assert is_completely_s(r) and lp_only_completely_s(r)
+        r = [[1.0, -2.0], [-1.0, 1.0]]  # R x > 0 needs x1 > 2 x2 and x2 > x1
+        assert not is_completely_s(r) and not lp_only_completely_s(r)
+
+    @pytest.mark.parametrize("name", ["lsp_one_dimensional", "lsp_decoupled", "lsp_chattering"])
+    def test_matches_lp_only_decision_on_fixtures(self, name):
+        r = getattr(fixtures, name)().reflection
+        assert is_completely_s(r) == lp_only_completely_s(r)
+
+
 class TestLspInstance:
     @pytest.mark.parametrize("theta,r,z0", [
         ([np.nan], [[1.0]], [1.0]),
@@ -196,6 +255,12 @@ class TestSolveLsp:
         scaled_inst = LspInstance(inst.theta, inst.reflection, inst.z0 / r,
                                   push_bound=inst.push_bound)
         assert solution_residual(scaled_inst, scaled) < 1e-7 * (1 + 1.5 / r)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_scaling_rejects_a_factor_that_is_not_finite_and_positive(self, bad):
+        sol = solve_lsp(fixtures.lsp_one_dimensional(), 1.0, 0.1)
+        with pytest.raises(BadFactor, match="scale factor must be finite and positive"):
+            scale_solution(sol, bad)
 
     def test_concatenated_solutions_pass_invariants(self):
         inst = fixtures.lsp_chattering()
