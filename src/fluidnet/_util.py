@@ -1,4 +1,4 @@
-"""Small shared helpers: norms, seeding, atomic IO, number formatting."""
+"""Small shared helpers: norms, seeding, read-only arrays, atomic IO, CSV text."""
 from __future__ import annotations
 
 import math
@@ -41,6 +41,19 @@ def check_factor(name: str, value: float) -> float:
     return value
 
 
+def freeze_arrays(obj, names) -> None:
+    """Set each named field of a frozen dataclass to a read-only float array."""
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
+def window_points(horizon: float, *stamps) -> np.ndarray:
+    """The sorted distinct stamps within [0, horizon], with both ends."""
+    return np.unique(np.concatenate([*(s[s <= horizon] for s in stamps), [0.0, float(horizon)]]))
+
+
 def rng_from(seed: int) -> np.random.Generator:
     """Counter-based generator so spawned streams are independent and reproducible."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(seed))))
@@ -70,6 +83,13 @@ def atomic_write_text(path, text: str) -> None:
 def fmt(value: float) -> str:
     """17 significant digits: enough to round-trip a double exactly."""
     return f"{float(value):.17g}"
+
+
+def csv_text(header, rows) -> str:
+    """CSV lines: the header, then one line per row with every cell through :func:`fmt`."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(fmt, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def to_jsonable(obj):

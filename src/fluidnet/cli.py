@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,21 +73,24 @@ _SELECTORS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    input_path: str
+    """The command-line parameters, one field per flag (the parser's ``dest``s);
+    the defaults live in :func:`build_parser`."""
+
     command: str
-    out_dir: str = "out"
-    seed: int = 42
-    h: float = 0.01
-    horizon: float = 50.0
-    samples: int = 16
-    depth: int = 0
-    multistarts: int = 0
+    input_path: str
+    out_dir: str
+    seed: int
+    step: float
+    horizon: float
+    samples: int
+    depth: int
+    multistarts: int
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not self.h > 0:
-            raise BadStep(f"step must be positive, got {self.h!r}")
+        if not self.step > 0:
+            raise BadStep(f"step must be positive, got {self.step!r}")
         if not self.horizon > 0:
             raise BadHorizon(f"horizon must be positive, got {self.horizon!r}")
         check_count("samples", self.samples)
@@ -96,7 +99,7 @@ class RunConfig:
 
     def search_budget(self) -> SearchBudget:
         return SearchBudget(
-            horizon=self.horizon, step=self.h,
+            horizon=self.horizon, step=self.step,
             depth=self.depth, multistarts=self.multistarts, seed=self.seed,
         )
 
@@ -123,15 +126,8 @@ def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
     parsed = parse_spec_file(config.input_path)
     os.makedirs(config.out_dir, exist_ok=True)
-    params = {
-        "command": config.command,
-        "seed": config.seed,
-        "step": config.h,
-        "horizon": config.horizon,
-        "samples": config.samples,
-        "depth": config.depth,
-        "multistarts": config.multistarts,
-    }
+    params = asdict(config)
+    del params["input_path"], params["out_dir"]
     log.info("resolved parameters: %s", params)
     report: dict = {"parameters": params}
     artifacts: dict[str, str] = {}
@@ -142,7 +138,7 @@ def run(config: RunConfig) -> int:
         sim_cfg = parsed.simulate or {}
         x0 = sim_cfg.get("x0") or (np.ones(spec.K) / spec.K).tolist()
         selector = _selector_from_name(sim_cfg.get("selector", "max_drain"), config.seed)
-        traj = simulate(spec, x0, selector, config.horizon, config.h)
+        traj = simulate(spec, x0, selector, config.horizon, config.step)
         artifacts["trajectory.csv"] = trajectory_csv(traj)
         report["simulate"] = {
             "x0": list(map(float, x0)),
@@ -159,7 +155,7 @@ def run(config: RunConfig) -> int:
             spec,
             samples=config.samples,
             horizon=config.horizon,
-            h=config.h,
+            h=config.step,
             seed=config.seed,
         )
         report["stability"] = verdict.to_report()
@@ -174,13 +170,13 @@ def run(config: RunConfig) -> int:
         report["certificate"] = certificate.to_report()
         verdict = draining_time(
             spec, samples=config.samples, horizon=config.horizon,
-            h=config.h, seed=config.seed,
+            h=config.step, seed=config.seed,
         )
         report["stability"] = verdict.to_report()
         if verdict.is_stable:
             big_l = lipschitz_constant(spec)
             triple = comparison_functions(big_l, verdict.tau)
-            family = network_family(spec, horizon=config.horizon, h=config.h)
+            family = network_family(spec, horizon=config.horizon, h=config.step)
             budget = config.search_budget()
             states = unit_sphere_states(spec.K, min(config.samples, 8), config.seed)
             pairs = []
@@ -197,7 +193,7 @@ def run(config: RunConfig) -> int:
         if parsed.skorokhod is None:
             raise ParseError("skorokhod command requires a 'skorokhod' section")
         inst = parsed.skorokhod
-        sol = solve_lsp(inst, config.horizon, config.h)
+        sol = solve_lsp(inst, config.horizon, config.step)
         artifacts["solution.csv"] = solution_csv(sol)
         report["skorokhod"] = {
             "dimension": inst.J,
@@ -217,7 +213,7 @@ def run(config: RunConfig) -> int:
         scales = cfg.get("scales") or [10.0, 100.0]
         seeds = child_seeds(config.seed, min(config.samples, 10))
         table = fluid_limit_compare(
-            qspec, spec, direction, scales, config.horizon, seeds, h=config.h
+            qspec, spec, direction, scales, config.horizon, seeds, h=config.step
         )
         artifacts["distances.csv"] = distance_table_csv(table)
         report["fluidlimit"] = {
@@ -234,7 +230,7 @@ def run(config: RunConfig) -> int:
             n_ops=max(100, config.samples * 25),
             seed=config.seed,
             horizon=min(config.horizon, 25.0),
-            h=max(config.h, 0.02),
+            h=max(config.step, 0.02),
         )
 
     report["artifacts"] = sorted(artifacts)
@@ -256,8 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fluid network simulation, stability analysis, and reflected drifts.",
     )
     parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--input", required=True, help="network description file (YAML)")
-    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument("--input", dest="input_path", required=True,
+                        help="network description file (YAML)")
+    parser.add_argument("--out", dest="out_dir", default="out",
+                        help="output directory (default: out)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--step", type=float, default=0.01, help="control-switch step h")
     parser.add_argument("--horizon", type=float, default=50.0)
@@ -274,17 +272,7 @@ def main(argv=None) -> int:
     )
     args = build_parser().parse_args(argv)
     try:
-        return run(RunConfig(
-            input_path=args.input,
-            command=args.command,
-            out_dir=args.out,
-            seed=args.seed,
-            h=args.step,
-            horizon=args.horizon,
-            samples=args.samples,
-            depth=args.depth,
-            multistarts=args.multistarts,
-        ))
+        return run(RunConfig(**vars(args)))
     except FluidNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

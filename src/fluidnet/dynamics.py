@@ -31,7 +31,6 @@ the last bits.  Nothing is kept between runs.
 """
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import fmt, l1, rng_from
+from ._util import csv_text, freeze_arrays, l1, rng_from
 from .errors import (
     BadHorizon,
     BadStep,
@@ -110,10 +109,7 @@ class Trajectory:
     drained_at: float | None = None
 
     def __post_init__(self):
-        for name in ("grid", "levels", "allocation", "controls"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, ("grid", "levels", "allocation", "controls"))
 
     @property
     def K(self) -> int:
@@ -128,19 +124,12 @@ class Trajectory:
         return self.drained_at is not None
 
     def level_at(self, t) -> np.ndarray:
-        """Linear interpolation of Q; zero after the grid once drained."""
-        return self._interp(self.levels, t)
-
-    def allocation_at(self, t) -> np.ndarray:
-        return self._interp(self.allocation, t, extend_last=True)
-
-    def _interp(self, values, t, extend_last=False):
+        """Linear interpolation of Q; the last level after the grid once drained."""
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape + (self.K,))
         for k in range(self.K):
-            out[..., k] = np.interp(t, self.grid, values[:, k])
-        beyond = t > self.grid[-1]
-        if np.any(beyond) and not (extend_last or self.drained):
+            out[..., k] = np.interp(t, self.grid, self.levels[:, k])
+        if np.any(t > self.grid[-1]) and not self.drained:
             # holding the final value is only sound once the run drained
             # (the held state then sits below the emptiness threshold)
             raise ValueError("time beyond the sampled horizon of an undrained trajectory")
@@ -235,6 +224,11 @@ class MinDrain(_TotalVelocityRank):
         return int(np.argmax(totals))
 
 
+def default_selectors() -> tuple[ControlSelector, ...]:
+    """The deterministic ensemble of stability verdicts and network path families."""
+    return (FirstVertex(), MaxDrain(), MinDrain())
+
+
 class FixedSequence(ControlSelector):
     """Vertex indices consumed in order, then the last index repeats.
 
@@ -311,7 +305,7 @@ class _ViableSystem:
             # cannot happen for a valid description (idling the near-zero classes is
             # always viable), but fall back to the raw polytope rather than crash
             verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, self.empty))
-        return ControlPolytope(verts, self.empty, spec.discipline)
+        return ControlPolytope(verts)
 
     def _box_vertices(self, floors: np.ndarray):
         """The pinned polytope's vertices in closed form, or None if the box guard fails.
@@ -588,38 +582,18 @@ def trajectory_csv(traj: Trajectory) -> str:
     The control columns give the rate on the interval starting at each stamp;
     the final stamp repeats the last interval's control.
     """
-    k = traj.K
-    header = (
-        ["t"]
-        + [f"Q{i + 1}" for i in range(k)]
-        + [f"T{i + 1}" for i in range(k)]
-        + [f"u{i + 1}" for i in range(k)]
-    )
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    n = traj.grid.shape[0]
-    for i in range(n):
-        if traj.controls.shape[0] == 0:
-            u = np.zeros(k)
-        else:
-            u = traj.controls[min(i, traj.controls.shape[0] - 1)]
-        row = [traj.grid[i], *traj.levels[i], *traj.allocation[i], *u]
-        out.write(",".join(fmt(v) for v in row) + "\n")
-    return out.getvalue()
+    k, n, m = traj.K, traj.grid.shape[0], traj.controls.shape[0]
+    header = ["t", *(f"{name}{i + 1}" for name in "QTu" for i in range(k))]
+    u = traj.controls[np.minimum(np.arange(n), m - 1)] if m else np.zeros((n, k))
+    return csv_text(header, np.column_stack([traj.grid, traj.levels, traj.allocation, u]).tolist())
 
 
-def check_trajectory(
-    spec: NetworkSpec,
-    traj: Trajectory,
-    *,
-    include_complementarity: bool = False,
-    complementarity_tol: float | None = None,
-) -> dict:
+def check_trajectory(spec: NetworkSpec, traj: Trajectory) -> dict:
     """Invariant report for a trajectory against its generating network.
 
     Checks flow balance, nonnegativity, monotone allocation and idle
     processes.  The idling functional is only O(h) for arbitrary selectors,
-    so it is reported but only enforced when explicitly requested.
+    so it is reported, not enforced.
     """
     scale = 1.0 + l1(traj.levels[0])
     flow = flow_balance_residual(spec, traj)
@@ -638,11 +612,6 @@ def check_trajectory(
         and np.abs(traj.allocation[0]).max() <= 1e-12
         and bool(np.all(np.diff(traj.grid) > 0))
     )
-    if include_complementarity:
-        tol = complementarity_tol
-        if tol is None:
-            tol = 1e-6 * max(traj.horizon, 1e-12)
-        ok = ok and comp <= tol
     return {
         "flow_balance_residual": flow,
         "min_level": q_min,

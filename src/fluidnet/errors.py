@@ -42,10 +42,6 @@ class StepTooLarge(FluidNetError):
     """Event splitting exceeded the sub-step budget; reduce the step size."""
 
 
-class NonpositiveScale(FluidNetError):
-    """Time scaling requires a strictly positive factor."""
-
-
 class ShiftBeyondHorizon(FluidNetError):
     """Requested shift or cut time lies outside the sampled time range."""
 
@@ -112,6 +108,10 @@ class BadFactor(FluidNetError, ValueError):
 
 class UnknownDiscipline(SpecError, ValueError):
     """A network names a service discipline other than work_conserving or priority."""
+
+
+class UnknownLaw(SpecError, ValueError):
+    """A queueing class names an unknown law, or law 'none' while it has inflow."""
 
 
 class EventBudgetExceeded(FluidNetError):

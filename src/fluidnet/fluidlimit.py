@@ -10,13 +10,12 @@ to fluid solutions empirically.
 from __future__ import annotations
 
 import bisect
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_factor, child_seeds, fmt, rng_from
+from ._util import check_factor, child_seeds, csv_text, freeze_arrays, rng_from, window_points
 from .dynamics import (
     FirstVertex,
     MaxDrain,
@@ -26,7 +25,7 @@ from .dynamics import (
     _check_horizon,
     simulate,
 )
-from .errors import DimensionMismatch, EventBudgetExceeded, NoSeeds
+from .errors import DimensionMismatch, EventBudgetExceeded, NegativeState, NoSeeds, UnknownLaw
 from .model import PRIORITY, NetworkSpec
 
 EXPONENTIAL = "exponential"
@@ -44,7 +43,7 @@ def _broadcast_laws(kinds, k, allowed, what):
         raise DimensionMismatch(f"{what} laws: expected {k} entries, got {len(kinds)}")
     for kind in kinds:
         if kind not in allowed:
-            raise ValueError(f"unknown {what} law {kind!r}; allowed: {sorted(allowed)}")
+            raise UnknownLaw(f"unknown {what} law {kind!r}; allowed: {sorted(allowed)}")
     return kinds
 
 
@@ -54,7 +53,8 @@ class QueueingSpec:
 
     Law means are tied to the network rates: interarrival mean 1/alpha_k and
     service mean 1/mu_k, so scaled sample paths target the same fluid data.
-    Classes without exogenous arrivals carry the 'none' interarrival law.
+    Classes without exogenous arrivals carry the 'none' interarrival law; an
+    unknown law, or 'none' on a class with inflow, raises UnknownLaw.
     """
 
     network: NetworkSpec
@@ -72,7 +72,7 @@ class QueueingSpec:
             if rate == 0:
                 fixed.append(NONE)
             elif kind == NONE:
-                raise ValueError("class with positive arrival rate cannot have law 'none'")
+                raise UnknownLaw("class with positive arrival rate cannot have law 'none'")
             else:
                 fixed.append(kind)
         object.__setattr__(self, "interarrival", tuple(fixed))
@@ -96,10 +96,7 @@ class SamplePath:
     busy: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "counts", "busy"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, ("times", "counts", "busy"))
 
     @property
     def K(self) -> int:
@@ -137,14 +134,15 @@ def simulate_queueing(
     order, with the same arithmetic, as the numpy-array loop kept as the
     reference in ``tests/test_queueing_reference.py``, so the output bytes are
     the same.  At exact ties completions beat arrivals, and the lowest class
-    index goes first.  A negative, infinite or NaN horizon raises BadHorizon.
+    index goes first.  A negative, infinite or NaN horizon raises BadHorizon,
+    a negative count NegativeState.
     """
     net = qspec.network
     q_arr = np.asarray(q0, dtype=np.int64)
     if q_arr.shape != (net.K,):
         raise DimensionMismatch(f"initial counts have shape {q_arr.shape}, expected ({net.K},)")
     if np.any(q_arr < 0):
-        raise ValueError("queue lengths must be nonnegative integers")
+        raise NegativeState(f"queue lengths must be nonnegative, got {q_arr.tolist()}")
     _check_horizon(horizon)
     rng = rng_from(seed)
     exponential = rng.exponential
@@ -307,16 +305,7 @@ def distance_to_fluid(scaled: ScaledPath, traj: Trajectory, horizon: float):
     The sup is evaluated at all fluid stamps and scaled jump times, taking
     both one-sided values at jumps, which is exact for step-versus-linear.
     """
-    jumps = scaled.jumps
-    pts = np.unique(
-        np.concatenate(
-            [
-                traj.grid[traj.grid <= horizon],
-                jumps[jumps <= horizon],
-                [0.0, float(horizon)],
-            ]
-        )
-    )
+    pts = window_points(horizon, traj.grid, scaled.jumps)
     fluid = traj.level_at(pts)
     right = scaled.value_at(pts, side="right")
     left = scaled.value_at(pts, side="left")
@@ -330,9 +319,11 @@ def distance_to_fluid(scaled: ScaledPath, traj: Trajectory, horizon: float):
     return sup, mean
 
 
-def default_fluid_ensemble(seed: int = 42, n_random: int = 8):
+def default_fluid_ensemble():
+    """The fluid paths a scaled sample path is matched against: three greedy
+    selectors and eight random-vertex runs seeded from 42."""
     selectors = [MaxDrain(), MinDrain(), FirstVertex()]
-    selectors.extend(RandomVertex(s) for s in child_seeds(seed, n_random))
+    selectors.extend(RandomVertex(s) for s in child_seeds(42, 8))
     return selectors
 
 
@@ -345,26 +336,24 @@ def fluid_limit_compare(
     seeds,
     *,
     h: float = 0.01,
-    ensemble=None,
 ) -> dict:
     """Distance table between scaled sample paths and their nearest fluid path.
 
     For each scale r the start is round(r * q_direction) customers with fresh
     residuals; each seeded run is scaled back and compared against every
-    trajectory in the selector ensemble, keeping the best match.  Rows carry
-    the per-seed time-mean and sup distances.  An empty seed list raises
-    NoSeeds.
+    trajectory of :func:`default_fluid_ensemble`, keeping the best match.
+    Rows carry the per-seed time-mean and sup distances.  An empty seed list
+    raises NoSeeds, a scale that is not finite and positive BadFactor.
     """
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise NoSeeds("fluid-limit comparison needs at least one seed")
+    r_list = [check_factor("scale", r) for r in r_list]
     q_direction = np.asarray(q_direction, dtype=float)
-    if ensemble is None:
-        ensemble = default_fluid_ensemble()
+    ensemble = default_fluid_ensemble()
     rows = []
     aggregate = {}
     for r in r_list:
-        r = float(r)
         q_int = np.round(r * q_direction).astype(np.int64)
         x0 = q_int / r
         fluid_trajs = [simulate(spec, x0, sel, horizon, h) for sel in ensemble]
@@ -385,16 +374,9 @@ def fluid_limit_compare(
 
 
 def distance_table_csv(table: dict) -> str:
-    out = io.StringIO()
-    out.write("r,seed,mean_dist,max_dist\n")
-    for row in table["rows"]:
-        out.write(
-            ",".join(
-                [fmt(row["r"]), str(row["seed"]), fmt(row["mean_dist"]), fmt(row["max_dist"])]
-            )
-            + "\n"
-        )
-    return out.getvalue()
+    """CSV export: r, seed, mean_dist, max_dist, one line per (scale, seed) run."""
+    header = ["r", "seed", "mean_dist", "max_dist"]
+    return csv_text(header, ([row[key] for key in header] for row in table["rows"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,8 +411,6 @@ def concatenation_evidence(
     seeds,
     *,
     h: float = 0.01,
-    cut_frac: float = 0.5,
-    ensemble=None,
 ) -> dict:
     """Empirical probe: do spliced scaled sample paths still look like fluid paths?
 
@@ -438,13 +418,13 @@ def concatenation_evidence(
     from the customer counts observed at the cut, and the spliced scaled path
     is compared against the nearest fluid trajectory; the unspliced path gives
     the baseline.  This measures evidence only; nothing is decided about the
-    closure property of the scaled-limit family.
+    closure property of the scaled-limit family.  A scale that is not finite
+    and positive raises BadFactor.
     """
     q_direction = np.asarray(q_direction, dtype=float)
-    if ensemble is None:
-        ensemble = default_fluid_ensemble()
-    r = float(r)
-    cut = cut_frac * horizon
+    ensemble = default_fluid_ensemble()
+    r = check_factor("scale", r)
+    cut = 0.5 * horizon
     q_int = np.round(r * q_direction).astype(np.int64)
     x0 = q_int / r
     fluid_trajs = [simulate(spec, x0, sel, horizon, h) for sel in ensemble]

@@ -13,31 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_count, l1, rng_from
+from ._util import check_count, check_factor, l1, rng_from, window_points
 from .dynamics import (
     ControlSelector,
-    FirstVertex,
-    MaxDrain,
-    MinDrain,
     Trajectory,
     check_trajectory,
+    default_selectors,
     flow_balance_residual,
     lipschitz_constant,
     simulate,
 )
-from .errors import (
-    EndpointMismatch,
-    NonpositiveScale,
-    ShiftBeyondHorizon,
-    UnknownFixture,
-)
+from .errors import EndpointMismatch, ShiftBeyondHorizon, UnknownFixture
 from .model import NetworkSpec
 
 
 def scale(traj: Trajectory, r: float) -> Trajectory:
-    """Time-space rescaling t -> Q(r t) / r; allocation rescales the same way."""
-    if r <= 0:
-        raise NonpositiveScale(f"scale factor must be positive, got {r}")
+    """Time-space rescaling t -> Q(r t) / r; allocation rescales the same way.
+
+    Raises BadFactor unless r is finite and positive.
+    """
+    r = check_factor("scale factor", r)
     drained = None if traj.drained_at is None else traj.drained_at / r
     return Trajectory(
         grid=traj.grid / r,
@@ -64,11 +59,12 @@ def _state_at(traj: Trajectory, s: float):
 
 
 def shift(traj: Trajectory, s: float) -> Trajectory:
-    """Time shift t -> Q(s + t), with the allocation renormalized to T(0) = 0."""
-    if s < 0:
-        raise ShiftBeyondHorizon(f"shift must be nonnegative, got {s}")
-    if s > traj.grid[-1] * (1 + 1e-12):
-        raise ShiftBeyondHorizon(f"shift {s} beyond sampled horizon {traj.grid[-1]}")
+    """Time shift t -> Q(s + t), with the allocation renormalized to T(0) = 0.
+
+    Raises ShiftBeyondHorizon unless 0 <= s <= horizon (so for NaN too).
+    """
+    if not 0 <= s <= traj.grid[-1] * (1 + 1e-12):
+        raise ShiftBeyondHorizon(f"shift {s} outside [0, {traj.grid[-1]}]")
     s = min(float(s), float(traj.grid[-1]))
     level0, alloc0 = _state_at(traj, s)
     i = int(np.searchsorted(traj.grid, s, side="right"))  # stamps strictly after s
@@ -126,15 +122,7 @@ def uoc_distance(traj1: Trajectory, traj2: Trajectory, horizon: float) -> float:
     Drained trajectories are zero-extended past their grid; an undrained
     trajectory must cover the window.
     """
-    pts = np.unique(
-        np.concatenate(
-            [
-                traj1.grid[traj1.grid <= horizon],
-                traj2.grid[traj2.grid <= horizon],
-                [0.0, float(horizon)],
-            ]
-        )
-    )
+    pts = window_points(horizon, traj1.grid, traj2.grid)
     a = traj1.level_at(pts)
     b = traj2.level_at(pts)
     return float(np.abs(a - b).sum(axis=1).max())
@@ -168,9 +156,9 @@ def _pw_linear(times, values, drained_at) -> Trajectory:
     )
 
 
-def _kink_grid(kinks, pad: float = 1.0) -> np.ndarray:
+def _kink_grid(kinks) -> np.ndarray:
     ks = sorted({0.0} | {float(k) for k in kinks if k > 0})
-    return np.asarray(ks + [ks[-1] + pad])
+    return np.asarray(ks + [ks[-1] + 1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +167,6 @@ class ExplicitPathFamily:
     so trapezoidal integrals of the level are exact."""
 
     name: str
-    lipschitz: float = 2.0
 
     def paths_from(self, x) -> list[Trajectory]:
         x = np.asarray(x, dtype=float)
@@ -245,8 +232,8 @@ class NetworkPathFamily:
 
     spec: NetworkSpec
     selectors: tuple[ControlSelector, ...]
-    horizon: float = 40.0
-    h: float = 0.02
+    horizon: float
+    h: float
 
     def paths_from(self, x) -> list[Trajectory]:
         return [
@@ -263,15 +250,10 @@ class NetworkPathFamily:
         scale_ok = report["flow_balance_residual"] <= tol * (1.0 + l1(traj.levels[0]))
         return bool(report["ok"] and scale_ok)
 
-    @property
-    def lipschitz(self) -> float:
-        return lipschitz_constant(self.spec)
 
-
-def network_family(spec: NetworkSpec, selectors=None, horizon=40.0, h=0.02):
-    if selectors is None:
-        selectors = (FirstVertex(), MaxDrain(), MinDrain())
-    return NetworkPathFamily(spec, tuple(selectors), horizon, h)
+def network_family(spec: NetworkSpec, horizon: float, h: float) -> NetworkPathFamily:
+    """Paths of ``spec`` under :func:`dynamics.default_selectors`."""
+    return NetworkPathFamily(spec, default_selectors(), horizon, h)
 
 
 def example_family(name: str) -> ExplicitPathFamily:
@@ -281,10 +263,11 @@ def example_family(name: str) -> ExplicitPathFamily:
     return ExplicitPathFamily(name)
 
 
-def concat_closure_report(family: ExplicitPathFamily, states, cut_fracs=(0.25, 0.5, 0.75)):
+def concat_closure_report(family: ExplicitPathFamily, states):
     """Try to concatenate distinct family paths through shared states.
 
-    For each start x, each member A through x, and each interior cut time,
+    For each start x, each member A through x, and each interior cut time
+    (a quarter, half and three quarters of the way to A's end),
     every *other* member B through the cut state is spliced on and tested for
     family membership.  Returns the attempts and how many stayed inside the
     family (the exchange family yields zero).
@@ -292,9 +275,9 @@ def concat_closure_report(family: ExplicitPathFamily, states, cut_fracs=(0.25, 0
     attempts = 0
     members = 0
     for x in states:
-        for a_idx, a in enumerate(family.paths_from(x)):
+        for a in family.paths_from(x):
             end = a.drained_at if a.drained_at else a.grid[-1]
-            for frac in cut_fracs:
+            for frac in (0.25, 0.5, 0.75):
                 t_star = frac * end
                 y = a.level_at(np.asarray([t_star]))[0]
                 if l1(y) <= 1e-9:
@@ -330,7 +313,7 @@ def axiom_report(
     check_count("n_ops", n_ops)
     check_count("n_base", n_base, low=1)
     rng = rng_from(seed)
-    selectors = [FirstVertex(), MaxDrain(), MinDrain()]
+    selectors = default_selectors()
     base = []
     for i in range(n_base):
         direction = rng.dirichlet(np.ones(spec.K))

@@ -362,11 +362,10 @@ def _drift_vertices(spec: NetworkSpec):
     return controls, drifts
 
 
-def linear_certificate_search(spec: NetworkSpec, *, weight_floor: float = 1e-6,
-                              epsilon_floor: float = 1e-6) -> Certificate:
+def linear_certificate_search(spec: NetworkSpec) -> Certificate:
     """One LP for a positive weight vector with uniformly negative drift.
 
-    Finds h in [weight_floor, 1]^K maximizing the margin epsilon subject to
+    Finds h in [1e-6, 1]^K maximizing the margin epsilon >= 1e-6 subject to
     h . v <= -epsilon for every admissible vertex velocity v of every
     proper boundary configuration, collected from the n maximal ones by
     :func:`_drift_vertices`.  Infeasibility yields Unknown, never Falsified:
@@ -379,7 +378,7 @@ def linear_certificate_search(spec: NetworkSpec, *, weight_floor: float = 1e-6,
     c[-1] = -1.0  # maximize epsilon
     a_ub = np.hstack([drifts, np.ones((n, 1))])
     b_ub = np.zeros(n)
-    bounds = [(weight_floor, 1.0)] * k + [(epsilon_floor, None)]
+    bounds = [(1e-6, 1.0)] * k + [(1e-6, None)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     meta = {"drift_rows": int(n)}
     if not res.success:

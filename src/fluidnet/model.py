@@ -59,13 +59,13 @@ def empty_threshold(x0) -> float:
     return 1e-9 * (1.0 + l1(x0))
 
 
-def spectral_radius(P: np.ndarray, *, tol: float = 1e-10, max_iter: int = 10000) -> float:
+def spectral_radius(P: np.ndarray) -> float:
     """Spectral radius by renormalized power iteration (repeated squaring).
 
     Tracks |P^(2^m)| in log scale, so the estimate |P^n|^(1/n) converges for
     every matrix, including nilpotent and defective routing chains where the
-    plain vector iteration stalls.  Falls back to the Gershgorin row-sum
-    bound if the iteration hits the cap without settling.
+    plain vector iteration stalls.  Falls back to the row-sum bound if the
+    estimate overflows.
     """
     P = np.asarray(P, dtype=float)
     if P.shape[0] == 0:
@@ -80,7 +80,7 @@ def spectral_radius(P: np.ndarray, *, tol: float = 1e-10, max_iter: int = 10000)
     # log(poly(n))/n is far below double precision; plateaus (nilpotent chains
     # hold norm 1 for several squarings before collapsing) cannot fool a fixed
     # iteration count, so no early convergence exit is attempted.
-    for _ in range(min(max_iter, 64)):
+    for _ in range(64):
         b = b @ b
         norm = float(np.abs(b).sum(axis=0).max())
         if norm == 0.0:
@@ -228,24 +228,13 @@ def validate(alpha, mu, routing, constituency, discipline, priority=None) -> Net
 
 @dataclass(frozen=True, eq=False)
 class ControlPolytope:
-    """Vertex representation of an admissible allocation-rate set.
-
-    ``vertices`` has one row per vertex, sorted by the 12-decimal key of
-    :func:`vertex_order`; ``active_set`` records the boundary configuration
-    that produced it (empty stations for work-conserving, empty classes for
-    priority).
-    """
+    """Vertex representation of an admissible allocation-rate set: one row
+    per vertex, sorted by the 12-decimal key of :func:`vertex_order`."""
 
     vertices: np.ndarray
-    active_set: frozenset
-    kind: str
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _readonly(self.vertices))
-
-    @property
-    def dimension(self) -> int:
-        return int(self.vertices.shape[1])
 
     def __len__(self) -> int:
         return int(self.vertices.shape[0])
@@ -295,10 +284,15 @@ def rank_tested_subsets(a_eq: np.ndarray, a_ub: np.ndarray) -> np.ndarray:
     lexicographic order, SUBSET_CHUNK at a time: each chunk's active systems
     (the equalities stacked over the chosen rows) get one batched rank test,
     which runs the same SVD per matrix as a one-by-one loop.  Row i of the
-    result lists the rows of one kept subset; the order is kept.
+    result lists the rows of one kept subset; the order is kept.  Dependent
+    equality rows raise DimensionMismatch: no admissible set has them, since
+    busy capacity rows are disjoint across stations and nested within one.
     """
     dim = a_ub.shape[1]
-    n_active = dim - (np.linalg.matrix_rank(a_eq) if a_eq.size else 0)
+    rank = np.linalg.matrix_rank(a_eq) if a_eq.size else 0
+    if rank < a_eq.shape[0]:
+        raise DimensionMismatch(f"{a_eq.shape[0]} equality rows have rank {rank}")
+    n_active = dim - rank
     kept = [np.empty((0, n_active), dtype=np.intp)]
     subsets = itertools.combinations(range(a_ub.shape[0]), n_active)
     while chunk := list(itertools.islice(subsets, SUBSET_CHUNK)):
@@ -357,22 +351,18 @@ def _chunk_vertices(a_eq, b_eq, a_ub, b_ub, idx) -> np.ndarray:
     n, dim = idx.shape[0], a_ub.shape[1]
     mats = _active_systems(a_eq, a_ub, idx)
     rhs = np.concatenate([np.broadcast_to(b_eq, (n, b_eq.size)), b_ub[idx]], axis=1)
-    if mats.shape[1] == dim:
-        try:
-            x = np.linalg.solve(mats, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # an exactly singular matrix: drop only that one
-            solved = {}
-            for i, (mat, b) in enumerate(zip(mats, rhs)):
-                try:
-                    solved[i] = np.linalg.solve(mat, b)
-                except np.linalg.LinAlgError:
-                    pass
-            keep = list(solved)
-            mats, rhs = mats[keep], rhs[keep]
-            x = np.array(list(solved.values())).reshape(len(keep), dim)
-    else:  # dependent equality rows: over-determined but consistent systems
-        x = np.array([np.linalg.lstsq(mat, b, rcond=None)[0] for mat, b in zip(mats, rhs)])
-        x = x.reshape(mats.shape[0], dim)
+    try:
+        x = np.linalg.solve(mats, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # an exactly singular matrix: drop only that one
+        solved = {}
+        for i, (mat, b) in enumerate(zip(mats, rhs)):
+            try:
+                solved[i] = np.linalg.solve(mat, b)
+            except np.linalg.LinAlgError:
+                pass
+        keep = list(solved)
+        mats, rhs = mats[keep], rhs[keep]
+        x = np.array(list(solved.values())).reshape(len(keep), dim)
 
     # every product below is one gemv per candidate, as in a per-subset loop
     residual = np.abs(np.matmul(mats, x[..., None])[..., 0] - rhs).sum(axis=1)
@@ -428,7 +418,7 @@ def admissible_polytope(spec: NetworkSpec, empty=()) -> ControlPolytope:
     verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, empty))
     if verts.shape[0] == 0:
         raise InfeasibleActiveSet(f"no admissible allocation with empty rows {sorted(empty)}")
-    return ControlPolytope(verts, frozenset(int(i) for i in empty), spec.discipline)
+    return ControlPolytope(verts)
 
 
 #: Largest station or class count whose boundary configurations are enumerated

@@ -17,14 +17,13 @@ fixes a deterministic selection among the generally non-unique solutions.
 """
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import check_factor, fmt, l1
+from ._util import check_factor, csv_text, freeze_arrays, l1
 from .dynamics import _EVENT_CAP, _event_split
 from .errors import (
     BadPushBound,
@@ -36,13 +35,14 @@ from .errors import (
     NotCompletelyS,
     PushBoundExceeded,
 )
-from .model import SUBSET_CHUNK
+from .model import SUBSET_CHUNK, empty_threshold
 
 _ACTIVE_CAP = 8  # combinatorial push enumeration is C(2a, a) in the active count
+_COMPLETELY_S_CAP = 20  # principal submatrices tested: 2^J - 1
 
 
-def is_s_matrix(r_matrix, tol: float = 1e-10) -> bool:
-    """LP test: does some x >= 0 with sum(x) <= 1 give R x uniformly positive?"""
+def is_s_matrix(r_matrix) -> bool:
+    """LP test: does some x >= 0 with sum(x) <= 1 give R x >= t for some t > 1e-10?"""
     r = np.asarray(r_matrix, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise DimensionMismatch("S-matrix test needs a square matrix")
@@ -59,14 +59,14 @@ def is_s_matrix(r_matrix, tol: float = 1e-10) -> bool:
     b_ub[n] = 1.0
     res = linprog(c, A_ub=a_ub, b_ub=b_ub,
                   bounds=[(0, None)] * n + [(None, None)], method="highs")
-    return bool(res.success and -res.fun > tol)
+    return bool(res.success and -res.fun > 1e-10)
 
 
 #: a principal submatrix whose row sums reach this per index needs no LP
 S_WITNESS = 1e-6
 
 
-def is_completely_s(r_matrix, *, max_dim: int = 20) -> bool:
+def is_completely_s(r_matrix) -> bool:
     """Every nonempty principal submatrix must be an S-matrix.
 
     Most submatrices are certified without an LP: if R_S 1 >= S_WITNESS |S|
@@ -78,7 +78,7 @@ def is_completely_s(r_matrix, *, max_dim: int = 20) -> bool:
     """
     r = np.asarray(r_matrix, dtype=float)
     n = r.shape[0]
-    if n > max_dim:
+    if n > _COMPLETELY_S_CAP:
         raise DimensionTooLarge(f"{2 ** n - 1} principal submatrices exceeds the cap (J={n})")
     for size in range(1, n + 1):
         subsets = itertools.combinations(range(n), size)
@@ -156,10 +156,7 @@ class LspSolution:
     controls: np.ndarray
 
     def __post_init__(self):
-        for name in ("grid", "states", "pushing", "controls"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, ("grid", "states", "pushing", "controls"))
 
     @property
     def J(self) -> int:
@@ -284,7 +281,7 @@ def solve_lsp(inst: LspInstance, horizon: float, h: float,
         raise NotCompletelyS("reflection matrix is not completely-S")
     theta, r = inst.theta, inst.reflection
     bases = {}
-    eps = 1e-9 * (1.0 + l1(inst.z0))
+    eps = empty_threshold(inst.z0)
     tol = 1e-9 * (1.0 + l1(theta))
 
     def push(t, z, zs):
@@ -350,11 +347,5 @@ def scale_solution(sol: LspSolution, r: float) -> LspSolution:
 
 def solution_csv(sol: LspSolution) -> str:
     """CSV export: t, Z1..ZJ, Y1..YJ, 17 significant digits."""
-    j = sol.J
-    header = ["t"] + [f"Z{i + 1}" for i in range(j)] + [f"Y{i + 1}" for i in range(j)]
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for i in range(sol.grid.shape[0]):
-        row = [sol.grid[i], *sol.states[i], *sol.pushing[i]]
-        out.write(",".join(fmt(v) for v in row) + "\n")
-    return out.getvalue()
+    header = ["t", *(f"{name}{i + 1}" for name in "ZY" for i in range(sol.J))]
+    return csv_text(header, np.column_stack([sol.grid, sol.states, sol.pushing]).tolist())

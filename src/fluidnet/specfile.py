@@ -42,12 +42,13 @@ _NETWORK_KEYS = {
     "discipline",
     "priority_order",
 }
-_SECTION_KEYS = {"skorokhod", "queueing", "simulate", "fluidlimit"}
-
-_SKOROKHOD_KEYS = {"theta", "reflection", "z0", "push_bound"}
-_QUEUEING_KEYS = {"interarrival", "service"}
-_SIMULATE_KEYS = {"x0", "selector"}
-_FLUIDLIMIT_KEYS = {"direction", "scales"}
+#: the optional sections and the keys each allows
+_SECTION_KEYS = {
+    "skorokhod": {"theta", "reflection", "z0", "push_bound"},
+    "queueing": {"interarrival", "service"},
+    "simulate": {"x0", "selector"},
+    "fluidlimit": {"direction", "scales"},
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +64,15 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise ParseError(f"unknown key {unknown[0]!r} in {where}")
+
+
+def _section(doc: dict, name: str) -> dict:
+    """The named optional section, checked to be a mapping of known keys."""
+    section = doc[name]
+    if not isinstance(section, dict):
+        raise ParseError(f"{name} section must be a mapping")
+    _reject_unknown(section, _SECTION_KEYS[name], f"{name} section")
+    return section
 
 
 def _require(mapping: dict, keys, where: str) -> None:
@@ -130,11 +140,8 @@ def _parse_network(doc: dict) -> NetworkSpec | None:
     return validate(alpha, mu, routing, constituency, discipline, priority)
 
 
-def _parse_skorokhod(section) -> LspInstance:
-    if not isinstance(section, dict):
-        raise ParseError("skorokhod section must be a mapping")
+def _parse_skorokhod(section: dict) -> LspInstance:
     where = "skorokhod section"
-    _reject_unknown(section, _SKOROKHOD_KEYS, where)
     _require(section, {"theta", "reflection", "z0"}, where)
     return LspInstance(
         _finite(section["theta"], "theta", where),
@@ -164,20 +171,17 @@ def parse_spec_text(text: str) -> ParsedSpecFile:
         raise ParseError("empty description file")
     if not isinstance(doc, dict):
         raise ParseError("description file must be a key-value mapping")
-    _reject_unknown(doc, _NETWORK_KEYS | _SECTION_KEYS, "description file")
+    _reject_unknown(doc, _NETWORK_KEYS | set(_SECTION_KEYS), "description file")
 
     network = _parse_network(doc)
 
     lsp = None
     if "skorokhod" in doc:
-        lsp = _parse_skorokhod(doc["skorokhod"])
+        lsp = _parse_skorokhod(_section(doc, "skorokhod"))
 
     queueing = None
     if "queueing" in doc:
-        section = doc["queueing"]
-        if not isinstance(section, dict):
-            raise ParseError("queueing section must be a mapping")
-        _reject_unknown(section, _QUEUEING_KEYS, "queueing section")
+        section = _section(doc, "queueing")
         if network is None:
             raise ParseError("queueing section requires the network keys")
         queueing = QueueingSpec(
@@ -188,10 +192,7 @@ def parse_spec_text(text: str) -> ParsedSpecFile:
 
     simulate_cfg = None
     if "simulate" in doc:
-        section = doc["simulate"]
-        if not isinstance(section, dict):
-            raise ParseError("simulate section must be a mapping")
-        _reject_unknown(section, _SIMULATE_KEYS, "simulate section")
+        section = _section(doc, "simulate")
         simulate_cfg = {
             "x0": (
                 [float(v) for v in _finite(section["x0"], "x0", "simulate section")]
@@ -203,10 +204,7 @@ def parse_spec_text(text: str) -> ParsedSpecFile:
 
     fluidlimit_cfg = None
     if "fluidlimit" in doc:
-        section = doc["fluidlimit"]
-        if not isinstance(section, dict):
-            raise ParseError("fluidlimit section must be a mapping")
-        _reject_unknown(section, _FLUIDLIMIT_KEYS, "fluidlimit section")
+        section = _section(doc, "fluidlimit")
         fluidlimit_cfg = {
             key: [float(v) for v in _finite(section.get(key, []), key, "fluidlimit section")]
             or None

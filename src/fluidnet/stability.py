@@ -21,6 +21,7 @@ from .dynamics import (
     MinDrain,
     RandomVertex,
     Trajectory,
+    default_selectors,
     simulate,
 )
 from .model import NetworkSpec
@@ -51,10 +52,6 @@ class Verdict:
                 "horizon": self.witness.horizon,
             }
         return to_jsonable(out)
-
-
-def default_selectors() -> tuple[ControlSelector, ...]:
-    return (FirstVertex(), MaxDrain(), MinDrain())
 
 
 def unit_sphere_states(k: int, samples: int, seed: int) -> np.ndarray:

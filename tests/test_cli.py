@@ -201,3 +201,29 @@ def test_negative_x0_exit_one(spec_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert one_error_line(err) and "nonnegative" in err
     assert not os.path.exists(out / "report.json")
+
+
+@pytest.mark.parametrize("section", [
+    "queueing:\n  interarrival: weibull\n",
+    "queueing:\n  interarrival: none\n",
+    "fluidlimit:\n  scales: [-10.0]\n",
+])
+def test_bad_queueing_law_or_scale_one_error_line(spec_file, tmp_path, capsys, section):
+    text = network_to_yaml(fixtures.single_queue()) + section
+    out = tmp_path / "out"
+    assert run_cli("fluidlimit", spec_file(text), out, "--horizon", "2", "--samples", "2") == 1
+    err = capsys.readouterr().err
+    assert one_error_line(err) and "Traceback" not in err
+    assert not os.path.exists(out / "report.json")
+
+
+def test_report_parameters_block(spec_file, tmp_path):
+    out = tmp_path / "out"
+    code = run_cli("stability", spec_file(fixtures.single_queue()), out,
+                   "--seed", "7", "--step", "0.05", "--horizon", "6", "--samples", "3",
+                   "--depth", "2", "--multistarts", "1")
+    assert code == 0
+    assert read_report(out)["parameters"] == {
+        "command": "stability", "seed": 7, "step": 0.05, "horizon": 6.0,
+        "samples": 3, "depth": 2, "multistarts": 1,
+    }

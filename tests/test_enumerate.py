@@ -12,6 +12,7 @@ import pytest
 
 from fluidnet import fixtures, model
 from fluidnet._util import l1
+from fluidnet.errors import DimensionMismatch
 from fluidnet.model import (
     PRIORITY,
     VERTEX_SLACK,
@@ -178,17 +179,19 @@ def test_no_equality_rows():
     assert len(assert_same_bytes(spec.K, a_eq, b_eq, a_ub, b_ub)) > 1
 
 
-def test_dependent_equality_rows_use_least_squares():
+def test_dependent_equality_rows_raise():
+    """No admissible set has dependent equality rows, so the enumerator refuses them."""
     a_eq = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    got = assert_same_bytes(3, a_eq, [1.0, 1.0, 0.5], -np.eye(3), np.zeros(3))
-    np.testing.assert_allclose(got, [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]], atol=1e-12)
+    with pytest.raises(DimensionMismatch):
+        enumerate_polytope_vertices(3, a_eq, [1.0, 1.0, 0.5], -np.eye(3), np.zeros(3))
 
 
 def test_empty_result():
     got = assert_same_bytes(1, np.empty((0, 1)), [], [[-1.0], [1.0]], [0.0, -1.0])
     assert got.shape == (0, 1)
-    got = assert_same_bytes(2, [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], -np.eye(2), np.zeros(2))
-    assert got.shape == (0, 2)
+    with pytest.raises(DimensionMismatch):
+        enumerate_polytope_vertices(2, [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0],
+                                    -np.eye(2), np.zeros(2))
 
 
 def test_call_spanning_several_chunks():

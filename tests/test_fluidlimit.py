@@ -3,12 +3,13 @@ import pytest
 
 from fluidnet import fixtures
 from fluidnet.dynamics import MaxDrain, simulate
-from fluidnet.errors import BadFactor, EventBudgetExceeded, NoSeeds
+from fluidnet.errors import BadFactor, EventBudgetExceeded, NegativeState, NoSeeds, UnknownLaw
 from fluidnet.fluidlimit import (
     DETERMINISTIC,
     EXPONENTIAL,
     QueueingSpec,
     ScaledPath,
+    concatenation_evidence,
     distance_table_csv,
     distance_to_fluid,
     fluid_limit_compare,
@@ -190,8 +191,6 @@ def test_scaled_slopes_within_fluid_bound():
 
 
 def test_concatenation_evidence_reports():
-    from fluidnet.fluidlimit import concatenation_evidence
-
     report = concatenation_evidence(
         fixtures.queueing_two_class_priority(),
         fixtures.two_class_priority(),
@@ -214,3 +213,32 @@ def test_queueing_spec_law_validation():
         QueueingSpec(fixtures.single_queue(0.5, 1.0), "none", EXPONENTIAL)
     zero_arrivals = QueueingSpec(fixtures.single_queue(0.0, 1.0), EXPONENTIAL, EXPONENTIAL)
     assert zero_arrivals.interarrival == ("none",)
+
+
+def test_unknown_law_and_none_with_inflow_raise_unknown_law():
+    with pytest.raises(UnknownLaw, match="unknown interarrival law 'weibull'"):
+        QueueingSpec(fixtures.single_queue(0.5, 1.0), "weibull", EXPONENTIAL)
+    with pytest.raises(UnknownLaw, match="unknown service law 'gamma'"):
+        QueueingSpec(fixtures.single_queue(0.5, 1.0), EXPONENTIAL, "gamma")
+    with pytest.raises(UnknownLaw, match="cannot have law 'none'"):
+        QueueingSpec(fixtures.single_queue(0.5, 1.0), "none", EXPONENTIAL)
+
+
+def test_negative_counts_raise_negative_state():
+    with pytest.raises(NegativeState, match="nonnegative"):
+        simulate_queueing(fixtures.queueing_single_deterministic(), [-5], 5.0, seed=1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -10.0])
+def test_scales_that_are_not_finite_and_positive_fail_fast(bad, monkeypatch):
+    from fluidnet import fluidlimit
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before checking the scale")
+
+    monkeypatch.setattr(fluidlimit, "simulate", refuse)
+    args = (fixtures.queueing_two_class_priority(), fixtures.two_class_priority(), [0.5, 0.5])
+    with pytest.raises(BadFactor, match="scale must be finite and positive"):
+        fluid_limit_compare(*args, [5.0, bad], 2.0, seeds=[1])
+    with pytest.raises(BadFactor, match="scale must be finite and positive"):
+        concatenation_evidence(*args, bad, 2.0, seeds=[1])

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from fluidnet.dynamics import MaxDrain, MinDrain, check_trajectory, simulate
 from fluidnet.errors import (
     BadCount,
+    BadFactor,
     EndpointMismatch,
-    NonpositiveScale,
     ShiftBeyondHorizon,
     UnknownFixture,
 )
@@ -57,8 +57,13 @@ class TestScale:
             assert traj.level_at(np.asarray([t]))[0, 0] == pytest.approx(want)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonpositiveScale):
+        with pytest.raises(BadFactor):
             scale(coordinatewise(1, 1), 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_factor_that_is_not_finite_and_positive(self, bad):
+        with pytest.raises(BadFactor, match="scale factor must be finite and positive"):
+            scale(coordinatewise(1, 1), bad)
 
     @settings(max_examples=30, deadline=None)
     @given(r=st.floats(0.1, 10.0))
@@ -99,6 +104,11 @@ class TestShift:
     def test_beyond_horizon(self):
         with pytest.raises(ShiftBeyondHorizon):
             shift(coordinatewise(1.0, 0.0), 10.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_rejects_a_time_outside_the_grid(self, bad):
+        with pytest.raises(ShiftBeyondHorizon):
+            shift(coordinatewise(1.0, 0.0), bad)
 
     @settings(max_examples=30, deadline=None)
     @given(s1=st.floats(0.0, 0.9), s2=st.floats(0.0, 0.9))

@@ -89,7 +89,7 @@ def reference_viable_polytope(spec, empty, zero_classes, floors, pinned=False):
     if pinned:
         verts = reference_box_vertices(spec, empty, floors)
         if verts is not None:
-            return ControlPolytope(verts, frozenset(empty), spec.discipline)
+            return ControlPolytope(verts)
     a_eq, b_eq, a_ub, b_ub = constraints(spec, empty)
     if zero_classes:
         idx = sorted(zero_classes)
@@ -101,7 +101,7 @@ def reference_viable_polytope(spec, empty, zero_classes, floors, pinned=False):
     verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
     if verts.shape[0] == 0 and zero_classes:
         verts = enumerate_polytope_vertices(spec.K, *constraints(spec, empty))
-    return ControlPolytope(verts, frozenset(empty), spec.discipline)
+    return ControlPolytope(verts)
 
 
 def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
