@@ -41,7 +41,6 @@ from .lyapunov import (
 from .model import (
     PRIORITY,
     WORK_CONSERVING,
-    ControlPolytope,
     NetworkSpec,
     admissible_polytope,
     validate,

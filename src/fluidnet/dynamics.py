@@ -33,27 +33,27 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._util import csv_text, freeze_arrays, l1, rng_from
 from .errors import (
     BadHorizon,
     BadStep,
     DimensionMismatch,
+    InfeasibleActiveSet,
     NegativeState,
     NonFiniteInput,
     StepTooLarge,
 )
 from .model import (
-    ControlPolytope,
     NetworkSpec,
     admissible_constraints,
+    admissible_polytope,
     empty_rows,
     empty_threshold,
-    enumerate_polytope_vertices,
     maximal_configurations,
     rank_tested_subsets,
     subset_vertices,
@@ -144,14 +144,19 @@ class Trajectory:
 
 
 class ControlSelector:
-    """Strategy mapping (time, state, polytope) to an admissible control."""
+    """Strategy picking a vertex of the viable polytope from (time, state).
+
+    ``choose`` gets the read-only vertex array (one row per vertex, in
+    ``model.vertex_order``) and the velocity of each vertex, and returns a row
+    index; ``simulate`` applies that row, so every applied control is a vertex.
+    """
 
     name = "selector"
 
     def start_run(self) -> None:
         """Reset per-run state so repeated runs are reproducible."""
 
-    def choose(self, t, q, polytope: ControlPolytope, velocities: np.ndarray) -> np.ndarray:
+    def choose(self, t, q, vertices: np.ndarray, velocities: np.ndarray) -> int:
         raise NotImplementedError
 
 
@@ -160,8 +165,8 @@ class FirstVertex(ControlSelector):
 
     name = "first_vertex"
 
-    def choose(self, t, q, polytope, velocities):
-        return polytope.vertices[0]
+    def choose(self, t, q, vertices, velocities):
+        return 0
 
 
 class RandomVertex(ControlSelector):
@@ -175,18 +180,18 @@ class RandomVertex(ControlSelector):
     def start_run(self):
         self._rng = rng_from(self.seed)
 
-    def choose(self, t, q, polytope, velocities):
+    def choose(self, t, q, vertices, velocities):
         if self._rng is None:
             self.start_run()
-        return polytope.vertices[int(self._rng.integers(len(polytope)))]
+        return int(self._rng.integers(len(vertices)))
 
 
 class _TotalVelocityRank(ControlSelector):
     """Picks a vertex by the total velocity of each vertex, rounded to 12 digits.
 
-    The pick depends only on the polytope and its velocities, and ``simulate``
-    hands back the same objects on every cache hit, so it is made once per
-    polytope object.
+    The pick depends only on the vertices and their velocities, and
+    ``simulate`` hands back the same arrays on every cache hit, so it is made
+    once per vertex array.
     """
 
     def __init__(self):
@@ -195,12 +200,12 @@ class _TotalVelocityRank(ControlSelector):
     def start_run(self):
         self._last = (None, None, None)
 
-    def choose(self, t, q, polytope, velocities):
-        last_poly, last_velocities, u = self._last
-        if polytope is not last_poly or velocities is not last_velocities:
-            u = polytope.vertices[self._pick(np.round(velocities.sum(axis=1), 12))]
-            self._last = (polytope, velocities, u)
-        return u
+    def choose(self, t, q, vertices, velocities):
+        last_vertices, last_velocities, i = self._last
+        if vertices is not last_vertices or velocities is not last_velocities:
+            i = self._pick(np.round(velocities.sum(axis=1), 12))
+            self._last = (vertices, velocities, i)
+        return i
 
     def _pick(self, totals) -> int:
         raise NotImplementedError
@@ -246,10 +251,10 @@ class FixedSequence(ControlSelector):
     def start_run(self):
         self._pos = 0
 
-    def choose(self, t, q, polytope, velocities):
+    def choose(self, t, q, vertices, velocities):
         idx = self.indices[min(self._pos, len(self.indices) - 1)]
         self._pos += 1
-        return polytope.vertices[idx % len(polytope)]
+        return idx % len(vertices)
 
 
 class _ViableSystem:
@@ -269,7 +274,7 @@ class _ViableSystem:
     and ``pinned``) within one ``simulate`` run.  The floors move only the
     right-hand side of the viability rows, so the active subsets that pass the
     rank test are found once, on the first enumeration, and each new set of
-    floors costs only the solves.  ``exact`` holds the polytope and its vertex
+    floors costs only the solves.  ``exact`` holds the vertices and their
     velocities for all-zero floors once they are known.
 
     A pinned system first tries the box (:meth:`_box_vertices`) and
@@ -278,7 +283,6 @@ class _ViableSystem:
 
     def __init__(self, spec: NetworkSpec, empty, zero_classes, pinned: bool):
         self.spec = spec
-        self.empty = frozenset(empty)
         self.zeros = sorted(zero_classes)
         self.pinned = pinned
         a_eq, b_eq, a_ub, b_ub = admissible_constraints(spec, empty)
@@ -292,20 +296,22 @@ class _ViableSystem:
         self._subsets = None  # rank-tested on the first enumeration
         self.exact = None
 
-    def polytope(self, floors: list) -> ControlPolytope:
-        """The viable polytope for the given floor of each near-zero class, in class order."""
-        spec = self.spec
+    def polytope(self, floors: list) -> np.ndarray:
+        """Vertices of the viable polytope for the given floor of each
+        near-zero class, in class order.
+
+        Raises InfeasibleActiveSet when there are none, which a valid network
+        never gives: the face u_k = 0 of the near-zero classes is viable.
+        """
         verts = self._box_vertices(np.asarray(floors, dtype=float)) if self.pinned else None
         if verts is None:
             if self._subsets is None:
                 self._subsets = rank_tested_subsets(self._a_eq, self._a_ub)
             b_ub = np.concatenate([self._b_head, self._alpha_zero + floors, self._b_tail])
             verts = subset_vertices(self._a_eq, self._b_eq, self._a_ub, b_ub, self._subsets)
-        if verts.shape[0] == 0 and self.zeros:
-            # cannot happen for a valid description (idling the near-zero classes is
-            # always viable), but fall back to the raw polytope rather than crash
-            verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, self.empty))
-        return ControlPolytope(verts)
+        if verts.shape[0] == 0:
+            raise InfeasibleActiveSet(f"no viable allocation with near-zero classes {self.zeros}")
+        return verts
 
     def _box_vertices(self, floors: np.ndarray):
         """The pinned polytope's vertices in closed form, or None if the box guard fails.
@@ -454,13 +460,13 @@ def simulate(
         floors = [ql[k] / h if ql[k] >= dust else 0.0 for k in system.zeros]
         exact = not any(floors)
         if exact and system.exact is not None:
-            poly, velocities = system.exact
+            verts, velocities = system.exact
         else:
-            poly = system.polytope(floors)
-            velocities = poly.vertices @ velocity_map + spec.alpha
+            verts = system.polytope(floors)
+            velocities = verts @ velocity_map + spec.alpha
             if exact:
-                system.exact = (poly, velocities)
-        u = np.asarray(selector.choose(t, q, poly, velocities), dtype=float)
+                system.exact = (verts, velocities)
+        u = verts[operator.index(selector.choose(t, q, verts, velocities))]
         return u, spec.alpha - spec.outflow @ u, ()
 
     drained_at = None
@@ -491,40 +497,20 @@ def viability_check(spec: NetworkSpec, x) -> bool:
     """Can the state stay in the nonnegative orthant?
 
     True iff some convex combination of the admissible vertex velocities is
-    nonnegative in every coordinate where x is (numerically) zero.  Decided by
-    a small LP over the hull weights.
+    nonnegative in every coordinate where x is (numerically) zero, that is,
+    iff the viable polytope of those classes with floor 0 has a vertex.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.K,):
         raise DimensionMismatch(f"state has shape {x.shape}, expected ({spec.K},)")
-    eps = empty_threshold(x)
-    zero = sorted(int(k) for k in np.flatnonzero(x < eps))
-    if not zero:
+    zeros = np.flatnonzero(x < empty_threshold(x)).tolist()
+    if not zeros:
         return True
-    empty = empty_rows(spec, zero)
-    verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, empty))
-    if verts.shape[0] == 0:
+    try:
+        _ViableSystem(spec, empty_rows(spec, zeros), zeros, False).polytope([0.0] * len(zeros))
+    except InfeasibleActiveSet:
         return False
-    velocities = verts @ (-spec.outflow.T) + spec.alpha
-    m = verts.shape[0]
-    # maximize margin s: sum(lam * v)_k >= s on the zero set, lam a distribution
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_ub_lp = np.zeros((len(zero), m + 1))
-    a_ub_lp[:, :m] = -velocities[:, zero].T
-    a_ub_lp[:, -1] = 1.0
-    a_eq_lp = np.zeros((1, m + 1))
-    a_eq_lp[0, :m] = 1.0
-    res = linprog(
-        c,
-        A_ub=a_ub_lp,
-        b_ub=np.zeros(len(zero)),
-        A_eq=a_eq_lp,
-        b_eq=[1.0],
-        bounds=[(0, None)] * m + [(None, None)],
-        method="highs",
-    )
-    return bool(res.success and -res.fun >= -1e-9)
+    return True
 
 
 def flow_balance_residual(spec: NetworkSpec, traj: Trajectory) -> float:
@@ -567,11 +553,8 @@ def lipschitz_constant(spec: NetworkSpec) -> float:
     (:func:`model.maximal_configurations`); matrix norm is the induced l1
     norm (max column sum).
     """
-    u_max = 0.0
-    for empty in maximal_configurations(spec):
-        verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, empty))
-        if verts.shape[0]:
-            u_max = max(u_max, float(np.abs(verts).sum(axis=1).max()))
+    u_max = max(float(np.abs(admissible_polytope(spec, empty)).sum(axis=1).max())
+                for empty in maximal_configurations(spec))
     w_norm = float(np.abs(spec.outflow).sum(axis=0).max())
     return l1(spec.alpha) + w_norm * u_max
 

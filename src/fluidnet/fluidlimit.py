@@ -25,7 +25,14 @@ from .dynamics import (
     _check_horizon,
     simulate,
 )
-from .errors import DimensionMismatch, EventBudgetExceeded, NegativeState, NoSeeds, UnknownLaw
+from .errors import (
+    BadFactor,
+    DimensionMismatch,
+    EventBudgetExceeded,
+    NegativeState,
+    NoSeeds,
+    UnknownLaw,
+)
 from .model import PRIORITY, NetworkSpec
 
 EXPONENTIAL = "exponential"
@@ -327,6 +334,15 @@ def default_fluid_ensemble():
     return selectors
 
 
+def _scaled_start(r: float, q_direction: np.ndarray) -> np.ndarray:
+    """The customer counts round(r * q_direction); BadFactor if they do not fit in int64."""
+    with np.errstate(over="ignore"):
+        start = np.round(r * q_direction)
+    if not np.all(np.abs(start) < 2.0**63):
+        raise BadFactor(f"scale {r!r} gives start counts {start.tolist()} beyond the int64 range")
+    return start.astype(np.int64)
+
+
 def fluid_limit_compare(
     qspec: QueueingSpec,
     spec: NetworkSpec,
@@ -343,18 +359,19 @@ def fluid_limit_compare(
     residuals; each seeded run is scaled back and compared against every
     trajectory of :func:`default_fluid_ensemble`, keeping the best match.
     Rows carry the per-seed time-mean and sup distances.  An empty seed list
-    raises NoSeeds, a scale that is not finite and positive BadFactor.
+    raises NoSeeds, a scale that is not finite and positive, or whose start
+    does not fit in int64, BadFactor.
     """
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise NoSeeds("fluid-limit comparison needs at least one seed")
     r_list = [check_factor("scale", r) for r in r_list]
     q_direction = np.asarray(q_direction, dtype=float)
+    starts = [_scaled_start(r, q_direction) for r in r_list]
     ensemble = default_fluid_ensemble()
     rows = []
     aggregate = {}
-    for r in r_list:
-        q_int = np.round(r * q_direction).astype(np.int64)
+    for r, q_int in zip(r_list, starts):
         x0 = q_int / r
         fluid_trajs = [simulate(spec, x0, sel, horizon, h) for sel in ensemble]
         sups = []
@@ -419,13 +436,12 @@ def concatenation_evidence(
     is compared against the nearest fluid trajectory; the unspliced path gives
     the baseline.  This measures evidence only; nothing is decided about the
     closure property of the scaled-limit family.  A scale that is not finite
-    and positive raises BadFactor.
+    and positive, or whose start does not fit in int64, raises BadFactor.
     """
-    q_direction = np.asarray(q_direction, dtype=float)
-    ensemble = default_fluid_ensemble()
     r = check_factor("scale", r)
+    q_int = _scaled_start(r, np.asarray(q_direction, dtype=float))
+    ensemble = default_fluid_ensemble()
     cut = 0.5 * horizon
-    q_int = np.round(r * q_direction).astype(np.int64)
     x0 = q_int / r
     fluid_trajs = [simulate(spec, x0, sel, horizon, h) for sel in ensemble]
     rows = []

@@ -189,13 +189,13 @@ class _PrefixSelector(ControlSelector):
         self._calls = 0
         self._tail.start_run()
 
-    def choose(self, t, q, polytope, velocities):
+    def choose(self, t, q, vertices, velocities):
         if self._calls < len(self.prefix):
-            idx = self.prefix[self._calls] % len(polytope)
+            idx = self.prefix[self._calls] % len(vertices)
             self._calls += 1
-            return polytope.vertices[idx]
+            return idx
         self._calls += 1
-        return self._tail.choose(t, q, polytope, velocities)
+        return self._tail.choose(t, q, vertices, velocities)
 
 
 _BRANCH_BASE = 3
@@ -353,9 +353,9 @@ def _drift_vertices(spec: NetworkSpec):
     """
     seen = {}
     for empty in maximal_configurations(spec):
-        poly = admissible_polytope(spec, empty)
-        velocities = poly.vertices @ (-spec.outflow.T) + spec.alpha
-        for u, v in zip(poly.vertices, velocities):
+        verts = admissible_polytope(spec, empty)
+        velocities = verts @ (-spec.outflow.T) + spec.alpha
+        for u, v in zip(verts, velocities):
             seen[tuple(np.round(v, 12))] = (u, v)
     controls = np.array([u for u, _ in seen.values()])
     drifts = np.array([v for _, v in seen.values()])
@@ -408,8 +408,8 @@ def _sampled_drift_check(spec, derivative_fn, positivity_fn, *, epsilon, samples
     worst_margin = np.inf
     checked = 0
     for empty in boundary_configurations(spec):
-        poly = admissible_polytope(spec, empty)
-        velocities = poly.vertices @ (-spec.outflow.T) + spec.alpha
+        verts = admissible_polytope(spec, empty)
+        velocities = verts @ (-spec.outflow.T) + spec.alpha
         states = _pattern_states(spec, empty, samples, rng)
         values = positivity_fn(states)
         if np.any(values <= 1e-12):
@@ -430,7 +430,7 @@ def _sampled_drift_check(spec, derivative_fn, positivity_fn, *, epsilon, samples
                 checked,
                 {
                     "state": states[i].tolist(),
-                    "control": poly.vertices[arg_vertices[i]].tolist(),
+                    "control": verts[arg_vertices[i]].tolist(),
                     "derivative": float(derivs[i]),
                     "reason": "drift not sufficiently negative",
                 },

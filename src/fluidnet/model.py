@@ -10,13 +10,13 @@ The admissible allocation rates u (one per class, u = dT/dt) form a polytope
 that depends on which capacity rows (``NetworkSpec.capacity``) are empty: one
 per station, its constituency row, when work-conserving; one per class m, over
 the classes at m's station ranked no later than m, under priority.  Busy rows
-are used at full rate, empty rows may idle.  Polytopes are represented by
-their vertex lists, enumerated exactly: problem dimensions here are tiny, so
-combinatorial enumeration over active constraint subsets is both fast and
-deterministic.  The subsets are processed in fixed-size chunks, each with one
-batched rank test and one batched solve; the vertices and their order (by the
-12-decimal key, :func:`vertex_order`) are the same as from one rank test and
-solve per subset.  The rank test depends only on the constraint matrices, so
+are used at full rate, empty rows may idle.  A polytope is its read-only
+vertex array, one row per vertex, enumerated exactly: problem dimensions here
+are tiny, so combinatorial enumeration over active constraint subsets is both
+fast and deterministic.  The subsets are processed in fixed-size chunks,
+each with one batched rank test and one batched solve; the vertices and their
+order (by the 12-decimal key, :func:`vertex_order`) are the same as from one
+rank test and solve per subset.  The rank test depends only on the constraint matrices, so
 a caller whose right-hand sides change can keep the subsets that pass it.
 """
 from __future__ import annotations
@@ -25,7 +25,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._util import l1
 from .errors import (
@@ -226,41 +225,6 @@ def validate(alpha, mu, routing, constituency, discipline, priority=None) -> Net
 # polytopes
 
 
-@dataclass(frozen=True, eq=False)
-class ControlPolytope:
-    """Vertex representation of an admissible allocation-rate set: one row
-    per vertex, sorted by the 12-decimal key of :func:`vertex_order`."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", _readonly(self.vertices))
-
-    def __len__(self) -> int:
-        return int(self.vertices.shape[0])
-
-    def contains(self, u, tol: float = 1e-10) -> bool:
-        """Membership in the convex hull of the vertices, decided by LP."""
-        u = np.asarray(u, dtype=float)
-        verts = self.vertices
-        m, dim = verts.shape
-        if u.shape != (dim,):
-            raise DimensionMismatch(f"point has shape {u.shape}, polytope dimension {dim}")
-        # minimize t subject to |V^T lam - u| <= t, sum lam = 1, lam >= 0
-        c = np.zeros(m + 1)
-        c[-1] = 1.0
-        a_ub = np.zeros((2 * dim, m + 1))
-        a_ub[:dim, :m] = verts.T
-        a_ub[dim:, :m] = -verts.T
-        a_ub[:, -1] = -1.0
-        b_ub = np.concatenate([u, -u])
-        a_eq = np.zeros((1, m + 1))
-        a_eq[0, :m] = 1.0
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                      bounds=[(0, None)] * m + [(0, None)], method="highs")
-        return bool(res.success and res.fun <= tol)
-
-
 def enumerate_polytope_vertices(dim, a_eq, b_eq, a_ub, b_ub) -> np.ndarray:
     """Exact vertex enumeration for a small polytope.
 
@@ -325,15 +289,15 @@ def vertex_order(blocks, dim: int) -> np.ndarray:
     order follows the rounded key, not the raw floats, so coordinates that
     are equal in exact arithmetic but differ in the last bits (a vertex found
     by another route) do not reorder the vertices, and the selectors, which
-    index into this order, pick the same one.
+    index into this order, pick the same one.  The result is read-only: it is
+    the control set itself, and the polytopes kept by ``simulate`` are shared
+    between stamps.
     """
     found = {}
     for x in blocks:
         for key, row in zip(np.round(x, 12).tolist(), x):
             found[tuple(key)] = row
-    if not found:
-        return np.empty((0, dim))
-    return np.array([found[key] for key in sorted(found)])
+    return _readonly([found[key] for key in sorted(found)] or np.empty((0, dim)))
 
 
 def _active_systems(a_eq, a_ub, idx) -> np.ndarray:
@@ -413,12 +377,13 @@ def admissible_constraints(spec: NetworkSpec, empty):
 work_conserving_constraints = priority_constraints = admissible_constraints
 
 
-def admissible_polytope(spec: NetworkSpec, empty=()) -> ControlPolytope:
-    """Admissible allocation rates when the capacity rows in ``empty`` are empty."""
+def admissible_polytope(spec: NetworkSpec, empty=()) -> np.ndarray:
+    """Vertices of the admissible allocation rates when the capacity rows in
+    ``empty`` are empty, one row each, in :func:`vertex_order`."""
     verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, empty))
     if verts.shape[0] == 0:
         raise InfeasibleActiveSet(f"no admissible allocation with empty rows {sorted(empty)}")
-    return ControlPolytope(verts)
+    return verts
 
 
 #: Largest station or class count whose boundary configurations are enumerated

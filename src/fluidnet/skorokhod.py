@@ -167,45 +167,27 @@ class LspSolution:
         return float(self.grid[-1])
 
 
-@dataclass(frozen=True, eq=False)
-class _PushBases:
+def _push_bases(r_a: np.ndarray) -> list:
     """Candidate bases of the push LP on one active set of size n.
 
     Candidates are u = 0 followed by every pair of s-subsets S (columns) and
     T (rows), s = 1..n, in (s, S, T) combination order, whose block R_a[T, S]
-    has |det| >= 1e-12.  ``blocks[i]`` and ``rows[i]`` stack the kept blocks
-    of the i-th nonempty size and their row indices; ``scatter`` places the
-    concatenated block solutions into the flattened (candidates, n) array.
+    has |det| >= 1e-12.  One ``(blocks, rows, cols)`` entry per size with a
+    kept block stacks those blocks and their row and column indices; the
+    determinant test does not depend on the right-hand side, so this is built
+    once per active set.
     """
-
-    r_a: np.ndarray
-    blocks: tuple[np.ndarray, ...]
-    rows: tuple[np.ndarray, ...]
-    scatter: np.ndarray
-    count: int
-
-
-def _push_bases(r_a: np.ndarray) -> _PushBases:
-    """Stack the nonsingular blocks of R_a once; the determinant test does not
-    depend on the right-hand side."""
     n = r_a.shape[0]
-    blocks, rows, scatter = [], [], []
-    count = 1  # the zero push
+    bases = []
     for size in range(1, n + 1):
         subsets = list(itertools.combinations(range(n), size))
-        cols_s = np.array([s for s in subsets for _ in subsets], dtype=np.intp).reshape(-1, size)
-        rows_s = np.array(subsets * len(subsets), dtype=np.intp).reshape(-1, size)
-        blocks_s = r_a[rows_s[:, :, None], cols_s[:, None, :]]
-        keep = ~(np.abs(np.linalg.det(blocks_s)) < 1e-12)
-        m = int(keep.sum())
-        if m == 0:
-            continue
-        blocks.append(blocks_s[keep])
-        rows.append(rows_s[keep])
-        scatter.append(((count + np.arange(m))[:, None] * n + cols_s[keep]).ravel())
-        count += m
-    scatter = np.concatenate(scatter) if scatter else np.empty(0, dtype=np.intp)
-    return _PushBases(r_a, tuple(blocks), tuple(rows), scatter, count)
+        cols = np.array([s for s in subsets for _ in subsets], dtype=np.intp).reshape(-1, size)
+        rows = np.array(subsets * len(subsets), dtype=np.intp).reshape(-1, size)
+        blocks = r_a[rows[:, :, None], cols[:, None, :]]
+        keep = ~(np.abs(np.linalg.det(blocks)) < 1e-12)
+        if keep.any():
+            bases.append((blocks[keep], rows[keep], cols[keep]))
+    return bases
 
 
 def _minimal_push(r: np.ndarray, active, c: np.ndarray, tol: float,
@@ -217,25 +199,27 @@ def _minimal_push(r: np.ndarray, active, c: np.ndarray, tol: float,
     in the l1 value break to the lexicographically smallest vector, and
     among equal keys to the first candidate in (size, S, T) order.
 
-    ``bases`` maps each active set (a tuple) to its :class:`_PushBases`,
-    built on the first call for that set.  Each call then makes one batched
-    solve per block size and applies the sign and feasibility checks as
-    masks.  Batched ``solve`` runs the same LAPACK routine per matrix as a
-    one-by-one loop, and every check is the same per-candidate arithmetic,
-    so the push has the same bits as a per-candidate loop.
+    ``bases`` maps each active set (a tuple) to R_a and its
+    :func:`_push_bases`, built on the first call for that set.  Each call
+    then makes one batched solve per block size and applies the sign and
+    feasibility checks as masks.  Batched ``solve`` runs the same LAPACK
+    routine per matrix as a one-by-one loop, and every check is the same
+    per-candidate arithmetic, so the push has the same bits as a
+    per-candidate loop.
     """
     a = tuple(active)
     if len(a) > _ACTIVE_CAP:
         raise DimensionTooLarge(f"{len(a)} simultaneously active components exceeds {_ACTIVE_CAP}")
     if a not in bases:
-        bases[a] = _push_bases(r[np.ix_(a, a)])
-    pb = bases[a]
-    n = len(a)
-    solved = []
-    for blocks, rows in zip(pb.blocks, pb.rows):
+        r_a = r[np.ix_(a, a)]
+        bases[a] = r_a, _push_bases(r_a)
+    r_a, blocks_by_size = bases[a]
+    u_a = np.zeros((1 + sum(rows.shape[0] for _, rows, _ in blocks_by_size), len(a)))
+    start = 1  # row 0 is the zero push
+    for blocks, rows, cols in blocks_by_size:
         rhs = c[rows]
         try:
-            solved.append(np.linalg.solve(blocks, rhs[..., None]).ravel())
+            x = np.linalg.solve(blocks, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:  # an exactly singular block: only it drops out
             x = np.full(rows.shape, -np.inf)
             for i, (block, b) in enumerate(zip(blocks, rhs)):
@@ -243,14 +227,12 @@ def _minimal_push(r: np.ndarray, active, c: np.ndarray, tol: float,
                     x[i] = np.linalg.solve(block, b)
                 except np.linalg.LinAlgError:
                     pass
-            solved.append(x.ravel())
-    u_a = np.zeros(pb.count * n)
-    if solved:
-        u_a[pb.scatter] = np.concatenate(solved)
-    u_a = u_a.reshape(pb.count, n)
+        stop = start + rows.shape[0]
+        u_a[np.arange(start, stop)[:, None], cols] = x
+        start = stop
     u_a = np.maximum(u_a[~(u_a < -tol).any(axis=1)], 0.0)
     # one gemv per candidate, as in a per-candidate loop
-    pushed = np.matmul(pb.r_a, u_a[..., None])[..., 0]
+    pushed = np.matmul(r_a, u_a[..., None])[..., 0]
     u_a = u_a[~(pushed < c - tol).any(axis=1)]
     if u_a.shape[0] == 0:
         raise InfeasibleActiveSet("no feasible boundary push; the step is inconsistent")

@@ -115,8 +115,10 @@ def instability_witness(
 
     Greedy growth-seeking selectors (slowest drain) plus random restarts run
     from basis vectors and random simplex starts; the best path by worst-case
-    mass is returned when its infimum stays within 1e-6 of one.
+    mass is returned when its infimum stays within 1e-6 of one.  A negative
+    ``samples`` or ``multistarts`` raises BadCount.
     """
+    check_count("multistarts", multistarts)
     starts = unit_sphere_states(spec.K, samples, seed)
     selectors: list[ControlSelector] = [MinDrain(), FirstVertex()]
     selectors.extend(RandomVertex(s) for s in child_seeds(seed, multistarts))

@@ -217,6 +217,16 @@ def test_bad_queueing_law_or_scale_one_error_line(spec_file, tmp_path, capsys, s
     assert not os.path.exists(out / "report.json")
 
 
+def test_scale_beyond_int64_one_error_line(spec_file, tmp_path, capsys, recwarn):
+    text = network_to_yaml(fixtures.single_queue()) + "fluidlimit:\n  scales: [1.0e+300]\n"
+    out = tmp_path / "out"
+    assert run_cli("fluidlimit", spec_file(text), out, "--horizon", "2", "--samples", "2") == 1
+    err = capsys.readouterr().err
+    assert one_error_line(err) and "Traceback" not in err and "scale 1e+300" in err
+    assert not os.path.exists(out / "report.json")
+    assert not recwarn.list
+
+
 def test_report_parameters_block(spec_file, tmp_path):
     out = tmp_path / "out"
     code = run_cli("stability", spec_file(fixtures.single_queue()), out,

@@ -31,9 +31,9 @@ from test_enumerate import random_network
 def reference_drift_vertices(spec):
     seen = {}
     for empty in boundary_configurations(spec):
-        poly = admissible_polytope(spec, empty)
-        velocities = poly.vertices @ (-spec.outflow.T) + spec.alpha
-        for u, v in zip(poly.vertices, velocities):
+        verts = admissible_polytope(spec, empty)
+        velocities = verts @ (-spec.outflow.T) + spec.alpha
+        for u, v in zip(verts, velocities):
             seen[tuple(np.round(v, 12))] = (u, v)
     controls = np.array([u for u, _ in seen.values()])
     drifts = np.array([v for _, v in seen.values()])

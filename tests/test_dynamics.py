@@ -1,14 +1,18 @@
+import operator
+
 import numpy as np
 import pytest
 
 from fluidnet import fixtures
 from fluidnet.dynamics import (
+    ControlSelector,
     FirstVertex,
     FixedSequence,
     MaxDrain,
     MinDrain,
     RandomVertex,
     Trajectory,
+    _ViableSystem,
     check_trajectory,
     complementarity_residual,
     flow_balance_residual,
@@ -27,7 +31,18 @@ from fluidnet.errors import (
     NonFiniteInput,
     StepTooLarge,
 )
-from fluidnet.model import validate
+from fluidnet.lyapunov import _PrefixSelector
+from fluidnet.model import (
+    PRIORITY,
+    WORK_CONSERVING,
+    NetworkSpec,
+    admissible_constraints,
+    admissible_polytope,
+    empty_rows,
+    enumerate_polytope_vertices,
+    validate,
+)
+from test_enumerate import random_network
 
 
 class TestRhs:
@@ -158,14 +173,53 @@ class TestSimulate:
 
 
 def test_selector_outputs_lie_in_polytope(tandem):
-    from fluidnet.model import admissible_polytope
-
-    poly = admissible_polytope(tandem, [1])
-    velocities = poly.vertices @ (-tandem.outflow.T) + tandem.alpha
-    for sel in [FirstVertex(), MaxDrain(), MinDrain(), RandomVertex(2), FixedSequence([1])]:
+    """Each selector returns a row index of the vertex array, so the applied
+    control is a vertex of the polytope by construction."""
+    verts = admissible_polytope(tandem, [1])
+    velocities = verts @ (-tandem.outflow.T) + tandem.alpha
+    selectors = [FirstVertex(), MaxDrain(), MinDrain(), RandomVertex(2), FixedSequence([1, 5]),
+                 _PrefixSelector((4, 1))]
+    for sel in selectors:
         sel.start_run()
-        u = sel.choose(0.0, np.asarray([1.0, 0.0]), poly, velocities)
-        assert poly.contains(u, tol=1e-10)
+        for _ in range(3):
+            i = sel.choose(0.0, np.asarray([1.0, 0.0]), verts, velocities)
+            assert 0 <= operator.index(i) < len(verts)
+
+
+class _Returns(ControlSelector):
+    def __init__(self, pick):
+        self.pick = pick
+
+    def choose(self, t, q, vertices, velocities):
+        return self.pick(vertices)
+
+
+@pytest.mark.parametrize("pick,error", [
+    (lambda verts: verts[0], TypeError),  # a vertex, as selectors once returned
+    (lambda verts: verts.mean(axis=0), TypeError),  # a point that is no vertex
+    (lambda verts: 0.0, TypeError),
+    (lambda verts: len(verts), IndexError),
+])
+def test_simulate_refuses_a_pick_that_is_no_row_index(tandem, pick, error):
+    with pytest.raises(error):
+        simulate(tandem, [1.0, 0.0], _Returns(pick), 1.0, 0.1)
+
+
+def test_vertex_arrays_are_read_only(tandem):
+    spec = fixtures.reentrant_line()
+    arrays = [
+        admissible_polytope(tandem, [1]),
+        enumerate_polytope_vertices(tandem.K, *admissible_constraints(tandem, [1])),
+        enumerate_polytope_vertices(1, [], [], [[1.0], [-1.0]], [-1.0, 0.0]),  # empty
+        _ViableSystem(spec, empty_rows(spec, [0]), [0], False).polytope([0.0]),
+        _ViableSystem(spec, empty_rows(spec, [0]), [0], False).polytope([0.5]),
+        _ViableSystem(spec, empty_rows(spec, range(3)), range(3), True).polytope([0.0] * 3),
+    ]
+    for verts in arrays:
+        assert not verts.flags.writeable
+        if verts.size:
+            with pytest.raises(ValueError):
+                verts[0, 0] = 1.0
 
 
 def test_stateful_selectors_give_repeatable_tau():
@@ -241,6 +295,27 @@ class TestViability:
                 x = rng.dirichlet(np.ones(spec.K))
                 x[rng.integers(spec.K)] = 0.0
                 assert viability_check(spec, x) == self.oracle(spec, x)
+
+    @pytest.mark.parametrize("discipline", [WORK_CONSERVING, PRIORITY])
+    def test_matches_oracle_on_random_networks(self, discipline):
+        """One, several and all classes at zero, on random networks."""
+        rng = np.random.default_rng([20111990, 23])
+        for _ in range(12):
+            k = int(rng.integers(1, 5))
+            spec = random_network(rng, k, discipline)
+            for n_zero in sorted({1, max(1, k - 1), k}):
+                x = rng.dirichlet(np.ones(k))
+                x[rng.choice(k, n_zero, replace=False)] = 0.0
+                assert viability_check(spec, x) == self.oracle(spec, x)
+
+    def test_inflow_below_zero_is_not_viable(self):
+        """Only a spec built around ``validate`` can have no viable control:
+        alpha = -1 drains an empty queue whatever the allocation."""
+        spec = NetworkSpec(np.array([-1.0]), np.array([1.0]), np.zeros((1, 1)),
+                           np.ones((1, 1)), WORK_CONSERVING)
+        assert not viability_check(spec, [0.0])
+        assert not self.oracle(spec, [0.0])
+        assert viability_check(spec, [1.0])
 
     def test_overloaded_origin_still_viable(self, overloaded_queue):
         # growth is allowed; viability only requires staying nonnegative

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,23 @@ def test_scales_that_are_not_finite_and_positive_fail_fast(bad, monkeypatch):
         fluid_limit_compare(*args, [5.0, bad], 2.0, seeds=[1])
     with pytest.raises(BadFactor, match="scale must be finite and positive"):
         concatenation_evidence(*args, bad, 2.0, seeds=[1])
+
+
+def test_a_start_beyond_int64_fails_fast(monkeypatch):
+    """round(r * direction) above 2^63 cannot be a customer count: BadFactor
+    names the scale, with no cast warning and before any simulation."""
+    from fluidnet import fluidlimit
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before checking the start")
+
+    monkeypatch.setattr(fluidlimit, "simulate", refuse)
+    args = (fixtures.queueing_two_class_priority(), fixtures.two_class_priority(), [0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadFactor, match="scale 1e\\+300 .* int64"):
+            fluid_limit_compare(*args, [5.0, 1e300], 2.0, seeds=[1])
+        with pytest.raises(BadFactor, match="scale 2e\\+19 .* int64"):
+            concatenation_evidence(*args, 2e19, 2.0, seeds=[1])
+        with pytest.raises(BadFactor, match="scale 1e\\+300 .* int64"):  # r * direction is inf
+            concatenation_evidence(*args[:2], [1e10, 1.0], 1e300, 2.0, seeds=[1])

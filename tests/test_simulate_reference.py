@@ -35,7 +35,6 @@ from fluidnet.errors import StepTooLarge
 from fluidnet.model import (
     PRIORITY,
     WORK_CONSERVING,
-    ControlPolytope,
     empty_threshold,
     enumerate_polytope_vertices,
 )
@@ -45,15 +44,15 @@ from test_enumerate import constraints, random_network
 class RefMaxDrain(ControlSelector):
     name = "max_drain"
 
-    def choose(self, t, q, polytope, velocities):
-        return polytope.vertices[int(np.argmin(np.round(velocities.sum(axis=1), 12)))]
+    def choose(self, t, q, vertices, velocities):
+        return int(np.argmin(np.round(velocities.sum(axis=1), 12)))
 
 
 class RefMinDrain(ControlSelector):
     name = "min_drain"
 
-    def choose(self, t, q, polytope, velocities):
-        return polytope.vertices[int(np.argmax(np.round(velocities.sum(axis=1), 12)))]
+    def choose(self, t, q, vertices, velocities):
+        return int(np.argmax(np.round(velocities.sum(axis=1), 12)))
 
 
 def reference_active_sets(spec, q, eps):
@@ -89,7 +88,7 @@ def reference_viable_polytope(spec, empty, zero_classes, floors, pinned=False):
     if pinned:
         verts = reference_box_vertices(spec, empty, floors)
         if verts is not None:
-            return ControlPolytope(verts)
+            return verts
     a_eq, b_eq, a_ub, b_ub = constraints(spec, empty)
     if zero_classes:
         idx = sorted(zero_classes)
@@ -98,10 +97,7 @@ def reference_viable_polytope(spec, empty, zero_classes, floors, pinned=False):
     if pinned:
         a_ub = np.vstack([a_ub, -spec.outflow])
         b_ub = np.concatenate([b_ub, -spec.alpha])
-    verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
-    if verts.shape[0] == 0 and zero_classes:
-        verts = enumerate_polytope_vertices(spec.K, *constraints(spec, empty))
-    return ControlPolytope(verts)
+    return enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
 
 
 def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
@@ -134,14 +130,14 @@ def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
         exact = all(f == 0.0 for f in floors.values())
         key = (empty, zeros, pinned) if exact else None
         if key is not None and key in cache:
-            poly, velocities = cache[key]
+            verts, velocities = cache[key]
         else:
-            poly = reference_viable_polytope(spec, empty, zeros, floors, pinned=pinned)
-            velocities = poly.vertices @ (-spec.outflow.T) + spec.alpha
+            verts = reference_viable_polytope(spec, empty, zeros, floors, pinned=pinned)
+            velocities = verts @ (-spec.outflow.T) + spec.alpha
             if key is not None:
-                cache[key] = (poly, velocities)
+                cache[key] = (verts, velocities)
 
-        u = np.asarray(selector.choose(t, q, poly, velocities), dtype=float)
+        u = verts[selector.choose(t, q, verts, velocities)]
         v = spec.alpha - spec.outflow @ u
 
         dt = min(h, horizon - t)

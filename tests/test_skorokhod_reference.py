@@ -262,7 +262,7 @@ def test_push_bases_keep_the_reference_blocks_in_order():
         n = int(rng.integers(1, 6))
         r_a = rng.integers(-1, 2, (n, n)).astype(float)
         r_a += rng.choice([0.0, 1e-13, 1e-11], (n, n)) * rng.choice([-1, 1], (n, n))
-        want_blocks, want_rows = [], []
+        want_blocks, want_rows, want_cols = [], [], []
         for size in range(1, n + 1):
             for s_cols in itertools.combinations(range(n), size):
                 for t_rows in itertools.combinations(range(n), size):
@@ -271,11 +271,13 @@ def test_push_bases_keep_the_reference_blocks_in_order():
                         continue
                     want_blocks.append(sub.ravel())
                     want_rows.append(t_rows)
+                    want_cols.append(s_cols)
         bases = _push_bases(r_a)
-        got_blocks = [block.ravel() for blocks in bases.blocks for block in blocks]
-        got_rows = [tuple(row) for rows in bases.rows for row in rows.tolist()]
-        assert bases.count == 1 + len(want_rows)
+        got_blocks = [block.ravel() for blocks, _, _ in bases for block in blocks]
+        got_rows = [tuple(row) for _, rows, _ in bases for row in rows.tolist()]
+        got_cols = [tuple(col) for _, _, cols in bases for col in cols.tolist()]
         assert got_rows == want_rows
+        assert got_cols == want_cols
         assert np.concatenate([np.empty(0), *got_blocks]).tobytes() == (
             np.concatenate([np.empty(0), *want_blocks]).tobytes()
         )

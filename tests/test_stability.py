@@ -123,3 +123,9 @@ def test_negative_seed_rejected(tandem):
         child_seeds(-1, 2)
     with pytest.raises(BadCount):
         child_seeds(1, -1)
+
+
+@pytest.mark.parametrize("name", ["samples", "multistarts"])
+def test_instability_witness_names_its_bad_count(tandem, name):
+    with pytest.raises(BadCount, match=f"{name} must be nonnegative"):
+        instability_witness(tandem, **{name: -1}, horizon=5.0, h=0.05)

@@ -4,6 +4,10 @@
     python tools/report_digests.py --src ../other-checkout/src > before.txt
     diff before.txt after.txt
 
+``tools/report_digests.txt`` holds the manifest of the current reports, and
+``tests/test_report_digests.py`` checks it; a change that moves a report byte
+regenerates it with ``python tools/report_digests.py > tools/report_digests.txt``.
+
 Writes the fixtures as YAML description files into a temporary directory and
 runs the CLI on them in this process, with the default flags and with the
 short benchmark flags:
