@@ -13,7 +13,6 @@ from .dynamics import (
     lipschitz_constant,
     rhs,
     simulate,
-    viability_check,
 )
 from .gfn import (
     concatenate,
@@ -53,7 +52,7 @@ from .skorokhod import (
     solve_lsp,
 )
 from .stability import Verdict, draining_time, instability_witness, scale_invariance_check
-from .fluidlimit import QueueingSpec, SamplePath, fluid_limit_compare, scale_path, simulate_queueing
+from .fluidlimit import QueueingSpec, SamplePath, ScaledPath, fluid_limit_compare, simulate_queueing
 
 __version__ = "0.1.0"
 

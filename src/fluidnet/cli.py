@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,39 +70,6 @@ _SELECTORS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The command-line parameters, one field per flag (the parser's ``dest``s);
-    the defaults live in :func:`build_parser`."""
-
-    command: str
-    input_path: str
-    out_dir: str
-    seed: int
-    step: float
-    horizon: float
-    samples: int
-    depth: int
-    multistarts: int
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if not self.step > 0:
-            raise BadStep(f"step must be positive, got {self.step!r}")
-        if not self.horizon > 0:
-            raise BadHorizon(f"horizon must be positive, got {self.horizon!r}")
-        check_count("samples", self.samples)
-        # checks the seed, depth and multistarts before any command runs
-        self.search_budget()
-
-    def search_budget(self) -> SearchBudget:
-        return SearchBudget(
-            horizon=self.horizon, step=self.step,
-            depth=self.depth, multistarts=self.multistarts, seed=self.seed,
-        )
-
-
 def _selector_from_name(name: str, seed: int):
     if name == "random_vertex":
         return RandomVertex(seed)
@@ -122,23 +88,37 @@ def _need_network(parsed):
     return parsed.network
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    parsed = parse_spec_file(config.input_path)
-    os.makedirs(config.out_dir, exist_ok=True)
-    params = asdict(config)
-    del params["input_path"], params["out_dir"]
+def _check_flags(args: argparse.Namespace) -> SearchBudget:
+    """Reject a bad flag before the input is read; returns the search budget,
+    whose construction checks the seed, depth and multistarts."""
+    if not args.step > 0:
+        raise BadStep(f"step must be positive, got {args.step!r}")
+    if not args.horizon > 0:
+        raise BadHorizon(f"horizon must be positive, got {args.horizon!r}")
+    check_count("samples", args.samples)
+    return SearchBudget(
+        horizon=args.horizon, step=args.step,
+        depth=args.depth, multistarts=args.multistarts, seed=args.seed,
+    )
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute one command from the parsed flags; returns the process exit status."""
+    budget = _check_flags(args)
+    parsed = parse_spec_file(args.input_path)
+    os.makedirs(args.out_dir, exist_ok=True)
+    params = {k: v for k, v in vars(args).items() if k not in ("input_path", "out_dir")}
     log.info("resolved parameters: %s", params)
     report: dict = {"parameters": params}
     artifacts: dict[str, str] = {}
     status = 0
 
-    if config.command == "simulate":
+    if args.command == "simulate":
         spec = _need_network(parsed)
         sim_cfg = parsed.simulate or {}
         x0 = sim_cfg.get("x0") or (np.ones(spec.K) / spec.K).tolist()
-        selector = _selector_from_name(sim_cfg.get("selector", "max_drain"), config.seed)
-        traj = simulate(spec, x0, selector, config.horizon, config.step)
+        selector = _selector_from_name(sim_cfg.get("selector", "max_drain"), args.seed)
+        traj = simulate(spec, x0, selector, args.horizon, args.step)
         artifacts["trajectory.csv"] = trajectory_csv(traj)
         report["simulate"] = {
             "x0": list(map(float, x0)),
@@ -149,14 +129,14 @@ def run(config: RunConfig) -> int:
             "invariants": check_trajectory(spec, traj),
         }
 
-    elif config.command == "stability":
+    elif args.command == "stability":
         spec = _need_network(parsed)
         verdict = draining_time(
             spec,
-            samples=config.samples,
-            horizon=config.horizon,
-            h=config.step,
-            seed=config.seed,
+            samples=args.samples,
+            horizon=args.horizon,
+            h=args.step,
+            seed=args.seed,
         )
         report["stability"] = verdict.to_report()
         if verdict.witness is not None:
@@ -164,21 +144,20 @@ def run(config: RunConfig) -> int:
         if verdict.status == "unstable":
             status = 2
 
-    elif config.command == "lyapunov":
+    elif args.command == "lyapunov":
         spec = _need_network(parsed)
         certificate = linear_certificate_search(spec)
         report["certificate"] = certificate.to_report()
         verdict = draining_time(
-            spec, samples=config.samples, horizon=config.horizon,
-            h=config.step, seed=config.seed,
+            spec, samples=args.samples, horizon=args.horizon,
+            h=args.step, seed=args.seed,
         )
         report["stability"] = verdict.to_report()
         if verdict.is_stable:
             big_l = lipschitz_constant(spec)
             triple = comparison_functions(big_l, verdict.tau)
-            family = network_family(spec, horizon=config.horizon, h=config.step)
-            budget = config.search_budget()
-            states = unit_sphere_states(spec.K, min(config.samples, 8), config.seed)
+            family = network_family(spec, horizon=args.horizon, h=args.step)
+            states = unit_sphere_states(spec.K, min(args.samples, 8), args.seed)
             pairs = []
             for x in states:
                 estimate = approximate_V(family, x, budget)
@@ -189,11 +168,11 @@ def run(config: RunConfig) -> int:
             report["sandwich"] = sandwich
             report["lipschitz_constant"] = big_l
 
-    elif config.command == "skorokhod":
+    elif args.command == "skorokhod":
         if parsed.skorokhod is None:
             raise ParseError("skorokhod command requires a 'skorokhod' section")
         inst = parsed.skorokhod
-        sol = solve_lsp(inst, config.horizon, config.step)
+        sol = solve_lsp(inst, args.horizon, args.step)
         artifacts["solution.csv"] = solution_csv(sol)
         report["skorokhod"] = {
             "dimension": inst.J,
@@ -205,15 +184,15 @@ def run(config: RunConfig) -> int:
             "final_state": sol.states[-1].tolist(),
         }
 
-    elif config.command == "fluidlimit":
+    elif args.command == "fluidlimit":
         spec = _need_network(parsed)
         qspec = parsed.queueing or queueing_spec(spec)
         cfg = parsed.fluidlimit or {}
         direction = cfg.get("direction") or (np.ones(spec.K) / spec.K).tolist()
         scales = cfg.get("scales") or [10.0, 100.0]
-        seeds = child_seeds(config.seed, min(config.samples, 10))
+        seeds = child_seeds(args.seed, min(args.samples, 10))
         table = fluid_limit_compare(
-            qspec, spec, direction, scales, config.horizon, seeds, h=config.step
+            qspec, spec, direction, scales, args.horizon, seeds, h=args.step
         )
         artifacts["distances.csv"] = distance_table_csv(table)
         report["fluidlimit"] = {
@@ -223,26 +202,26 @@ def run(config: RunConfig) -> int:
             "aggregate": {str(k): v for k, v in table["aggregate"].items()},
         }
 
-    elif config.command == "gfn-check":
+    elif args.command == "gfn-check":
         spec = _need_network(parsed)
         report["gfn_check"] = axiom_report(
             spec,
-            n_ops=max(100, config.samples * 25),
-            seed=config.seed,
-            horizon=min(config.horizon, 25.0),
-            h=max(config.step, 0.02),
+            n_ops=max(100, args.samples * 25),
+            seed=args.seed,
+            horizon=min(args.horizon, 25.0),
+            h=max(args.step, 0.02),
         )
 
     report["artifacts"] = sorted(artifacts)
     try:
         for name, text in artifacts.items():
-            atomic_write_text(os.path.join(config.out_dir, name), text)
+            atomic_write_text(os.path.join(args.out_dir, name), text)
         atomic_write_text(
-            os.path.join(config.out_dir, "report.json"),
+            os.path.join(args.out_dir, "report.json"),
             json.dumps(to_jsonable(report), indent=2, sort_keys=True) + "\n",
         )
     except OSError as exc:
-        raise IoError(f"cannot write artifacts to {config.out_dir}: {exc}") from exc
+        raise IoError(f"cannot write artifacts to {args.out_dir}: {exc}") from exc
     return status
 
 
@@ -272,7 +251,7 @@ def main(argv=None) -> int:
     )
     args = build_parser().parse_args(argv)
     try:
-        return run(RunConfig(**vars(args)))
+        return run(args)
     except FluidNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

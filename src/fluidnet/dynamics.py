@@ -38,14 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import csv_text, freeze_arrays, l1, rng_from
+from ._util import check_count, csv_text, freeze_arrays, l1, rng_from
 from .errors import (
     BadHorizon,
     BadStep,
     DimensionMismatch,
     InfeasibleActiveSet,
     NegativeState,
+    NoNetwork,
     NonFiniteInput,
+    ShiftBeyondHorizon,
     StepTooLarge,
 )
 from .model import (
@@ -132,14 +134,14 @@ class Trajectory:
         if np.any(t > self.grid[-1]) and not self.drained:
             # holding the final value is only sound once the run drained
             # (the held state then sits below the emptiness threshold)
-            raise ValueError("time beyond the sampled horizon of an undrained trajectory")
+            raise ShiftBeyondHorizon("time beyond the sampled horizon of an undrained trajectory")
         return out
 
     def idle(self) -> np.ndarray:
         """Cumulative unused capacity per capacity row (the idle time of each
         station of a work-conserving network) at every stamp."""
         if self.spec is None:
-            raise ValueError("idle processes require the generating network")
+            raise NoNetwork("idle processes require the generating network")
         return self.grid[:, None] - self.allocation @ self.spec.capacity.T
 
 
@@ -243,8 +245,7 @@ class FixedSequence(ControlSelector):
 
     def __init__(self, indices):
         self.indices = [int(i) for i in indices]
-        if not self.indices:
-            raise ValueError("FixedSequence needs at least one index")
+        check_count("FixedSequence index count", len(self.indices), low=1)
         self.name = f"fixed_sequence({self.indices})"
         self._pos = 0
 
@@ -491,26 +492,6 @@ def simulate(
         x0, horizon, h, max_events, select, drained
     )
     return Trajectory(grid, levels, allocation, controls, spec=spec, drained_at=drained_at)
-
-
-def viability_check(spec: NetworkSpec, x) -> bool:
-    """Can the state stay in the nonnegative orthant?
-
-    True iff some convex combination of the admissible vertex velocities is
-    nonnegative in every coordinate where x is (numerically) zero, that is,
-    iff the viable polytope of those classes with floor 0 has a vertex.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.K,):
-        raise DimensionMismatch(f"state has shape {x.shape}, expected ({spec.K},)")
-    zeros = np.flatnonzero(x < empty_threshold(x)).tolist()
-    if not zeros:
-        return True
-    try:
-        _ViableSystem(spec, empty_rows(spec, zeros), zeros, False).polytope([0.0] * len(zeros))
-    except InfeasibleActiveSet:
-        return False
-    return True
 
 
 def flow_balance_residual(spec: NetworkSpec, traj: Trajectory) -> float:

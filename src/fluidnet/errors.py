@@ -42,10 +42,6 @@ class StepTooLarge(FluidNetError):
     """Event splitting exceeded the sub-step budget; reduce the step size."""
 
 
-class ShiftBeyondHorizon(FluidNetError):
-    """Requested shift or cut time lies outside the sampled time range."""
-
-
 class EndpointMismatch(FluidNetError):
     """Concatenation endpoints differ beyond tolerance."""
 
@@ -104,6 +100,22 @@ class BadCount(FluidNetError, ValueError):
 
 class BadFactor(FluidNetError, ValueError):
     """A scale factor, Lipschitz constant or draining time is not finite and positive."""
+
+
+class ShiftBeyondHorizon(FluidNetError, ValueError):
+    """Requested shift, cut or evaluation time lies outside the sampled time range."""
+
+
+class NoNetwork(FluidNetError, ValueError):
+    """A trajectory without its generating network was asked for a network quantity."""
+
+
+class BadCandidate(FluidNetError, ValueError):
+    """A Lyapunov candidate has a negative piece or vanishes on some coordinate."""
+
+
+class NotStable(FluidNetError, ValueError):
+    """A check that needs a stable verdict was given another."""
 
 
 class UnknownDiscipline(SpecError, ValueError):

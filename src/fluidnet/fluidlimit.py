@@ -123,16 +123,14 @@ def simulate_queueing(
     horizon: float,
     seed: int,
     *,
-    residual_arrivals=None,
-    residual_services=None,
     max_events: int = _EVENT_CAP,
 ) -> SamplePath:
     """Event-driven simulation from integer queue lengths q0.
 
-    Residual interarrival and head-of-line service times may be supplied;
-    fresh draws from the laws are used otherwise.  Runs are bit-reproducible
-    for a fixed seed: a single counter-based generator drives every draw in
-    event order.
+    Every class with inflow starts with a fresh interarrival draw and every
+    nonempty class with a fresh service draw.  Runs are bit-reproducible for a
+    fixed seed: a single counter-based generator drives every draw in event
+    order.
 
     Everything fixed for the run is built once before the event loop: each
     station's classes (highest priority first under priority service), the
@@ -170,30 +168,16 @@ def simulate_queueing(
     arrival_exp = [law == EXPONENTIAL for law in qspec.interarrival]
 
     def draw_interarrival(k: int) -> float:
-        if arrival_exp[k]:
-            return float(exponential(arrival_mean[k]))
-        return arrival_mean[k]
+        return float(exponential(arrival_mean[k])) if arrival_exp[k] else arrival_mean[k]
 
     def draw_service(k: int) -> float:
-        if service_exp[k]:
-            return float(exponential(service_mean[k]))
-        return service_mean[k]
+        return float(exponential(service_mean[k])) if service_exp[k] else service_mean[k]
 
     q = q_arr.tolist()
     next_arrival = [math.inf] * n_classes
     for k in arrivals:
-        if residual_arrivals is not None and np.isfinite(residual_arrivals[k]):
-            next_arrival[k] = float(residual_arrivals[k])
-        else:
-            next_arrival[k] = draw_interarrival(k)
-
-    head_work = [0.0] * n_classes
-    for k in range(n_classes):
-        if q[k] > 0:
-            if residual_services is not None and residual_services[k] > 0:
-                head_work[k] = float(residual_services[k])
-            else:
-                head_work[k] = draw_service(k)
+        next_arrival[k] = draw_interarrival(k)
+    head_work = [draw_service(k) if q[k] > 0 else 0.0 for k in range(n_classes)]
 
     t = 0.0
     busy = [0.0] * n_classes
@@ -201,7 +185,6 @@ def simulate_queueing(
     counts = list(q)
     busies = list(busy)
 
-    events = 0
     while True:
         # (class, rate) of every class in service, in class order
         serving = []
@@ -229,23 +212,20 @@ def simulate_queueing(
         for k in arrivals:
             if next_arrival[k] < event_t:
                 event_t, event_k, arrive = next_arrival[k], k, True
-        if event_t >= horizon:  # also when no event is left (event_t is inf)
+        stop = event_t >= horizon  # also when no event is left (event_t is inf)
+        if stop:
             event_t = horizon
-            dt = event_t - t
-            rate_of = dict(serving)
-            for k in range(n_classes):
-                busy[k] += rate_of.get(k, 0.0) * dt
-            times.append(event_t)
-            counts.extend(q)
-            busies.extend(busy)
-            break
-
         dt = event_t - t
         for k, rate in serving:
             step = rate * dt
             head_work[k] -= step
             busy[k] += step
         t = event_t
+        if stop:
+            times.append(t)
+            counts.extend(q)
+            busies.extend(busy)
+            break
 
         k = event_k
         if arrive:
@@ -267,8 +247,7 @@ def simulate_queueing(
         times.append(t)
         counts.extend(q)
         busies.extend(busy)
-        events += 1
-        if events > max_events:
+        if len(times) > max_events + 1:
             raise EventBudgetExceeded(f"exceeded {max_events} events")
 
     shape = (len(times), n_classes)
@@ -286,6 +265,10 @@ class ScaledPath:
     path: SamplePath
     r: float
 
+    def __post_init__(self):
+        """Raises BadFactor unless r is finite and positive."""
+        object.__setattr__(self, "r", check_factor("scale factor", self.r))
+
     @property
     def jumps(self) -> np.ndarray:
         return self.path.times / self.r
@@ -293,17 +276,6 @@ class ScaledPath:
     def value_at(self, t, side: str = "right") -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return self.path.count_at(t * self.r, side=side) / self.r
-
-
-def scale_path(path: SamplePath, r: float, grid=None):
-    """Scaled view of a sample path; with a grid, sampled values on it.
-
-    Raises BadFactor unless r is finite and positive.
-    """
-    scaled = ScaledPath(path, check_factor("scale factor", r))
-    if grid is None:
-        return scaled
-    return scaled.value_at(np.asarray(grid, dtype=float))
 
 
 def distance_to_fluid(scaled: ScaledPath, traj: Trajectory, horizon: float):

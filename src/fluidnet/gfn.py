@@ -23,7 +23,9 @@ from .dynamics import (
     lipschitz_constant,
     simulate,
 )
-from .errors import EndpointMismatch, ShiftBeyondHorizon, UnknownFixture
+from .errors import (
+    DimensionMismatch, EndpointMismatch, NegativeState, ShiftBeyondHorizon, UnknownFixture,
+)
 from .model import NetworkSpec
 
 
@@ -130,8 +132,7 @@ def uoc_distance(traj1: Trajectory, traj2: Trajectory, horizon: float) -> float:
 
 def lipschitz_estimate(traj: Trajectory) -> float:
     """Max l1 slope between consecutive stamps."""
-    if traj.grid.shape[0] < 2:
-        raise ValueError("need at least two stamps to estimate a slope")
+    check_count("stamp count", traj.grid.shape[0], low=2)
     dq = np.abs(np.diff(traj.levels, axis=0)).sum(axis=1)
     dt = np.diff(traj.grid)
     return float((dq / dt).max())
@@ -170,8 +171,10 @@ class ExplicitPathFamily:
 
     def paths_from(self, x) -> list[Trajectory]:
         x = np.asarray(x, dtype=float)
-        if x.shape != (2,) or np.any(x < 0):
-            raise ValueError("explicit families are two-class, nonnegative")
+        if x.shape != (2,):
+            raise DimensionMismatch(f"explicit families are two-class, got shape {x.shape}")
+        if np.any(x < 0):
+            raise NegativeState(f"explicit-family states must be nonnegative, got {x.tolist()}")
         if self.name == "lsc_counterexample":
             return self._lsc_paths(x)
         return self._exchange_paths(x)

@@ -31,7 +31,7 @@ from .dynamics import (
     Trajectory,
     simulate,
 )
-from .errors import TruncatedWarning
+from .errors import BadCandidate, TruncatedWarning
 from .gfn import ExplicitPathFamily, NetworkPathFamily
 from .model import (
     NetworkSpec,
@@ -251,16 +251,11 @@ def approximate_V(family, x, budget: SearchBudget = SearchBudget()) -> VEstimate
 # sandwich and decrease checks
 
 
-def check_sandwich(v_values, triple: ComparisonTriple) -> dict:
-    """Verify w1(|x|) <= V(x) <= w2(|x|) for every supplied sample.
+def check_sandwich(pairs, triple: ComparisonTriple) -> dict:
+    """Verify w1(|x|) <= V(x) <= w2(|x|) for every (state, value) pair.
 
-    ``v_values`` is a mapping state-tuple -> value or an iterable of
-    (state, value) pairs.  Violations are returned, not raised.
+    Violations are returned, not raised.
     """
-    if hasattr(v_values, "items"):
-        pairs = list(v_values.items())
-    else:
-        pairs = list(v_values)
     rows = []
     violations = []
     for state, value in pairs:
@@ -447,9 +442,9 @@ def piecewise_linear_check(spec: NetworkSpec, h_list, *, epsilon: float = 1e-6,
     """
     h_mat = np.asarray(h_list, dtype=float).reshape(-1, spec.K)
     if np.any(h_mat < 0):
-        raise ValueError("piecewise-linear pieces must be nonnegative vectors")
+        raise BadCandidate("piecewise-linear pieces must be nonnegative vectors")
     if np.any(h_mat.max(axis=0) <= 0):
-        raise ValueError("some coordinate is zero in every piece; candidate vanishes")
+        raise BadCandidate("some coordinate is zero in every piece; candidate vanishes")
 
     def positivity(states):
         return (states @ h_mat.T).max(axis=1)

@@ -24,6 +24,7 @@ from .dynamics import (
     default_selectors,
     simulate,
 )
+from .errors import NotStable
 from .model import NetworkSpec
 
 STABLE = "stable"
@@ -153,7 +154,7 @@ def scale_invariance_check(
     supplied states); tolerance is two control-switch intervals.
     """
     if not verdict.is_stable:
-        raise ValueError("scale invariance check requires a stable verdict")
+        raise NotStable("scale invariance check requires a stable verdict")
     if selector is None:
         selector = MaxDrain()
     if states is None:

@@ -15,7 +15,6 @@ from fluidnet.fluidlimit import (
     distance_table_csv,
     distance_to_fluid,
     fluid_limit_compare,
-    scale_path,
     simulate_queueing,
 )
 
@@ -83,14 +82,14 @@ class TestScaling:
     def test_identity_scale_on_grid(self):
         qspec = fixtures.queueing_single_deterministic()
         path = simulate_queueing(qspec, [3], 5.0, seed=1)
-        vals = scale_path(path, 1.0, grid=[0.0, 0.5, 1.5, 2.5, 3.5])
+        vals = ScaledPath(path, 1.0).value_at(np.asarray([0.0, 0.5, 1.5, 2.5, 3.5]))
         assert vals[:, 0].tolist() == [3, 3, 2, 1, 0]
 
     def test_scaled_staircase(self):
         qspec = fixtures.queueing_single_deterministic()
         r = 5.0
         path = simulate_queueing(qspec, [5], 10.0, seed=1)
-        scaled = scale_path(path, r)
+        scaled = ScaledPath(path, r)
         assert scaled.value_at(np.asarray([0.0]))[0, 0] == pytest.approx(1.0)
         assert scaled.value_at(np.asarray([0.999]))[0, 0] == pytest.approx(0.2)
         assert scaled.value_at(np.asarray([1.0]))[0, 0] == 0.0
@@ -98,14 +97,14 @@ class TestScaling:
     def test_empty_system_zero_path(self):
         qspec = fixtures.queueing_single_deterministic()
         path = simulate_queueing(qspec, [0], 5.0, seed=1)
-        scaled = scale_path(path, 7.0)
+        scaled = ScaledPath(path, 7.0)
         assert np.abs(scaled.value_at(np.linspace(0, 0.7, 9))).max() == 0.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_a_factor_that_is_not_finite_and_positive(self, bad):
         path = simulate_queueing(fixtures.queueing_single_deterministic(), [3], 5.0, seed=1)
         with pytest.raises(BadFactor, match="scale factor must be finite and positive"):
-            scale_path(path, bad, grid=[0.0, 1.0])
+            ScaledPath(path, bad)
 
 
 class TestFluidDistance:

@@ -13,7 +13,9 @@ runs the CLI on them in this process, with the default flags and with the
 short benchmark flags:
 
 - simulate, stability, lyapunov and gfn-check on the five stable networks and
-  lu_kumar (no gfn-check on lu_kumar: its axiom report runs for minutes);
+  lu_kumar (no gfn-check on lu_kumar: one of its concatenation tails chatters
+  just above the emptiness threshold, and the command exits 1 with ``more
+  than 1000000 sub-steps`` after about 60 s on a 2-CPU machine);
 - fluidlimit on the fixtures with a ``queueing`` section;
 - skorokhod on the fixtures with a ``skorokhod`` section.
 
