@@ -96,10 +96,7 @@ def _check_flags(args: argparse.Namespace) -> SearchBudget:
     if not args.horizon > 0:
         raise BadHorizon(f"horizon must be positive, got {args.horizon!r}")
     check_count("samples", args.samples)
-    return SearchBudget(
-        horizon=args.horizon, step=args.step,
-        depth=args.depth, multistarts=args.multistarts, seed=args.seed,
-    )
+    return SearchBudget(depth=args.depth, multistarts=args.multistarts, seed=args.seed)
 
 
 def run(args: argparse.Namespace) -> int:

@@ -45,7 +45,6 @@ from .errors import (
     DimensionMismatch,
     InfeasibleActiveSet,
     NegativeState,
-    NoNetwork,
     NonFiniteInput,
     ShiftBeyondHorizon,
     StepTooLarge,
@@ -107,7 +106,6 @@ class Trajectory:
     levels: np.ndarray
     allocation: np.ndarray
     controls: np.ndarray
-    spec: NetworkSpec | None = None
     drained_at: float | None = None
 
     def __post_init__(self):
@@ -136,13 +134,6 @@ class Trajectory:
             # (the held state then sits below the emptiness threshold)
             raise ShiftBeyondHorizon("time beyond the sampled horizon of an undrained trajectory")
         return out
-
-    def idle(self) -> np.ndarray:
-        """Cumulative unused capacity per capacity row (the idle time of each
-        station of a work-conserving network) at every stamp."""
-        if self.spec is None:
-            raise NoNetwork("idle processes require the generating network")
-        return self.grid[:, None] - self.allocation @ self.spec.capacity.T
 
 
 class ControlSelector:
@@ -491,7 +482,7 @@ def simulate(
     grid, levels, allocation, controls = _event_split(
         x0, horizon, h, max_events, select, drained
     )
-    return Trajectory(grid, levels, allocation, controls, spec=spec, drained_at=drained_at)
+    return Trajectory(grid, levels, allocation, controls, drained_at=drained_at)
 
 
 def flow_balance_residual(spec: NetworkSpec, traj: Trajectory) -> float:
@@ -540,6 +531,12 @@ def lipschitz_constant(spec: NetworkSpec) -> float:
     return l1(spec.alpha) + w_norm * u_max
 
 
+def idle(spec: NetworkSpec, traj: Trajectory) -> np.ndarray:
+    """Cumulative unused capacity per capacity row (the idle time of each
+    station of a work-conserving network) at every stamp."""
+    return traj.grid[:, None] - traj.allocation @ spec.capacity.T
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV export: t, Q1..QK, T1..TK, u1..uK, 17 significant digits.
 
@@ -564,7 +561,7 @@ def check_trajectory(spec: NetworkSpec, traj: Trajectory) -> dict:
     q_min = float(traj.levels.min()) if traj.levels.size else 0.0
     alloc_steps = np.diff(traj.allocation, axis=0)
     alloc_monotone = bool(alloc_steps.size == 0 or alloc_steps.min() >= -1e-12)
-    idle_steps = np.diff(traj.idle(), axis=0)
+    idle_steps = np.diff(idle(spec, traj), axis=0)
     idle_monotone = bool(idle_steps.size == 0 or idle_steps.min() >= -1e-10)
     comp = complementarity_residual(spec, traj)
     ok = (

@@ -106,10 +106,6 @@ class ShiftBeyondHorizon(FluidNetError, ValueError):
     """Requested shift, cut or evaluation time lies outside the sampled time range."""
 
 
-class NoNetwork(FluidNetError, ValueError):
-    """A trajectory without its generating network was asked for a network quantity."""
-
-
 class BadCandidate(FluidNetError, ValueError):
     """A Lyapunov candidate has a negative piece or vanishes on some coordinate."""
 

@@ -116,6 +116,12 @@ class SamplePath:
         idx = np.clip(idx, 0, len(self.times) - 1)
         return self.counts[idx]
 
+    def scaled(self, r: float) -> SamplePath:
+        """The path at scale r, t -> Q(r t) / r: times, counts and busy times
+        divided by r.  Raises BadFactor unless r is finite and positive."""
+        r = check_factor("scale factor", r)
+        return SamplePath(self.times / r, self.counts / r, self.busy / r)
+
 
 def simulate_queueing(
     qspec: QueueingSpec,
@@ -258,38 +264,17 @@ def simulate_queueing(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ScaledPath:
-    """The sample path viewed at scale r: t -> Q(r t) / r, piecewise constant."""
-
-    path: SamplePath
-    r: float
-
-    def __post_init__(self):
-        """Raises BadFactor unless r is finite and positive."""
-        object.__setattr__(self, "r", check_factor("scale factor", self.r))
-
-    @property
-    def jumps(self) -> np.ndarray:
-        return self.path.times / self.r
-
-    def value_at(self, t, side: str = "right") -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return self.path.count_at(t * self.r, side=side) / self.r
-
-
-def distance_to_fluid(scaled: ScaledPath, traj: Trajectory, horizon: float):
+def distance_to_fluid(scaled: SamplePath, traj: Trajectory, horizon: float):
     """(sup gap, time-mean gap) between a scaled sample path and a trajectory.
 
-    The sup is evaluated at all fluid stamps and scaled jump times, taking
-    both one-sided values at jumps, which is exact for step-versus-linear.
+    The sup is evaluated at all fluid stamps and jump times of the path,
+    taking both one-sided values at its jumps, which is exact for
+    step-versus-linear.
     """
-    pts = window_points(horizon, traj.grid, scaled.jumps)
+    pts = window_points(horizon, traj.grid, scaled.times)
     fluid = traj.level_at(pts)
-    right = scaled.value_at(pts, side="right")
-    left = scaled.value_at(pts, side="left")
-    gap_right = np.abs(right - fluid).sum(axis=1)
-    gap_left = np.abs(left - fluid).sum(axis=1)
+    gap_right = np.abs(scaled.count_at(pts, side="right") - fluid).sum(axis=1)
+    gap_left = np.abs(scaled.count_at(pts, side="left") - fluid).sum(axis=1)
     sup = float(np.maximum(gap_right, gap_left).max())
     if len(pts) >= 2 and horizon > 0:
         mean = float(np.sum(0.5 * (gap_right[:-1] + gap_right[1:]) * np.diff(pts)) / horizon)
@@ -298,12 +283,19 @@ def distance_to_fluid(scaled: ScaledPath, traj: Trajectory, horizon: float):
     return sup, mean
 
 
-def default_fluid_ensemble():
-    """The fluid paths a scaled sample path is matched against: three greedy
-    selectors and eight random-vertex runs seeded from 42."""
+def _nearest_fluid(spec: NetworkSpec, x0, horizon: float, h: float):
+    """Simulate the fluid ensemble from x0: three greedy selectors and eight
+    random-vertex runs seeded from 42.  Returns the function that gives a
+    scaled path's (sup, mean) distance to the nearest of them by sup."""
     selectors = [MaxDrain(), MinDrain(), FirstVertex()]
     selectors.extend(RandomVertex(s) for s in child_seeds(42, 8))
-    return selectors
+    trajs = [simulate(spec, x0, sel, horizon, h) for sel in selectors]
+
+    def nearest(scaled: SamplePath):
+        return min((distance_to_fluid(scaled, traj, horizon) for traj in trajs),
+                   key=lambda pair: pair[0])
+
+    return nearest
 
 
 def _scaled_start(r: float, q_direction: np.ndarray) -> np.ndarray:
@@ -329,10 +321,10 @@ def fluid_limit_compare(
 
     For each scale r the start is round(r * q_direction) customers with fresh
     residuals; each seeded run is scaled back and compared against every
-    trajectory of :func:`default_fluid_ensemble`, keeping the best match.
-    Rows carry the per-seed time-mean and sup distances.  An empty seed list
-    raises NoSeeds, a scale that is not finite and positive, or whose start
-    does not fit in int64, BadFactor.
+    trajectory of the fluid ensemble from the scaled start, keeping the best
+    match.  Rows carry the per-seed time-mean and sup distances.  An empty
+    seed list raises NoSeeds, a scale that is not finite and positive, or
+    whose start does not fit in int64, BadFactor.
     """
     seeds = [int(seed) for seed in seeds]
     if not seeds:
@@ -340,19 +332,13 @@ def fluid_limit_compare(
     r_list = [check_factor("scale", r) for r in r_list]
     q_direction = np.asarray(q_direction, dtype=float)
     starts = [_scaled_start(r, q_direction) for r in r_list]
-    ensemble = default_fluid_ensemble()
     rows = []
     aggregate = {}
     for r, q_int in zip(r_list, starts):
-        x0 = q_int / r
-        fluid_trajs = [simulate(spec, x0, sel, horizon, h) for sel in ensemble]
+        nearest = _nearest_fluid(spec, q_int / r, horizon, h)
         sups = []
         for seed in seeds:
-            scaled = ScaledPath(simulate_queueing(qspec, q_int, r * horizon, seed), r)
-            sup, mean = min(
-                (distance_to_fluid(scaled, traj, horizon) for traj in fluid_trajs),
-                key=lambda pair: pair[0],
-            )
+            sup, mean = nearest(simulate_queueing(qspec, q_int, r * horizon, seed).scaled(r))
             rows.append({"r": r, "seed": seed, "mean_dist": mean, "max_dist": sup})
             sups.append(sup)
         aggregate[r] = {
@@ -366,29 +352,6 @@ def distance_table_csv(table: dict) -> str:
     """CSV export: r, seed, mean_dist, max_dist, one line per (scale, seed) run."""
     header = ["r", "seed", "mean_dist", "max_dist"]
     return csv_text(header, ([row[key] for key in header] for row in table["rows"]))
-
-
-@dataclass(frozen=True, eq=False)
-class _SplicedScaledPath:
-    """Scaled path following ``head`` before the cut and ``tail`` after."""
-
-    head: ScaledPath
-    tail: ScaledPath
-    cut: float
-
-    @property
-    def jumps(self) -> np.ndarray:
-        head_jumps = self.head.jumps
-        tail_jumps = self.tail.jumps + self.cut
-        return np.concatenate([head_jumps[head_jumps < self.cut], tail_jumps])
-
-    def value_at(self, t, side: str = "right") -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        before = t < self.cut if side == "right" else t <= self.cut
-        out = np.empty(t.shape + (self.head.path.K,))
-        out[before] = self.head.value_at(t[before], side=side)
-        out[~before] = self.tail.value_at(t[~before] - self.cut, side=side)
-        return out
 
 
 def concatenation_evidence(
@@ -405,31 +368,34 @@ def concatenation_evidence(
 
     For every seed one sample path is cut at mid-window, a fresh run restarts
     from the customer counts observed at the cut, and the spliced scaled path
-    is compared against the nearest fluid trajectory; the unspliced path gives
-    the baseline.  This measures evidence only; nothing is decided about the
+    (the first run's events before the cut, then the fresh run's shifted by
+    the cut, with the busy time accrued by the cut carried over) is compared
+    against the nearest fluid trajectory; the unspliced path gives the
+    baseline.  This measures evidence only; nothing is decided about the
     closure property of the scaled-limit family.  A scale that is not finite
     and positive, or whose start does not fit in int64, raises BadFactor.
     """
     r = check_factor("scale", r)
     q_int = _scaled_start(r, np.asarray(q_direction, dtype=float))
-    ensemble = default_fluid_ensemble()
     cut = 0.5 * horizon
-    x0 = q_int / r
-    fluid_trajs = [simulate(spec, x0, sel, horizon, h) for sel in ensemble]
+    nearest = _nearest_fluid(spec, q_int / r, horizon, h)
     rows = []
     for seed in seeds:
         seed = int(seed)
         base = simulate_queueing(qspec, q_int, r * horizon, seed)
-        scaled = ScaledPath(base, r)
-        counts_at_cut = base.count_at(np.asarray([cut * r]))[0].astype(np.int64)
+        counts_at_cut = base.count_at(cut * r).astype(np.int64)
+        head = base.scaled(r)
         tail = simulate_queueing(qspec, counts_at_cut, r * (horizon - cut), seed + 10_000)
-        spliced = _SplicedScaledPath(scaled, ScaledPath(tail, r), cut)
-        base_best = min(
-            distance_to_fluid(scaled, traj, horizon)[0] for traj in fluid_trajs
+        tail = tail.scaled(r)
+        before = head.times < cut
+        busy_at_cut = [np.interp(cut, head.times, head.busy[:, k]) for k in range(head.K)]
+        spliced = SamplePath(
+            np.concatenate([head.times[before], tail.times + cut]),
+            np.vstack([head.counts[before], tail.counts]),
+            np.vstack([head.busy[before], tail.busy + busy_at_cut]),
         )
-        spliced_best = min(
-            distance_to_fluid(spliced, traj, horizon)[0] for traj in fluid_trajs
-        )
+        base_best = nearest(head)[0]
+        spliced_best = nearest(spliced)[0]
         rows.append(
             {"seed": seed, "cut": cut, "baseline_dist": base_best,
              "spliced_dist": spliced_best}

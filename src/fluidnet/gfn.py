@@ -41,7 +41,6 @@ def scale(traj: Trajectory, r: float) -> Trajectory:
         levels=traj.levels / r,
         allocation=traj.allocation / r,
         controls=traj.controls,
-        spec=traj.spec,
         drained_at=drained,
     )
 
@@ -82,7 +81,7 @@ def shift(traj: Trajectory, s: float) -> Trajectory:
     drained = None
     if traj.drained_at is not None:
         drained = max(traj.drained_at - s, 0.0)
-    return Trajectory(grid, levels, alloc, controls, spec=traj.spec, drained_at=drained)
+    return Trajectory(grid, levels, alloc, controls, drained_at=drained)
 
 
 def concatenate(traj1: Trajectory, t_star: float, traj2: Trajectory) -> Trajectory:
@@ -114,8 +113,7 @@ def concatenate(traj1: Trajectory, t_star: float, traj2: Trajectory) -> Trajecto
     drained = None
     if traj2.drained_at is not None:
         drained = t_star + traj2.drained_at
-    spec = traj1.spec if traj1.spec is traj2.spec else None
-    return Trajectory(grid, levels, alloc, controls, spec=spec, drained_at=drained)
+    return Trajectory(grid, levels, alloc, controls, drained_at=drained)
 
 
 def uoc_distance(traj1: Trajectory, traj2: Trajectory, horizon: float) -> float:
@@ -152,7 +150,6 @@ def _pw_linear(times, values, drained_at) -> Trajectory:
         levels=values,
         allocation=np.zeros_like(values),
         controls=np.zeros((len(times) - 1, k)),
-        spec=None,
         drained_at=drained_at,
     )
 
@@ -206,15 +203,7 @@ class ExplicitPathFamily:
 
         fwd = one_way(x1, x2)
         bwd = one_way(x2, x1)
-        bwd = Trajectory(
-            grid=bwd.grid,
-            levels=bwd.levels[:, ::-1],
-            allocation=bwd.allocation,
-            controls=bwd.controls,
-            spec=None,
-            drained_at=bwd.drained_at,
-        )
-        return [fwd, bwd]
+        return [fwd, _pw_linear(bwd.grid, bwd.levels[:, ::-1], bwd.drained_at)]
 
     def is_member(self, traj: Trajectory, tol: float = 1e-7) -> bool:
         """Does the sampled path coincide with some member through its start?"""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,23 +89,12 @@ def v_functional(traj: Trajectory, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class ScalarFn:
-    """A named scalar function of one nonnegative argument."""
-
-    name: str
-    fn: object
-
-    def __call__(self, r: float) -> float:
-        return float(self.fn(r))
-
-
-@dataclass(frozen=True)
 class ComparisonTriple:
     """Lower bound, upper bound, and decay-rate gauge functions."""
 
-    w1: ScalarFn
-    w2: ScalarFn
-    w3: ScalarFn
+    w1: Callable[[float], float]
+    w2: Callable[[float], float]
+    w3: Callable[[float], float]
 
     def is_class_k(self, grid=None) -> bool:
         """Sampled check: each function vanishes at zero and is strictly
@@ -130,9 +120,9 @@ def comparison_functions(lipschitz: float, tau: float) -> ComparisonTriple:
     big_l = check_factor("lipschitz constant", lipschitz)
     t = check_factor("draining time", tau)
     return ComparisonTriple(
-        w1=ScalarFn(f"r^2/(2*{big_l:g})", lambda r: r * r / (2.0 * big_l)),
-        w2=ScalarFn(f"r^2*(1+{big_l:g}*{t:g})*{t:g}", lambda r: r * r * (1.0 + big_l * t) * t),
-        w3=ScalarFn("r", lambda r: float(r)),
+        w1=lambda r: r * r / (2.0 * big_l),
+        w2=lambda r: r * r * (1.0 + big_l * t) * t,
+        w3=float,
     )
 
 
@@ -150,8 +140,6 @@ MAX_DEPTH = 6
 
 @dataclass(frozen=True)
 class SearchBudget:
-    horizon: float = 40.0
-    step: float = 0.02
     depth: int = 0
     multistarts: int = 0
     seed: int = 42
@@ -204,8 +192,9 @@ _BRANCH_BASE = 3
 def approximate_V(family, x, budget: SearchBudget = SearchBudget()) -> VEstimate:
     """Best total-fluid value over family paths through x.
 
-    Explicit families are enumerated exactly.  Network families are searched:
-    a deterministic selector ensemble, branched vertex prefixes up to
+    Explicit families are enumerated exactly.  Network families are searched,
+    each run over the family's horizon with its step h: a deterministic
+    selector ensemble, branched vertex prefixes up to
     ``budget.depth`` selections deep, and ``budget.multistarts`` random
     rollouts; the result is the running max over all drained candidates, so
     enlarging the budget never decreases the value.
@@ -231,7 +220,7 @@ def approximate_V(family, x, budget: SearchBudget = SearchBudget()) -> VEstimate
     best_undrained = None
     best_undrained_value = -np.inf
     for sel in selectors:
-        traj = simulate(family.spec, x, sel, budget.horizon, budget.step)
+        traj = simulate(family.spec, x, sel, family.horizon, family.h)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncatedWarning)
             value = total_fluid(traj)

@@ -15,7 +15,6 @@ from fluidnet import fixtures
 from fluidnet.cli import main as cli_main
 from fluidnet.dynamics import RandomVertex, lipschitz_constant, simulate
 from fluidnet.fluidlimit import (
-    ScaledPath,
     distance_to_fluid,
     fluid_limit_compare,
     simulate_queueing,
@@ -87,7 +86,7 @@ def _v_samples(stable_networks):
     for name, spec in stable_networks.items():
         horizon = max(25.0, 10.0 * verdicts[name].tau)
         family = network_family(spec, horizon=horizon, h=SEARCH_STEP)
-        budget = SearchBudget(horizon=horizon, step=SEARCH_STEP)
+        budget = SearchBudget()
         rows = []
         directions = [np.eye(spec.K)[k] for k in range(spec.K)]
         while len(directions) < 14:
@@ -289,7 +288,7 @@ def test_criterion_11_fluid_limit_convergence():
         for r in (10, 100, 1000):
             path = simulate_queueing(qspec, [r], 1.5 * r, seed=2)
             fluid = simulate(net, [1.0], MaxDrain(), 1.5, 0.01)
-            sup, _ = distance_to_fluid(ScaledPath(path, float(r)), fluid, 1.5)
+            sup, _ = distance_to_fluid(path.scaled(r), fluid, 1.5)
             assert sup <= 1.5 / r
 
         table = fluid_limit_compare(

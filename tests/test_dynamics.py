@@ -16,6 +16,7 @@ from fluidnet.dynamics import (
     check_trajectory,
     complementarity_residual,
     flow_balance_residual,
+    idle,
     lipschitz_constant,
     rhs,
     simulate,
@@ -361,7 +362,7 @@ class TestResiduals:
         levels = np.maximum(1 - grid, 0.0)[:, None]
         alloc = np.minimum(grid, 1.0)[:, None]
         controls = np.asarray([[1.0], [1.0], [0.0]])
-        traj = Trajectory(grid, levels, alloc, controls, spec=draining_queue, drained_at=1.0)
+        traj = Trajectory(grid, levels, alloc, controls, drained_at=1.0)
         assert flow_balance_residual(draining_queue, traj) < 1e-12
 
     def test_injected_fault_detected(self, draining_queue):
@@ -369,8 +370,7 @@ class TestResiduals:
         levels = np.maximum(1 - grid, 0.0)[:, None]
         alloc = np.minimum(grid, 1.0)[:, None]
         alloc[2, 0] += 0.1
-        traj = Trajectory(grid, levels, alloc, np.asarray([[1.0], [1.0], [0.0]]),
-                          spec=draining_queue)
+        traj = Trajectory(grid, levels, alloc, np.asarray([[1.0], [1.0], [0.0]]))
         assert flow_balance_residual(draining_queue, traj) >= 0.1 * 1.0
 
     def test_fine_step_simulation_residual(self):
@@ -393,11 +393,11 @@ def test_trajectory_csv_format(draining_queue):
 
 def test_trajectory_idle_processes(tandem, two_class_priority):
     traj = simulate(tandem, [1.0, 0.0], MaxDrain(), 3.0, 0.1, stop_on_drain=False)
-    idle = traj.idle()
-    assert idle.shape[1] == tandem.J
-    assert np.diff(idle, axis=0).min() >= -1e-10
+    idle_time = idle(tandem, traj)
+    assert idle_time.shape[1] == tandem.J
+    assert np.diff(idle_time, axis=0).min() >= -1e-10
     traj_p = simulate(two_class_priority, [0.5, 0.5], MaxDrain(), 3.0, 0.1,
                       stop_on_drain=False)
-    unused = traj_p.idle()
+    unused = idle(two_class_priority, traj_p)
     assert unused.shape[1] == two_class_priority.K
     assert np.diff(unused, axis=0).min() >= -1e-10

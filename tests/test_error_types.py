@@ -18,7 +18,6 @@ from fluidnet.errors import (
     DimensionMismatch,
     FluidNetError,
     NegativeState,
-    NoNetwork,
     NotStable,
     ShiftBeyondHorizon,
 )
@@ -38,7 +37,6 @@ def undrained(stamps=2):
 SITES = {
     "level_at past an undrained grid": (
         ShiftBeyondHorizon, lambda: undrained().level_at([2.0])),
-    "idle without the network": (NoNetwork, lambda: undrained().idle()),
     "empty FixedSequence": (BadCount, lambda: FixedSequence([])),
     "lipschitz_estimate on one stamp": (BadCount, lambda: lipschitz_estimate(undrained(1))),
     "negative explicit-family state": (

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from fluidnet import fixtures
-from fluidnet.dynamics import MaxDrain, simulate
+from fluidnet.dynamics import MaxDrain, MinDrain, simulate
 from fluidnet.errors import BadFactor, EventBudgetExceeded, NegativeState, NoSeeds, UnknownLaw
 from fluidnet.fluidlimit import (
     DETERMINISTIC,
     EXPONENTIAL,
     QueueingSpec,
-    ScaledPath,
     concatenation_evidence,
     distance_table_csv,
     distance_to_fluid,
@@ -82,29 +81,79 @@ class TestScaling:
     def test_identity_scale_on_grid(self):
         qspec = fixtures.queueing_single_deterministic()
         path = simulate_queueing(qspec, [3], 5.0, seed=1)
-        vals = ScaledPath(path, 1.0).value_at(np.asarray([0.0, 0.5, 1.5, 2.5, 3.5]))
+        vals = path.scaled(1.0).count_at(np.asarray([0.0, 0.5, 1.5, 2.5, 3.5]))
         assert vals[:, 0].tolist() == [3, 3, 2, 1, 0]
 
     def test_scaled_staircase(self):
         qspec = fixtures.queueing_single_deterministic()
         r = 5.0
         path = simulate_queueing(qspec, [5], 10.0, seed=1)
-        scaled = ScaledPath(path, r)
-        assert scaled.value_at(np.asarray([0.0]))[0, 0] == pytest.approx(1.0)
-        assert scaled.value_at(np.asarray([0.999]))[0, 0] == pytest.approx(0.2)
-        assert scaled.value_at(np.asarray([1.0]))[0, 0] == 0.0
+        scaled = path.scaled(r)
+        assert scaled.count_at(np.asarray([0.0]))[0, 0] == pytest.approx(1.0)
+        assert scaled.count_at(np.asarray([0.999]))[0, 0] == pytest.approx(0.2)
+        assert scaled.count_at(np.asarray([1.0]))[0, 0] == 0.0
 
     def test_empty_system_zero_path(self):
         qspec = fixtures.queueing_single_deterministic()
         path = simulate_queueing(qspec, [0], 5.0, seed=1)
-        scaled = ScaledPath(path, 7.0)
-        assert np.abs(scaled.value_at(np.linspace(0, 0.7, 9))).max() == 0.0
+        scaled = path.scaled(7.0)
+        assert np.abs(scaled.count_at(np.linspace(0, 0.7, 9))).max() == 0.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_a_factor_that_is_not_finite_and_positive(self, bad):
         path = simulate_queueing(fixtures.queueing_single_deterministic(), [3], 5.0, seed=1)
         with pytest.raises(BadFactor, match="scale factor must be finite and positive"):
-            ScaledPath(path, bad)
+            path.scaled(bad)
+
+
+def jump_path(r=100.0):
+    """A two-class priority sample path at scale r over [0, 2] whose scaled
+    jump instants t include some with (t / r) * r < t."""
+    path = simulate_queueing(fixtures.queueing_two_class_priority(), [50, 50], 2.0 * r, seed=7)
+    assert np.all(np.diff(path.times) > 0)  # no two events at one instant
+    assert np.any(path.times / r * r < path.times)
+    return path
+
+
+def reference_distance(path, r, traj, horizon):
+    """(sup, mean) of distance_to_fluid, one point at a time, with the path
+    read at the jump instants path.times / r by a linear scan."""
+    jumps = (path.times / r).tolist()
+    pts = sorted({0.0, horizon, *(t for t in traj.grid.tolist() if t <= horizon),
+                  *(t for t in jumps if t <= horizon)})
+    sup, right_gaps = 0.0, []
+    for p in pts:
+        fluid = traj.level_at(np.asarray([p]))[0]
+        after = sum(1 for t in jumps if t <= p) - 1
+        before = max(sum(1 for t in jumps if t < p) - 1, 0)
+        right = float(np.abs(path.counts[after] / r - fluid).sum())
+        left = float(np.abs(path.counts[before] / r - fluid).sum())
+        sup = max(sup, right, left)
+        right_gaps.append(right)
+    area = sum(0.5 * (a + b) * (q - p)
+               for a, b, p, q in zip(right_gaps, right_gaps[1:], pts, pts[1:]))
+    return sup, area / horizon
+
+
+class TestJumpInstants:
+    def test_one_sided_values_at_every_jump(self):
+        r = 100.0
+        path = jump_path(r)
+        scaled = path.scaled(r)
+        jumps = scaled.times[1:]
+        assert np.array_equal(scaled.count_at(jumps), path.counts[1:] / r)
+        assert np.array_equal(scaled.count_at(jumps, side="left"), path.counts[:-1] / r)
+
+    def test_distance_matches_pointwise_reference(self):
+        r, horizon = 100.0, 2.0
+        path = jump_path(r)
+        for selector in (MaxDrain(), MinDrain()):
+            fluid = simulate(fixtures.two_class_priority(), path.counts[0] / r, selector,
+                             horizon, 0.01)
+            sup, mean = distance_to_fluid(path.scaled(r), fluid, horizon)
+            ref_sup, ref_mean = reference_distance(path, r, fluid, horizon)
+            assert sup == ref_sup
+            assert mean == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
 
 
 class TestFluidDistance:
@@ -114,7 +163,7 @@ class TestFluidDistance:
         for r in (10, 100):
             path = simulate_queueing(qspec, [r], 1.5 * r, seed=1)
             fluid = simulate(net, [1.0], MaxDrain(), 1.5, 0.01)
-            sup, mean = distance_to_fluid(ScaledPath(path, r), fluid, 1.5)
+            sup, mean = distance_to_fluid(path.scaled(r), fluid, 1.5)
             assert sup == pytest.approx(1.0 / r, abs=1e-12)
             assert mean < sup
 
@@ -157,7 +206,7 @@ class TestFluidDistance:
         fluid = simulate(net, [0.0], MaxDrain(), 1.0, 0.1, stop_on_drain=False)
         for r in (3, 30):
             path = simulate_queueing(qspec, [0], r * 1.0, seed=1)
-            sup, mean = distance_to_fluid(ScaledPath(path, float(r)), fluid, 1.0)
+            sup, mean = distance_to_fluid(path.scaled(r), fluid, 1.0)
             assert sup == 0.0 and mean == 0.0
 
     def test_distances_shrink_with_scale(self):
@@ -186,7 +235,7 @@ def test_scaled_slopes_within_fluid_bound():
     r = 100
     path = simulate_queueing(qspec, [r, 0], 2.0 * r, seed=4)
     grid = np.arange(0.0, 2.0 + 1e-9, 0.1)
-    vals = ScaledPath(path, r).value_at(grid)
+    vals = path.scaled(r).count_at(grid)
     slopes = np.abs(np.diff(vals, axis=0)).sum(axis=1) / 0.1
     assert np.percentile(slopes, 95) <= bound + 0.1
 

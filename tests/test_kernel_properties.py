@@ -12,6 +12,7 @@ from fluidnet.dynamics import (
     MinDrain,
     RandomVertex,
     flow_balance_residual,
+    idle,
     simulate,
     zero_invariant,
 )
@@ -123,7 +124,7 @@ def test_fluid_trajectory_invariants(spec, x0, selector, h, stop_on_drain):
         return  # a zero-crossing event storm; refused, not a wrong trajectory
     assert flow_balance_residual(spec, traj) <= 1e-7 * (1.0 + l1(x0))
     assert traj.levels.min() >= 0.0
-    assert np.diff(traj.idle(), axis=0).min(initial=0.0) >= -1e-10
+    assert np.diff(idle(spec, traj), axis=0).min(initial=0.0) >= -1e-10
     assert traj.drained_at is None or zero_invariant(spec)
 
 

@@ -89,7 +89,7 @@ class TestApproximateV:
 
     def test_unique_network_path(self, draining_queue):
         fam = network_family(draining_queue, horizon=5.0, h=0.05)
-        est = approximate_V(fam, [1.0], SearchBudget(horizon=5.0, step=0.05))
+        est = approximate_V(fam, [1.0], SearchBudget())
         assert est.status == "lower_bound"
         assert est.value == pytest.approx(0.5, abs=1e-9)
         assert est.trajectory.drained
@@ -99,8 +99,7 @@ class TestApproximateV:
         fam = network_family(spec, horizon=30.0, h=0.05)
         x = [0.5, 0.3, 0.2]
         values = [
-            approximate_V(fam, x, SearchBudget(horizon=30.0, step=0.05, depth=d,
-                                               multistarts=m)).value
+            approximate_V(fam, x, SearchBudget(depth=d, multistarts=m)).value
             for d, m in [(0, 0), (1, 0), (2, 0), (2, 3)]
         ]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
@@ -115,12 +114,12 @@ class TestApproximateV:
 
     def test_diverged_status(self, overloaded_queue):
         fam = network_family(overloaded_queue, horizon=5.0, h=0.1)
-        est = approximate_V(fam, [1.0], SearchBudget(horizon=5.0, step=0.1))
+        est = approximate_V(fam, [1.0], SearchBudget())
         assert est.status == "diverged"
 
     def test_decrease_along_argmax(self, tandem):
         fam = network_family(tandem, horizon=20.0, h=0.02)
-        budget = SearchBudget(horizon=20.0, step=0.02)
+        budget = SearchBudget()
         est = approximate_V(fam, [1.0, 0.5], budget)
 
         def v_fn(state):

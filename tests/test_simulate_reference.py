@@ -183,7 +183,6 @@ def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
         levels=np.asarray(levels),
         allocation=np.asarray(allocation),
         controls=np.asarray(controls) if controls else np.empty((0, spec.K)),
-        spec=spec,
         drained_at=drained_at,
     )
 
