@@ -70,10 +70,6 @@ class BadStep(FluidNetError):
     """A step size is zero, negative, infinite or NaN."""
 
 
-class NoSeeds(FluidNetError):
-    """A sampled comparison was given no seeds to run."""
-
-
 # The classes below also derive from ValueError, so callers that catch
 # ValueError around these checks keep catching them.
 
@@ -96,6 +92,10 @@ class BadSeed(FluidNetError, ValueError):
 
 class BadCount(FluidNetError, ValueError):
     """A sample, multistart or search-depth count is negative or above its cap."""
+
+
+class NoSeeds(FluidNetError, ValueError):
+    """A sampled comparison was given no seeds to run."""
 
 
 class BadFactor(FluidNetError, ValueError):

@@ -1,5 +1,6 @@
 """Built-in example networks and reflected-drift instances used in tests,
-documentation, and the command line."""
+documentation, and the command line: fixed instances with literal rates,
+except ``single_queue``, which takes its inflow and service rate."""
 from __future__ import annotations
 
 import numpy as np
@@ -14,14 +15,15 @@ def single_queue(alpha: float = 0.5, mu: float = 1.0) -> NetworkSpec:
     return validate([alpha], [mu], [[0.0]], [[1]], WORK_CONSERVING)
 
 
-def overloaded_queue(alpha: float = 2.0, mu: float = 1.0) -> NetworkSpec:
-    return single_queue(alpha, mu)
+def overloaded_queue() -> NetworkSpec:
+    """One class with inflow 2 into service rate 1."""
+    return single_queue(2.0, 1.0)
 
 
-def tandem(alpha: float = 1.0, mu=(2.0, 3.0)) -> NetworkSpec:
-    """Two stations in series; all inflow enters the first class."""
+def tandem() -> NetworkSpec:
+    """Two stations in series; inflow 1 enters the first class, rates 2 and 3."""
     return validate(
-        [alpha, 0.0], list(mu), [[0.0, 1.0], [0.0, 0.0]], [[1, 0], [0, 1]], WORK_CONSERVING
+        [1.0, 0.0], [2.0, 3.0], [[0.0, 1.0], [0.0, 0.0]], [[1, 0], [0, 1]], WORK_CONSERVING
     )
 
 
@@ -40,40 +42,39 @@ def two_station_work_conserving() -> NetworkSpec:
     )
 
 
-def two_class_priority(alpha=(0.3, 0.2), mu=(2.0, 1.5)) -> NetworkSpec:
+def two_class_priority() -> NetworkSpec:
     """Two classes at one station, class 0 served first; light load."""
     return validate(
-        list(alpha), list(mu), np.zeros((2, 2)), [[1, 1]], PRIORITY, priority=(0, 1)
+        [0.3, 0.2], [2.0, 1.5], np.zeros((2, 2)), [[1, 1]], PRIORITY, priority=(0, 1)
     )
 
 
-def reentrant_line(alpha: float = 0.2, mu=(1.0, 1.2, 1.5)) -> NetworkSpec:
+def reentrant_line() -> NetworkSpec:
     """Three steps over two stations: 0 (station 0) -> 1 (station 1) -> 2 (station 0)."""
     return validate(
-        [alpha, 0.0, 0.0],
-        list(mu),
+        [0.2, 0.0, 0.0],
+        [1.0, 1.2, 1.5],
         [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
         [[1, 0, 1], [0, 1, 0]],
         WORK_CONSERVING,
     )
 
 
-def lu_kumar(arrival: float = 1.0, means=(0.1, 0.6, 0.1, 0.6)) -> NetworkSpec:
+def lu_kumar() -> NetworkSpec:
     """The classic four-class reentrant priority network.
 
     Route 0 -> 1 -> 2 -> 3 -> out; station 0 serves classes {0, 3} and
     station 1 serves {1, 2}; the exit-side classes 3 and 1 get priority.
-    With the default means both station loads are 0.7, yet the mass of the
-    fluid model grows without bound.
+    Inflow 1 and mean service times 0.1, 0.6, 0.1, 0.6 put both station
+    loads at 0.7, yet the mass of the fluid model grows without bound.
     """
-    means = np.asarray(means, dtype=float)
-    mu = 1.0 / means
+    mu = 1.0 / np.array([0.1, 0.6, 0.1, 0.6])
     routing = np.zeros((4, 4))
     routing[0, 1] = routing[1, 2] = routing[2, 3] = 1.0
     constituency = [[1, 0, 0, 1], [0, 1, 1, 0]]
     # ranks: class 3 before class 0 at station 0, class 1 before class 2 at station 1
     priority = (1, 2, 3, 0)
-    return validate([arrival, 0, 0, 0], mu, routing, constituency, PRIORITY, priority=priority)
+    return validate([1.0, 0, 0, 0], mu, routing, constituency, PRIORITY, priority=priority)
 
 
 def stable_fixture_set() -> dict[str, NetworkSpec]:
@@ -91,12 +92,12 @@ def stable_fixture_set() -> dict[str, NetworkSpec]:
 # reflected-drift instances
 
 
-def lsp_one_dimensional(theta: float = -1.0, z0: float = 1.0) -> LspInstance:
-    return LspInstance([theta], [[1.0]], [z0])
+def lsp_one_dimensional() -> LspInstance:
+    return LspInstance([-1.0], [[1.0]], [1.0])
 
 
-def lsp_decoupled(theta=(-1.0, -2.0), z0=(1.0, 1.0)) -> LspInstance:
-    return LspInstance(list(theta), np.eye(2), list(z0))
+def lsp_decoupled() -> LspInstance:
+    return LspInstance([-1.0, -2.0], np.eye(2), [1.0, 1.0])
 
 
 def lsp_chattering() -> LspInstance:
@@ -113,11 +114,9 @@ def lsp_chattering() -> LspInstance:
 # queueing variants
 
 
-def queueing_single_deterministic(mu: float = 1.0) -> QueueingSpec:
+def queueing_single_deterministic() -> QueueingSpec:
     """No arrivals, deterministic unit service: an exact staircase drain."""
-    # a tiny positive arrival rate is not used: alpha stays zero, law 'none'
-    net = single_queue(alpha=0.0, mu=mu)
-    return QueueingSpec(net, "none", DETERMINISTIC)
+    return QueueingSpec(single_queue(0.0, 1.0), "none", DETERMINISTIC)
 
 
 def queueing_two_class_priority() -> QueueingSpec:

@@ -90,8 +90,9 @@ class QueueingSpec:
         return tuple(k for k in range(self.network.K) if self.interarrival[k] != NONE)
 
 
-def queueing_spec(network: NetworkSpec, interarrival=EXPONENTIAL, service=EXPONENTIAL):
-    return QueueingSpec(network, interarrival, service)
+def queueing_spec(network: NetworkSpec) -> QueueingSpec:
+    """Exponential interarrival and service laws over ``network``."""
+    return QueueingSpec(network, EXPONENTIAL, EXPONENTIAL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,17 +268,26 @@ def simulate_queueing(
 def distance_to_fluid(scaled: SamplePath, traj: Trajectory, horizon: float):
     """(sup gap, time-mean gap) between a scaled sample path and a trajectory.
 
-    The sup is evaluated at all fluid stamps and jump times of the path,
-    taking both one-sided values at its jumps, which is exact for
-    step-versus-linear.
+    Both are exact for step-versus-linear.  Between consecutive fluid stamps
+    and path jumps the path holds its count and the fluid level is linear: the
+    sup takes both one-sided values at every such point, and the mean
+    integrates each class's gap over each interval, split where it changes sign.
     """
     pts = window_points(horizon, traj.grid, scaled.times)
     fluid = traj.level_at(pts)
-    gap_right = np.abs(scaled.count_at(pts, side="right") - fluid).sum(axis=1)
-    gap_left = np.abs(scaled.count_at(pts, side="left") - fluid).sum(axis=1)
+    diff_right = scaled.count_at(pts, side="right") - fluid
+    diff_left = scaled.count_at(pts, side="left") - fluid
+    gap_right = np.abs(diff_right).sum(axis=1)
+    gap_left = np.abs(diff_left).sum(axis=1)
     sup = float(np.maximum(gap_right, gap_left).max())
     if len(pts) >= 2 and horizon > 0:
-        mean = float(np.sum(0.5 * (gap_right[:-1] + gap_right[1:]) * np.diff(pts)) / horizon)
+        dt = np.diff(pts)
+        area = np.sum(0.5 * (gap_right[:-1] + gap_left[1:]) * dt)
+        # where a class's gap changes sign inside an interval, from a to b in
+        # size, it spans two triangles whose area is ab / (a + b) dt below the trapezoid
+        i, k = np.nonzero(diff_right[:-1] * diff_left[1:] < 0)
+        a, b = np.abs(diff_right[i, k]), np.abs(diff_left[i + 1, k])
+        mean = float((area - np.sum(a * b / (a + b) * dt[i])) / horizon)
     else:
         mean = sup
     return sup, mean
@@ -296,6 +306,14 @@ def _nearest_fluid(spec: NetworkSpec, x0, horizon: float, h: float):
                    key=lambda pair: pair[0])
 
     return nearest
+
+
+def _seed_list(seeds) -> list[int]:
+    """The seeds as ints; NoSeeds when there are none."""
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise NoSeeds("a sampled comparison needs at least one seed")
+    return seeds
 
 
 def _scaled_start(r: float, q_direction: np.ndarray) -> np.ndarray:
@@ -326,9 +344,7 @@ def fluid_limit_compare(
     seed list raises NoSeeds, a scale that is not finite and positive, or
     whose start does not fit in int64, BadFactor.
     """
-    seeds = [int(seed) for seed in seeds]
-    if not seeds:
-        raise NoSeeds("fluid-limit comparison needs at least one seed")
+    seeds = _seed_list(seeds)
     r_list = [check_factor("scale", r) for r in r_list]
     q_direction = np.asarray(q_direction, dtype=float)
     starts = [_scaled_start(r, q_direction) for r in r_list]
@@ -372,16 +388,17 @@ def concatenation_evidence(
     the cut, with the busy time accrued by the cut carried over) is compared
     against the nearest fluid trajectory; the unspliced path gives the
     baseline.  This measures evidence only; nothing is decided about the
-    closure property of the scaled-limit family.  A scale that is not finite
-    and positive, or whose start does not fit in int64, raises BadFactor.
+    closure property of the scaled-limit family.  An empty seed list raises
+    NoSeeds, a scale that is not finite and positive, or whose start does not
+    fit in int64, BadFactor.
     """
+    seeds = _seed_list(seeds)
     r = check_factor("scale", r)
     q_int = _scaled_start(r, np.asarray(q_direction, dtype=float))
     cut = 0.5 * horizon
     nearest = _nearest_fluid(spec, q_int / r, horizon, h)
     rows = []
     for seed in seeds:
-        seed = int(seed)
         base = simulate_queueing(qspec, q_int, r * horizon, seed)
         counts_at_cut = base.count_at(cut * r).astype(np.int64)
         head = base.scaled(r)

@@ -28,6 +28,9 @@ from .errors import (
 )
 from .model import NetworkSpec
 
+#: path-family membership tolerance, relative to 1 + |x0|
+MEMBER_TOL = 1e-7
+
 
 def scale(traj: Trajectory, r: float) -> Trajectory:
     """Time-space rescaling t -> Q(r t) / r; allocation rescales the same way.
@@ -205,10 +208,10 @@ class ExplicitPathFamily:
         bwd = one_way(x2, x1)
         return [fwd, _pw_linear(bwd.grid, bwd.levels[:, ::-1], bwd.drained_at)]
 
-    def is_member(self, traj: Trajectory, tol: float = 1e-7) -> bool:
+    def is_member(self, traj: Trajectory) -> bool:
         """Does the sampled path coincide with some member through its start?"""
         x = traj.levels[0]
-        scale_tol = tol * (1.0 + l1(x))
+        scale_tol = MEMBER_TOL * (1.0 + l1(x))
         horizon = float(traj.grid[-1])
         for cand in self.paths_from(x):
             if not cand.drained and cand.grid[-1] < horizon:
@@ -232,14 +235,14 @@ class NetworkPathFamily:
             simulate(self.spec, x, sel, self.horizon, self.h) for sel in self.selectors
         ]
 
-    def is_member(self, traj: Trajectory, tol: float = 1e-7) -> bool:
+    def is_member(self, traj: Trajectory) -> bool:
         """Residual-based membership: flow balance and monotonicity only.
 
         Finite samples cannot certify set membership exactly; this checks the
         network invariants the family's paths must satisfy.
         """
         report = check_trajectory(self.spec, traj)
-        scale_ok = report["flow_balance_residual"] <= tol * (1.0 + l1(traj.levels[0]))
+        scale_ok = report["flow_balance_residual"] <= MEMBER_TOL * (1.0 + l1(traj.levels[0]))
         return bool(report["ok"] and scale_ok)
 
 

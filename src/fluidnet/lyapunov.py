@@ -96,15 +96,13 @@ class ComparisonTriple:
     w2: Callable[[float], float]
     w3: Callable[[float], float]
 
-    def is_class_k(self, grid=None) -> bool:
+    def is_class_k(self) -> bool:
         """Sampled check: each function vanishes at zero and is strictly
-        increasing on the grid."""
-        if grid is None:
-            grid = np.linspace(0.0, 10.0, 101)
-        grid = np.asarray(grid, dtype=float)
+        increasing on 101 evenly spaced points of [0, 10]."""
+        grid = np.linspace(0.0, 10.0, 101)
         for w in (self.w1, self.w2, self.w3):
             vals = np.asarray([w(r) for r in grid])
-            if grid[0] == 0 and abs(vals[0]) > 1e-12:
+            if abs(vals[0]) > 1e-12:
                 return False
             if np.any(np.diff(vals) <= 0):
                 return False
@@ -265,9 +263,9 @@ def check_sandwich(pairs, triple: ComparisonTriple) -> dict:
     return {"checked": len(rows), "violations": violations, "ok": not violations, "rows": rows}
 
 
-def check_decrease(v_fn, traj: Trajectory, w3, *, slack: float | None = None,
-                   max_stamps: int | None = None) -> dict:
-    """Verify V(Q(t)) - V(Q(s)) <= -integral_s^t w3(|Q|) for all stamp pairs.
+def check_decrease(v_fn, traj: Trajectory, w3, *, max_stamps: int | None = None) -> dict:
+    """Verify V(Q(t)) - V(Q(s)) <= -integral_s^t w3(|Q|) for all stamp pairs,
+    up to a slack of 1e-4 (1 + V(Q(0))).
 
     The integral is accumulated on the full grid; V is evaluated on at most
     ``max_stamps`` stamps (evenly thinned) when given, since V may be costly.
@@ -282,8 +280,7 @@ def check_decrease(v_fn, traj: Trajectory, w3, *, slack: float | None = None,
     if max_stamps is not None and len(grid) > max_stamps:
         idx = np.unique(np.linspace(0, len(grid) - 1, max_stamps).round().astype(int))
     v_vals = np.asarray([float(v_fn(traj.levels[i])) for i in idx])
-    if slack is None:
-        slack = 1e-4 * (1.0 + v_vals[0])
+    slack = 1e-4 * (1.0 + v_vals[0])
 
     g = v_vals + cum[idx]
     # worst over s<t of g[t]-g[s]: track the running minimum
@@ -381,16 +378,19 @@ def _pattern_states(spec: NetworkSpec, empty, n_samples: int, rng) -> np.ndarray
     return states
 
 
-def _sampled_drift_check(spec, derivative_fn, positivity_fn, *, epsilon, samples, seed):
+def _sampled_drift_check(spec, derivative_fn, positivity_fn, *, epsilon, samples):
     """Shared driver for piecewise-linear and quadratic candidates.
 
     derivative_fn(states, velocities) -> per-state worst directional
     derivative; positivity_fn(states) -> per-state candidate value (must be
-    strictly positive away from zero).
+    strictly positive away from zero).  States are drawn from seed 42.
+    Returns (margin, witness or None, meta).
     """
+    seed = 42
     rng = rng_from(seed)
     worst_margin = np.inf
     checked = 0
+    witness = None
     for empty in boundary_configurations(spec):
         verts = admissible_polytope(spec, empty)
         velocities = verts @ (-spec.outflow.T) + spec.alpha
@@ -398,33 +398,33 @@ def _sampled_drift_check(spec, derivative_fn, positivity_fn, *, epsilon, samples
         values = positivity_fn(states)
         if np.any(values <= 1e-12):
             i = int(np.argmin(values))
-            return 0.0, checked, {
+            worst_margin = 0.0
+            witness = {
                 "state": states[i].tolist(),
                 "value": float(values[i]),
                 "reason": "candidate not positive on the orthant",
             }
+            break
         derivs, arg_vertices = derivative_fn(states, velocities)
         checked += len(states)
         norms = states.sum(axis=1)  # states are nonnegative
         bad = derivs > -epsilon * norms
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
-            return (
-                float(np.min(-derivs / norms)),
-                checked,
-                {
-                    "state": states[i].tolist(),
-                    "control": verts[arg_vertices[i]].tolist(),
-                    "derivative": float(derivs[i]),
-                    "reason": "drift not sufficiently negative",
-                },
-            )
+            worst_margin = float(np.min(-derivs / norms))
+            witness = {
+                "state": states[i].tolist(),
+                "control": verts[arg_vertices[i]].tolist(),
+                "derivative": float(derivs[i]),
+                "reason": "drift not sufficiently negative",
+            }
+            break
         worst_margin = min(worst_margin, float(np.min(-derivs / norms)))
-    return worst_margin, checked, None
+    return worst_margin, witness, {"samples": checked, "seed": seed, "required_epsilon": epsilon}
 
 
 def piecewise_linear_check(spec: NetworkSpec, h_list, *, epsilon: float = 1e-6,
-                           samples: int = 1000, seed: int = 42) -> Certificate:
+                           samples: int = 1000) -> Certificate:
     """Sampled-drift verification of max_j h_j . x as a certificate.
 
     At kink states every active piece is checked (upper derivative of a max).
@@ -450,10 +450,9 @@ def piecewise_linear_check(spec: NetworkSpec, h_list, *, epsilon: float = 1e-6,
         arg_piece = masked.argmax(axis=1)
         return derivs, best_vertex[arg_piece]
 
-    margin, checked, witness = _sampled_drift_check(
-        spec, derivative, positivity, epsilon=epsilon, samples=samples, seed=seed
+    margin, witness, meta = _sampled_drift_check(
+        spec, derivative, positivity, epsilon=epsilon, samples=samples
     )
-    meta = {"samples": checked, "seed": seed, "required_epsilon": epsilon}
     data = {"h_list": h_mat.tolist()}
     if witness is not None:
         if witness.get("derivative", -1.0) > 1e-12:
@@ -463,7 +462,7 @@ def piecewise_linear_check(spec: NetworkSpec, h_list, *, epsilon: float = 1e-6,
 
 
 def quadratic_check(spec: NetworkSpec, a_matrix, *, epsilon: float = 1e-6,
-                    samples: int = 1000, seed: int = 42) -> Certificate:
+                    samples: int = 1000) -> Certificate:
     """Sampled-drift verification of x . A x as a certificate.
 
     Strict copositivity is checked on the same samples; the directional
@@ -480,10 +479,9 @@ def quadratic_check(spec: NetworkSpec, a_matrix, *, epsilon: float = 1e-6,
         all_derivs = grads @ velocities.T  # (n, m)
         return all_derivs.max(axis=1), all_derivs.argmax(axis=1)
 
-    margin, checked, witness = _sampled_drift_check(
-        spec, derivative, positivity, epsilon=epsilon, samples=samples, seed=seed
+    margin, witness, meta = _sampled_drift_check(
+        spec, derivative, positivity, epsilon=epsilon, samples=samples
     )
-    meta = {"samples": checked, "seed": seed, "required_epsilon": epsilon}
     data = {"A": a.tolist()}
     if witness is not None:
         if witness.get("derivative", -1.0) > 1e-12 or "value" in witness:

@@ -108,7 +108,8 @@ def _default_push_bound(theta: np.ndarray, r: np.ndarray) -> float:
 class LspInstance:
     """A validated linear Skorokhod problem.
 
-    Raises DimensionMismatch for inconsistent shapes, NonFiniteInput for NaN
+    Raises DimensionMismatch for a theta that is not a vector or for
+    inconsistent shapes, NonFiniteInput for NaN
     or infinity in theta, R or Z0, NegativeState for a negative Z0 and
     BadPushBound for a push bound that is not positive.
     """
@@ -122,8 +123,8 @@ class LspInstance:
         theta = np.asarray(self.theta, dtype=float)
         r = np.asarray(self.reflection, dtype=float)
         z0 = np.asarray(self.z0, dtype=float)
-        j = theta.shape[0]
-        if r.shape != (j, j) or z0.shape != (j,):
+        j = theta.size
+        if theta.shape != (j,) or r.shape != (j, j) or z0.shape != (j,):
             raise DimensionMismatch(
                 f"inconsistent shapes: theta {theta.shape}, R {r.shape}, Z0 {z0.shape}"
             )
@@ -244,15 +245,14 @@ def _minimal_push(r: np.ndarray, active, c: np.ndarray, tol: float,
     return u
 
 
-def solve_lsp(inst: LspInstance, horizon: float, h: float,
-              *, max_events: int = _EVENT_CAP) -> LspSolution:
+def solve_lsp(inst: LspInstance, horizon: float, h: float) -> LspSolution:
     """Complementarity time-stepping with event splitting at zero crossings.
 
     Refuses instances whose reflection matrix is not completely-S.  Raises
     PushBoundExceeded when the minimal admissible push tops the instance's
     bound (the configured bound was too low for this drift), BadHorizon for a
-    negative or non-finite horizon and BadStep for a step that is not finite
-    and positive.
+    negative or non-finite horizon, BadStep for a step that is not finite
+    and positive, and StepTooLarge past 10^6 sub-steps.
 
     The candidate push bases of each active set are built once per call, on
     the first stamp that meets that set; later stamps only solve them for the
@@ -281,7 +281,7 @@ def solve_lsp(inst: LspInstance, horizon: float, h: float,
             u = np.zeros(inst.J)
         return u, theta + r @ u, active
 
-    return LspSolution(*_event_split(inst.z0, horizon, h, max_events, push))
+    return LspSolution(*_event_split(inst.z0, horizon, h, _EVENT_CAP, push))
 
 
 def solution_residual(inst: LspInstance, sol: LspSolution) -> float:

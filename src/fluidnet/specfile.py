@@ -92,6 +92,14 @@ def _finite(value, key: str, where: str) -> np.ndarray:
     return arr
 
 
+def _vector(value, key: str, where: str) -> list[float]:
+    """``value`` as a flat list of finite floats; a scalar or nested list is rejected."""
+    arr = _finite(value, key, where)
+    if arr.ndim != 1:
+        raise ParseError(f"key {key!r} in {where} must be a flat list, got {value!r}")
+    return [float(v) for v in arr]
+
+
 def _integer(value, key: str, where: str) -> int:
     """``value`` as an int; text, booleans and non-integral numbers are rejected."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -194,11 +202,7 @@ def parse_spec_text(text: str) -> ParsedSpecFile:
     if "simulate" in doc:
         section = _section(doc, "simulate")
         simulate_cfg = {
-            "x0": (
-                [float(v) for v in _finite(section["x0"], "x0", "simulate section")]
-                if "x0" in section
-                else None
-            ),
+            "x0": _vector(section["x0"], "x0", "simulate section") if "x0" in section else None,
             "selector": str(section.get("selector", "max_drain")),
         }
 
@@ -206,8 +210,7 @@ def parse_spec_text(text: str) -> ParsedSpecFile:
     if "fluidlimit" in doc:
         section = _section(doc, "fluidlimit")
         fluidlimit_cfg = {
-            key: [float(v) for v in _finite(section.get(key, []), key, "fluidlimit section")]
-            or None
+            key: _vector(section.get(key, []), key, "fluidlimit section") or None
             for key in ("direction", "scales")
         }
 

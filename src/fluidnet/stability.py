@@ -139,29 +139,19 @@ def instability_witness(
     return None
 
 
-def scale_invariance_check(
-    verdict: Verdict,
-    spec: NetworkSpec,
-    r_list,
-    *,
-    selector: ControlSelector | None = None,
-    h: float = 0.01,
-    states=None,
-) -> dict:
+def scale_invariance_check(verdict: Verdict, spec: NetworkSpec, r_list) -> dict:
     """Draining time from r*x must equal r times the draining time from x.
 
-    Runs the comparison for every scale in r_list from basis starts (or the
-    supplied states); tolerance is two control-switch intervals.
+    Runs the comparison under MaxDrain with step h = 0.01 for every scale in
+    r_list from each basis start; tolerance is two control-switch intervals.
     """
     if not verdict.is_stable:
         raise NotStable("scale invariance check requires a stable verdict")
-    if selector is None:
-        selector = MaxDrain()
-    if states is None:
-        states = np.eye(spec.K)
+    selector = MaxDrain()
+    h = 0.01
     rows = []
     ok = True
-    for x in np.asarray(states, dtype=float):
+    for x in np.eye(spec.K):
         horizon = 4.0 * (verdict.tau or 1.0) * max(1.0, max(float(r) for r in r_list)) + 1.0
         base = simulate(spec, x, selector, horizon, h).drained_at
         for r in r_list:

@@ -217,6 +217,25 @@ def test_bad_queueing_law_or_scale_one_error_line(spec_file, tmp_path, capsys, s
     assert not os.path.exists(out / "report.json")
 
 
+@pytest.mark.parametrize("command,section", [
+    ("simulate", "simulate:\n  x0: 1.0\n"),
+    ("simulate", "simulate:\n  x0: [[1.0, 0.0]]\n"),
+    ("fluidlimit", "fluidlimit:\n  direction: 0.5\n"),
+    ("fluidlimit", "fluidlimit:\n  direction: [[0.5, 0.5]]\n"),
+    ("fluidlimit", "fluidlimit:\n  scales: 10.0\n"),
+    ("fluidlimit", "fluidlimit:\n  scales: [[10.0]]\n"),
+    ("skorokhod", "skorokhod:\n  theta: -1.0\n  reflection: [[1.0]]\n  z0: [1.0]\n"),
+])
+def test_section_value_not_a_flat_list_one_error_line(spec_file, tmp_path, capsys,
+                                                       command, section):
+    text = network_to_yaml(fixtures.tandem()) + section
+    out = tmp_path / "out"
+    assert run_cli(command, spec_file(text), out, "--horizon", "2", "--samples", "2") == 1
+    err = capsys.readouterr().err
+    assert one_error_line(err) and "Traceback" not in err
+    assert not os.path.exists(out / "report.json")
+
+
 def test_scale_beyond_int64_one_error_line(spec_file, tmp_path, capsys, recwarn):
     text = network_to_yaml(fixtures.single_queue()) + "fluidlimit:\n  scales: [1.0e+300]\n"
     out = tmp_path / "out"

@@ -18,9 +18,11 @@ from fluidnet.errors import (
     DimensionMismatch,
     FluidNetError,
     NegativeState,
+    NoSeeds,
     NotStable,
     ShiftBeyondHorizon,
 )
+from fluidnet.fluidlimit import concatenation_evidence
 from fluidnet.gfn import example_family, lipschitz_estimate
 from fluidnet.lyapunov import piecewise_linear_check
 from fluidnet.stability import Verdict, scale_invariance_check
@@ -47,6 +49,10 @@ SITES = {
     "piecewise-linear candidate vanishing on a coordinate": (
         BadCandidate,
         lambda: piecewise_linear_check(fixtures.tandem(), [[1.0, 0.0], [0.5, 0.0]])),
+    "concatenation evidence without seeds": (
+        NoSeeds,
+        lambda: concatenation_evidence(fixtures.queueing_two_class_priority(),
+                                       fixtures.two_class_priority(), [0.5, 0.5], 50, 2.0, [])),
     "scale invariance of an unstable verdict": (
         NotStable,
         lambda: scale_invariance_check(Verdict("unstable"), fixtures.overloaded_queue(), [2.0])),

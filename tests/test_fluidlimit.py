@@ -117,21 +117,33 @@ def jump_path(r=100.0):
 
 def reference_distance(path, r, traj, horizon):
     """(sup, mean) of distance_to_fluid, one point at a time, with the path
-    read at the jump instants path.times / r by a linear scan."""
+    read at the jump instants path.times / r by a linear scan.
+
+    On each interval between points the path holds the count it jumped to at
+    the left end, which is the left-side (pre-jump) value at the right end;
+    each class's gap is linear there and is integrated exactly, split at the
+    time it crosses zero."""
     jumps = (path.times / r).tolist()
     pts = sorted({0.0, horizon, *(t for t in traj.grid.tolist() if t <= horizon),
                   *(t for t in jumps if t <= horizon)})
-    sup, right_gaps = 0.0, []
+    sup, rights, lefts = 0.0, [], []
     for p in pts:
         fluid = traj.level_at(np.asarray([p]))[0]
         after = sum(1 for t in jumps if t <= p) - 1
         before = max(sum(1 for t in jumps if t < p) - 1, 0)
-        right = float(np.abs(path.counts[after] / r - fluid).sum())
-        left = float(np.abs(path.counts[before] / r - fluid).sum())
-        sup = max(sup, right, left)
-        right_gaps.append(right)
-    area = sum(0.5 * (a + b) * (q - p)
-               for a, b, p, q in zip(right_gaps, right_gaps[1:], pts, pts[1:]))
+        right = path.counts[after] / r - fluid
+        left = path.counts[before] / r - fluid
+        sup = max(sup, float(np.abs(right).sum()), float(np.abs(left).sum()))
+        rights.append(right)
+        lefts.append(left)
+    area = 0.0
+    for p, q, start, end in zip(pts, pts[1:], rights, lefts[1:]):
+        for d0, d1 in zip(start.tolist(), end.tolist()):
+            if d0 * d1 < 0:
+                zero = p + (q - p) * d0 / (d0 - d1)
+                area += 0.5 * abs(d0) * (zero - p) + 0.5 * abs(d1) * (q - zero)
+            else:
+                area += 0.5 * (abs(d0) + abs(d1)) * (q - p)
     return sup, area / horizon
 
 
@@ -154,6 +166,22 @@ class TestJumpInstants:
             ref_sup, ref_mean = reference_distance(path, r, fluid, horizon)
             assert sup == ref_sup
             assert mean == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
+
+
+class TestMeanDistance:
+    @pytest.mark.parametrize("r", [10.0, 100.0])
+    def test_mean_matches_fine_grid_integral(self, r):
+        horizon = 10.0
+        start = np.array([r / 2, r / 2])
+        path = simulate_queueing(fixtures.queueing_two_class_priority(), start, r * horizon,
+                                 seed=7).scaled(r)
+        fluid = simulate(fixtures.two_class_priority(), start / r, MaxDrain(), horizon, 0.01)
+        _, mean = distance_to_fluid(path, fluid, horizon)
+        # midpoint rule on 10^6 cells; each jump costs at most one cell of its size
+        cells = 1_000_000
+        mids = (np.arange(cells) + 0.5) * (horizon / cells)
+        gap = np.abs(path.count_at(mids) - fluid.level_at(mids)).sum(axis=1)
+        assert mean == pytest.approx(gap.mean(), rel=1e-3)
 
 
 class TestFluidDistance:

@@ -77,14 +77,14 @@ class TestInstabilityWitness:
 class TestScaleInvariance:
     def test_drain_time_scales(self, single_queue):
         verdict = draining_time(single_queue, samples=2, horizon=10.0)
-        report = scale_invariance_check(verdict, single_queue, [1.0, 2.0], h=0.01)
+        report = scale_invariance_check(verdict, single_queue, [1.0, 2.0])
         assert report["ok"]
         doubled = [r for r in report["rows"] if r["r"] == 2.0][0]
         assert doubled["tau_scaled"] == pytest.approx(2 * doubled["tau"], abs=0.02)
 
     def test_tandem_halving(self, tandem):
         verdict = draining_time(tandem, samples=2, horizon=15.0)
-        report = scale_invariance_check(verdict, tandem, [0.5, 1.0], h=0.01)
+        report = scale_invariance_check(verdict, tandem, [0.5, 1.0])
         assert report["ok"]
 
     def test_requires_stable(self, overloaded_queue):
