@@ -34,7 +34,6 @@ from .lyapunov import (
     linear_certificate_search,
     piecewise_linear_check,
     quadratic_check,
-    total_fluid,
     v_functional,
 )
 from .model import (

@@ -10,28 +10,21 @@ negative or non-finite horizon (BadHorizon) and a step that is not finite and
 positive (BadStep).
 
 The service discipline enters only through the spec's capacity rows: idle
-time, holding the empty state and the admissible set are all per row.  At a
-boundary state the admissible polytope is intersected with the velocity
-constraints that keep near-empty classes nonnegative, so any vertex the
-selector picks yields a viable step.
+time, holding the empty state and the admissible set are all per row.  A class
+below the emptiness threshold (``model.empty_threshold``) counts as empty: the
+admissible polytope is intersected with the constraint that its velocity is
+nonnegative, so any vertex the selector picks yields a viable step.  Once the
+whole state is near zero and the empty state can be held, the only control is
+the nominal allocation.
 
-Within one ``simulate`` run each set of near-zero classes builds its
-constraint system once, and rank-tests its active subsets on its first
-enumeration.  A stamp whose near-zero classes all sit below
-:func:`dust_threshold` (sliding classes carry dust of about 1e-18) counts them
-as exactly zero and reuses that system's polytope for all-zero floors; any
-other stamp reuses the kept subsets and solves only for the new floors.  The
-drained polytope (every class near zero, the empty state holdable) comes in
-closed form from a box in velocity space where a slack guard allows, and by
-enumeration otherwise.  Vertices are ordered by their 12-decimal key
-(``model.vertex_order``), so the selectors pick the same vertex whichever
-route found it.  The output is therefore not byte-identical to enumerating
-every polytope from scratch: dust floors and box vertices differ from it in
-the last bits.  Nothing is kept between runs.
+Within one ``simulate`` run each set of near-zero classes is enumerated once
+(the drained set not at all), and every stamp with that set reuses its vertex
+array.  Vertices are ordered by their 12-decimal key (``model.vertex_order``),
+so the selectors pick the same vertex whichever route found it.  Nothing is
+kept between runs.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -55,32 +48,12 @@ from .model import (
     admissible_polytope,
     empty_rows,
     empty_threshold,
+    enumerate_polytope_vertices,
     maximal_configurations,
-    rank_tested_subsets,
-    subset_vertices,
     vertex_order,
 )
 
 _EVENT_CAP = 1_000_000
-#: a pinned polytope comes from the box only if every other row keeps this slack
-BOX_SLACK = 1e-9
-
-
-def dust_threshold(x0) -> float:
-    """A near-zero class below this level counts as exactly zero in ``simulate``.
-
-    Dust is what a sliding class keeps when its velocity is zero in exact
-    arithmetic: the rounding of alpha - outflow @ u, a few ulps of the rates,
-    times a step, about 1e-19..1e-18 on the fixtures.  Such a class gets
-    floor 0, not level / h, so the stamp reuses the cached polytope for
-    all-zero floors.  The state is not touched, so flow balance is
-    unchanged; the path differs at most by the level the class is not allowed
-    to drain in that step.  1e-15 (1 + |x0|) bounds that by a few ulps of the
-    state scale (the double epsilon is 2.2e-16), scales with the initial mass
-    like :func:`model.empty_threshold`, and lies six orders below it, so
-    floors of a step-sized level still reach the polytope.
-    """
-    return 1e-15 * (1.0 + l1(x0))
 
 
 def rhs(spec: NetworkSpec, u) -> np.ndarray:
@@ -249,86 +222,30 @@ class FixedSequence(ControlSelector):
         return idx % len(vertices)
 
 
-class _ViableSystem:
-    """Admissible polytope intersected with the viability half-spaces.
+def _viable_polytope(spec: NetworkSpec, zeros, pinned: bool) -> np.ndarray:
+    """Vertices of the admissible polytope on which no near-zero class decreases.
 
-    For each near-zero class k the selected velocity must satisfy
-    v_k >= -floor_k, i.e. (outflow @ u)_k <= alpha_k + floor_k; a positive
-    floor lets residual dust drain to exactly zero within one step.
+    A class in ``zeros`` counts as empty: its velocity must be nonnegative,
+    (outflow @ u)_k <= alpha_k, and the capacity rows all of whose classes are
+    in ``zeros`` may idle.  Raises InfeasibleActiveSet when there are no
+    vertices, which a valid network never gives: the face u_k = 0 of the
+    near-zero classes keeps them nonnegative.
 
-    ``pinned`` additionally caps every velocity at zero.  It is applied when
-    the whole state is below the emptiness threshold and the zero state can be
-    held: growing mass from empty while capacity idles would violate the
-    idling complementarity over any interval, so the only faithful directions
-    at the drained state are the nonincreasing ones.
-
-    One system serves one set of near-zero classes (which fixes ``empty``
-    and ``pinned``) within one ``simulate`` run.  The floors move only the
-    right-hand side of the viability rows, so the active subsets that pass the
-    rank test are found once, on the first enumeration, and each new set of
-    floors costs only the solves.  ``exact`` holds the vertices and their
-    velocities for all-zero floors once they are known.
-
-    A pinned system first tries the box (:meth:`_box_vertices`) and
-    enumerates only where the box guard fails.
+    ``pinned`` (every class near zero, and :func:`zero_invariant` holds) also
+    caps every velocity at zero: growing mass from empty while capacity idles
+    would violate the idling complementarity over any interval.  Together the
+    two rows read outflow @ u = alpha, whose one solution is the nominal
+    allocation.
     """
-
-    def __init__(self, spec: NetworkSpec, empty, zero_classes, pinned: bool):
-        self.spec = spec
-        self.zeros = sorted(zero_classes)
-        self.pinned = pinned
-        a_eq, b_eq, a_ub, b_ub = admissible_constraints(spec, empty)
-        rows = [a_ub, spec.outflow[self.zeros]]
-        self._a_head, self._b_head, self._b_tail = a_ub, b_ub, np.empty(0)
-        if pinned:
-            rows.append(-spec.outflow)
-            self._b_tail = -spec.alpha
-        self._a_eq, self._b_eq, self._a_ub = a_eq, b_eq, np.vstack(rows)
-        self._alpha_zero = spec.alpha[self.zeros]
-        self._subsets = None  # rank-tested on the first enumeration
-        self.exact = None
-
-    def polytope(self, floors: list) -> np.ndarray:
-        """Vertices of the viable polytope for the given floor of each
-        near-zero class, in class order.
-
-        Raises InfeasibleActiveSet when there are none, which a valid network
-        never gives: the face u_k = 0 of the near-zero classes is viable.
-        """
-        verts = self._box_vertices(np.asarray(floors, dtype=float)) if self.pinned else None
-        if verts is None:
-            if self._subsets is None:
-                self._subsets = rank_tested_subsets(self._a_eq, self._a_ub)
-            b_ub = np.concatenate([self._b_head, self._alpha_zero + floors, self._b_tail])
-            verts = subset_vertices(self._a_eq, self._b_eq, self._a_ub, b_ub, self._subsets)
-        if verts.shape[0] == 0:
-            raise InfeasibleActiveSet(f"no viable allocation with near-zero classes {self.zeros}")
-        return verts
-
-    def _box_vertices(self, floors: np.ndarray):
-        """The pinned polytope's vertices in closed form, or None if the box guard fails.
-
-        The pinned and viability rows read alpha <= outflow @ u <= alpha + f,
-        and outflow is invertible, so in velocity coordinates they cut out the
-        box [-f, 0]^K.  Where the remaining rows (u >= 0, capacity @ u <= 1)
-        have slack of at least BOX_SLACK at every corner, they hold on the
-        whole box and the vertices are u = outflow^-1 (alpha + c) over the
-        corners c of [0, f]: one point, the nominal allocation, when every
-        floor is 0.  Each corner is one solve, the same LAPACK call as a
-        one-by-one loop; the corners are ordered by :func:`model.vertex_order`.
-        """
-        spec = self.spec
-        positive = np.flatnonzero(floors > 0.0)
-        bits = np.array(list(itertools.product((0.0, 1.0), repeat=positive.size)))
-        corners = np.zeros((bits.shape[0], spec.K))
-        corners[:, positive] = bits * floors[positive]
-        n = corners.shape[0]
-        u = np.linalg.solve(np.broadcast_to(spec.outflow, (n, spec.K, spec.K)),
-                            (spec.alpha + corners)[..., None])[..., 0]
-        slack = self._b_head - np.matmul(self._a_head, u[..., None])[..., 0]
-        if slack.min() < BOX_SLACK:
-            return None
-        return vertex_order([u], spec.K)
+    if pinned:
+        return vertex_order([spec.nominal_allocation()[None]], spec.K)
+    a_eq, b_eq, a_ub, b_ub = admissible_constraints(spec, empty_rows(spec, zeros))
+    idx = sorted(zeros)
+    verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, np.vstack([a_ub, spec.outflow[idx]]),
+                                        np.concatenate([b_ub, spec.alpha[idx]]))
+    if verts.shape[0] == 0:
+        raise InfeasibleActiveSet(f"no viable allocation with near-zero classes {idx}")
+    return verts
 
 
 def zero_invariant(spec: NetworkSpec) -> bool:
@@ -437,27 +354,18 @@ def simulate(
     x0 = np.maximum(x0, 0.0)
 
     eps = empty_threshold(x0)
-    dust = dust_threshold(x0)
     selector.start_run()
     can_hold_zero = zero_invariant(spec)
     velocity_map = -spec.outflow.T
-    systems: dict = {}  # near-zero classes -> _ViableSystem, for this run only
+    polytopes: dict = {}  # near-zero classes -> (vertices, velocities), for this run only
 
     def select(t, q, ql):
         zeros = frozenset(k for k, level in enumerate(ql) if level < eps)
-        system = systems.get(zeros)
-        if system is None:
-            pinned = can_hold_zero and len(zeros) == spec.K
-            system = systems[zeros] = _ViableSystem(spec, empty_rows(spec, zeros), zeros, pinned)
-        floors = [ql[k] / h if ql[k] >= dust else 0.0 for k in system.zeros]
-        exact = not any(floors)
-        if exact and system.exact is not None:
-            verts, velocities = system.exact
-        else:
-            verts = system.polytope(floors)
-            velocities = verts @ velocity_map + spec.alpha
-            if exact:
-                system.exact = (verts, velocities)
+        entry = polytopes.get(zeros)
+        if entry is None:
+            verts = _viable_polytope(spec, zeros, can_hold_zero and len(zeros) == spec.K)
+            entry = polytopes[zeros] = (verts, verts @ velocity_map + spec.alpha)
+        verts, velocities = entry
         u = verts[operator.index(selector.choose(t, q, verts, velocities))]
         return u, spec.alpha - spec.outflow @ u, ()
 

@@ -75,12 +75,7 @@ def shift(traj: Trajectory, s: float) -> Trajectory:
     grid = np.concatenate([[0.0], traj.grid[i:] - s])
     levels = np.vstack([level0, traj.levels[i:]])
     alloc = np.vstack([alloc0, traj.allocation[i:]]) - alloc0
-    if i >= 1:
-        controls = traj.controls[i - 1:]
-    else:
-        controls = traj.controls
-    if grid.shape[0] == 1:
-        controls = np.empty((0, traj.K))
+    controls = traj.controls[i - 1:]  # i >= 1, since grid[0] = 0 <= s
     drained = None
     if traj.drained_at is not None:
         drained = max(traj.drained_at - s, 0.0)

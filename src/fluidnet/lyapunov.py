@@ -46,26 +46,10 @@ def _mass(levels: np.ndarray) -> np.ndarray:
     return np.abs(levels).sum(axis=1)
 
 
-def total_fluid(traj: Trajectory) -> float:
-    """Integral over time of the l1 fluid level (trapezoidal, exact for
-    piecewise-linear paths whose grid contains the kinks).
-
-    Warns with TruncatedWarning when the trajectory never drained; the value
-    is then only a lower bound on the full integral.
-    """
-    if not traj.drained:
-        warnings.warn(
-            "trajectory never drained; total fluid is a lower bound",
-            TruncatedWarning,
-            stacklevel=2,
-        )
-    mass = _mass(traj.levels)
-    dt = np.diff(traj.grid)
-    return float(np.sum(0.5 * (mass[:-1] + mass[1:]) * dt))
-
-
 def v_functional(traj: Trajectory, t: float) -> float:
-    """Tail integral of the l1 level from time t onward."""
+    """Tail integral of the l1 level from time t onward; at t = 0 the total
+    fluid.  Trapezoidal, so exact for piecewise-linear paths whose grid
+    contains the kinks."""
     if not traj.drained:
         warnings.warn(
             "trajectory never drained; tail integral is a lower bound",
@@ -200,7 +184,7 @@ def approximate_V(family, x, budget: SearchBudget = SearchBudget()) -> VEstimate
     x = np.asarray(x, dtype=float)
     if isinstance(family, ExplicitPathFamily):
         paths = family.paths_from(x)
-        values = [total_fluid(p) for p in paths]
+        values = [v_functional(p, 0.0) for p in paths]
         best = int(np.argmax(values))
         return VEstimate(float(values[best]), paths[best], "exact")
     if not isinstance(family, NetworkPathFamily):
@@ -221,7 +205,7 @@ def approximate_V(family, x, budget: SearchBudget = SearchBudget()) -> VEstimate
         traj = simulate(family.spec, x, sel, family.horizon, family.h)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncatedWarning)
-            value = total_fluid(traj)
+            value = v_functional(traj, 0.0)
         if traj.drained:
             if value > best_value:
                 best_value, best_traj = value, traj

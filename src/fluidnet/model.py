@@ -16,8 +16,7 @@ are tiny, so combinatorial enumeration over active constraint subsets is both
 fast and deterministic.  The subsets are processed in fixed-size chunks,
 each with one batched rank test and one batched solve; the vertices and their
 order (by the 12-decimal key, :func:`vertex_order`) are the same as from one
-rank test and solve per subset.  The rank test depends only on the constraint matrices, so
-a caller whose right-hand sides change can keep the subsets that pass it.
+rank test and solve per subset.
 """
 from __future__ import annotations
 
@@ -229,57 +228,32 @@ def enumerate_polytope_vertices(dim, a_eq, b_eq, a_ub, b_ub) -> np.ndarray:
     """Exact vertex enumeration for a small polytope.
 
     A vertex makes some subset of the inequality rows active so that, stacked
-    with the equalities, the active system has rank ``dim``.  The subsets that
-    pass that rank test depend only on the matrices (:func:`rank_tested_subsets`);
-    the vertices for given right-hand sides are then found among them
-    (:func:`subset_vertices`).
+    with the equalities, the active system has rank ``dim``.  Every subset of
+    ``dim - rank(a_eq)`` rows of ``a_ub`` is tried in lexicographic order,
+    SUBSET_CHUNK at a time: each chunk's active systems get one batched rank
+    test and its full-rank ones one batched solve, which run the same SVD and
+    LAPACK routine per matrix as a one-by-one loop and so give the same bits.
+    Candidates are kept when they satisfy every constraint with slack >=
+    VERTEX_SLACK; :func:`vertex_order` then dedupes and orders them.
+    Dependent equality rows raise DimensionMismatch: no admissible set has
+    them, since busy capacity rows are disjoint across stations and nested
+    within one.
     """
     a_eq = np.asarray(a_eq, dtype=float).reshape(-1, dim)
     b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
     a_ub = np.asarray(a_ub, dtype=float).reshape(-1, dim)
     b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
-    return subset_vertices(a_eq, b_eq, a_ub, b_ub, rank_tested_subsets(a_eq, a_ub))
-
-
-def rank_tested_subsets(a_eq: np.ndarray, a_ub: np.ndarray) -> np.ndarray:
-    """Inequality-row subsets whose active system has full column rank.
-
-    Every subset of ``dim - rank(a_eq)`` rows of ``a_ub`` is tried in
-    lexicographic order, SUBSET_CHUNK at a time: each chunk's active systems
-    (the equalities stacked over the chosen rows) get one batched rank test,
-    which runs the same SVD per matrix as a one-by-one loop.  Row i of the
-    result lists the rows of one kept subset; the order is kept.  Dependent
-    equality rows raise DimensionMismatch: no admissible set has them, since
-    busy capacity rows are disjoint across stations and nested within one.
-    """
-    dim = a_ub.shape[1]
     rank = np.linalg.matrix_rank(a_eq) if a_eq.size else 0
     if rank < a_eq.shape[0]:
         raise DimensionMismatch(f"{a_eq.shape[0]} equality rows have rank {rank}")
     n_active = dim - rank
-    kept = [np.empty((0, n_active), dtype=np.intp)]
+    blocks = []
     subsets = itertools.combinations(range(a_ub.shape[0]), n_active)
     while chunk := list(itertools.islice(subsets, SUBSET_CHUNK)):
         idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), n_active)
-        kept.append(idx[np.linalg.matrix_rank(_active_systems(a_eq, a_ub, idx)) >= dim])
-    return np.concatenate(kept)
-
-
-def subset_vertices(a_eq, b_eq, a_ub, b_ub, subsets) -> np.ndarray:
-    """Vertices of {a_eq x = b_eq, a_ub x <= b_ub} among rank-tested subsets.
-
-    ``subsets`` comes from :func:`rank_tested_subsets` for the same matrices;
-    the right-hand sides may change between calls.  The active systems are
-    solved SUBSET_CHUNK at a time with one batched solve, which runs the same
-    LAPACK routine per matrix as a one-by-one loop and so gives the same bits.
-    Candidates are kept when they satisfy every constraint with slack >=
-    VERTEX_SLACK; :func:`vertex_order` then dedupes and orders them.
-    """
-    return vertex_order(
-        [_chunk_vertices(a_eq, b_eq, a_ub, b_ub, subsets[start:start + SUBSET_CHUNK])
-         for start in range(0, subsets.shape[0], SUBSET_CHUNK)],
-        a_ub.shape[1],
-    )
+        idx = idx[np.linalg.matrix_rank(_active_systems(a_eq, a_ub, idx)) >= dim]
+        blocks.append(_chunk_vertices(a_eq, b_eq, a_ub, b_ub, idx))
+    return vertex_order(blocks, dim)
 
 
 def vertex_order(blocks, dim: int) -> np.ndarray:

@@ -85,7 +85,7 @@ def test_simulate_writes_trajectory(spec_file, tmp_path):
         header = handle.readline().strip()
     assert header == "t,Q1,Q2,T1,T2,u1,u2"
     report = read_report(out)
-    assert report["simulate"]["invariants"]["ok"]
+    assert report["simulate"]["invariants"]["ok"] is True
 
 
 def test_skorokhod_command(spec_file, tmp_path):

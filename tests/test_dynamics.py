@@ -12,7 +12,7 @@ from fluidnet.dynamics import (
     MinDrain,
     RandomVertex,
     Trajectory,
-    _ViableSystem,
+    _viable_polytope,
     check_trajectory,
     complementarity_residual,
     flow_balance_residual,
@@ -213,9 +213,8 @@ def test_vertex_arrays_are_read_only(tandem):
         admissible_polytope(tandem, [1]),
         enumerate_polytope_vertices(tandem.K, *admissible_constraints(tandem, [1])),
         enumerate_polytope_vertices(1, [], [], [[1.0], [-1.0]], [-1.0, 0.0]),  # empty
-        _ViableSystem(spec, empty_rows(spec, [0]), [0], False).polytope([0.0]),
-        _ViableSystem(spec, empty_rows(spec, [0]), [0], False).polytope([0.5]),
-        _ViableSystem(spec, empty_rows(spec, range(3)), range(3), True).polytope([0.0] * 3),
+        _viable_polytope(spec, [0], False),
+        _viable_polytope(spec, range(3), True),
     ]
     for verts in arrays:
         assert not verts.flags.writeable
@@ -287,23 +286,22 @@ class TestViability:
         return bool((mixed[:, zero].min(axis=1) >= -1e-9).any())
 
     @staticmethod
-    def zero_floor_polytope(spec, x):
-        """The viable polytope ``simulate`` would enumerate at x with every
-        near-zero class at floor 0; raises InfeasibleActiveSet if empty."""
+    def viable_polytope(spec, x):
+        """The viable polytope ``simulate`` would enumerate at x; raises
+        InfeasibleActiveSet if empty."""
         x = np.asarray(x, dtype=float)
         zeros = np.flatnonzero(x < empty_threshold(x)).tolist()
-        system = _ViableSystem(spec, empty_rows(spec, zeros), zeros, False)
-        return system.polytope([0.0] * len(zeros)), zeros
+        return _viable_polytope(spec, zeros, False), zeros
 
     def assert_viable(self, spec, x):
         """Non-empty, and every vertex keeps the near-zero classes nonnegative."""
-        verts, zeros = self.zero_floor_polytope(spec, x)
+        verts, zeros = self.viable_polytope(spec, x)
         assert verts.shape[0] > 0
         velocities = spec.alpha - verts @ spec.outflow.T
         assert velocities[:, zeros].min(initial=0.0) >= -1e-9
 
     def test_interior_always_viable(self, tandem):
-        verts, zeros = self.zero_floor_polytope(tandem, [1.0, 1.0])
+        verts, zeros = self.viable_polytope(tandem, [1.0, 1.0])
         assert zeros == []
         assert np.array_equal(verts, admissible_polytope(tandem, frozenset()))
 
@@ -342,9 +340,9 @@ class TestViability:
         spec = NetworkSpec(np.array([-1.0]), np.array([1.0]), np.zeros((1, 1)),
                            np.ones((1, 1)), WORK_CONSERVING)
         with pytest.raises(InfeasibleActiveSet):
-            self.zero_floor_polytope(spec, [0.0])
+            self.viable_polytope(spec, [0.0])
         assert not self.oracle(spec, [0.0])
-        assert self.zero_floor_polytope(spec, [1.0])[0].shape[0] > 0
+        assert self.viable_polytope(spec, [1.0])[0].shape[0] > 0
 
     def test_overloaded_origin_still_viable(self, overloaded_queue):
         # growth is allowed; viability only requires staying nonnegative

@@ -91,7 +91,8 @@ def constraints(spec, empty):
 
 
 def viability_rows(spec, empty, zeros, floors, pinned):
-    """The constraint system simulate's viable polytope hands to the enumerator."""
+    """The constraint system of simulate's viable polytope, with each viability
+    row raised by its floor (simulate's floors are all zero)."""
     a_eq, b_eq, a_ub, b_ub = constraints(spec, empty)
     idx = sorted(zeros)
     a_ub = np.vstack([a_ub, spec.outflow[idx]])
@@ -103,7 +104,8 @@ def viability_rows(spec, empty, zeros, floors, pinned):
 
 
 def random_floors(rng, n):
-    """Exact zeros, float dust and step-sized floors, as simulate produces them."""
+    """Exact zeros, float dust and step-sized floors: right-hand sides of every
+    scale for the enumerator."""
     kind = rng.integers(0, 3, n)
     return np.where(kind == 0, 0.0, np.where(kind == 1, rng.uniform(0, 1e-17, n),
                                              rng.uniform(0, 2.0, n)))

@@ -17,7 +17,6 @@ from fluidnet.lyapunov import (
     linear_certificate_search,
     piecewise_linear_check,
     quadratic_check,
-    total_fluid,
     v_functional,
 )
 
@@ -27,28 +26,30 @@ def unit_drain():
 
 
 class TestTotalFluid:
+    """The total fluid of a path is its tail integral from time 0."""
+
     def test_triangle(self):
-        assert total_fluid(unit_drain()) == pytest.approx(0.5)
+        assert v_functional(unit_drain(), 0.0) == pytest.approx(0.5)
 
     def test_zero_path(self):
         zero = example_family("lsc_counterexample").paths_from([0.0, 0.0])[0]
-        assert total_fluid(zero) == 0.0
+        assert v_functional(zero, 0.0) == 0.0
 
     def test_diagonal_mass_is_two(self):
         diag = example_family("lsc_counterexample").paths_from([1.0, 1.0])[1]
-        assert total_fluid(diag) == pytest.approx(2.0)
+        assert v_functional(diag, 0.0) == pytest.approx(2.0)
 
     def test_warns_when_truncated(self, overloaded_queue):
         traj = simulate(overloaded_queue, [1.0], MaxDrain(), 2.0, 0.1)
         with pytest.warns(TruncatedWarning):
-            total_fluid(traj)
+            v_functional(traj, 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(r=st.floats(0.2, 5.0))
     def test_scaling_identity(self, r):
         traj = example_family("lsc_counterexample").paths_from([1.0, 0.6])[0]
-        assert total_fluid(scale(traj, r)) == pytest.approx(
-            total_fluid(traj) / r**2, rel=1e-8
+        assert v_functional(scale(traj, r), 0.0) == pytest.approx(
+            v_functional(traj, 0.0) / r**2, rel=1e-8
         )
 
 
@@ -66,7 +67,7 @@ class TestTailFunctional:
         traj = example_family("lsc_counterexample").paths_from([1.0, 0.7])[0]
         for t in [0.0, 0.3, 0.65, 0.9]:
             assert v_functional(traj, t) == pytest.approx(
-                total_fluid(shift(traj, t)), abs=1e-10
+                v_functional(shift(traj, t), 0.0), abs=1e-10
             )
 
     def test_nonincreasing(self):

@@ -1,25 +1,20 @@
-"""Differential test of ``simulate`` against a loop that enumerates at every miss.
+"""Differential test of ``simulate`` against a loop that enumerates at every stamp.
 
-``reference_simulate`` is ``simulate`` as it was before each boundary
-configuration kept its rank-tested active subsets: a polytope is cached only
-when every near-zero class has floor zero, any other stamp enumerates the
-viable polytope from scratch through ``enumerate_polytope_vertices``, and the
-stamp loop runs on numpy arrays.  It takes the same two rules as
-``simulate``: a near-zero class below ``dust_threshold`` gets floor zero, and
-the drained (pinned) polytope is built corner by corner from the box where
-the slack guard holds (``reference_box_vertices``).  ``RefMaxDrain`` and
-``RefMinDrain`` rank the vertices at every call.  ``simulate`` must return
+``reference_simulate`` keeps no polytope between stamps: each stamp
+enumerates the viable polytope from scratch through
+``enumerate_polytope_vertices``, with a nonnegative velocity for every
+near-zero class, and the stamp loop runs on numpy arrays.  The drained
+(pinned) polytope is the nominal allocation, the one solution of
+outflow @ u = alpha.  ``RefMaxDrain`` and ``RefMinDrain`` rank the vertices
+at every call.  ``simulate`` must return
 the same bytes (``grid``, ``levels``, ``allocation``, ``controls``) and the
 same ``drained_at``, because the reports are byte-reproducible.
 """
-import itertools
-
 import numpy as np
 import pytest
 
 from fluidnet import dynamics, fixtures
 from fluidnet.dynamics import (
-    BOX_SLACK,
     ControlSelector,
     FirstVertex,
     FixedSequence,
@@ -27,7 +22,6 @@ from fluidnet.dynamics import (
     MinDrain,
     RandomVertex,
     Trajectory,
-    dust_threshold,
     simulate,
     zero_invariant,
 )
@@ -35,6 +29,7 @@ from fluidnet.errors import StepTooLarge
 from fluidnet.model import (
     PRIORITY,
     WORK_CONSERVING,
+    empty_rows,
     empty_threshold,
     enumerate_polytope_vertices,
 )
@@ -67,36 +62,14 @@ def reference_active_sets(spec, q, eps):
     return empty, zero_classes
 
 
-def reference_box_vertices(spec, empty, floors):
-    """The pinned polytope from the corners of the floor box, one solve per
-    corner; None when some corner leaves u >= 0 or a capacity row with less
-    than BOX_SLACK."""
-    _, _, a_ub, b_ub = constraints(spec, empty)
-    positive = [k for k in range(spec.K) if floors[k] > 0.0]
-    found = {}
-    for bits in itertools.product((0.0, 1.0), repeat=len(positive)):
-        c = np.zeros(spec.K)
-        c[positive] = np.asarray(bits) * np.asarray([floors[k] for k in positive])
-        u = np.linalg.solve(spec.outflow, spec.alpha + c)
-        if np.min(b_ub - a_ub @ u) < BOX_SLACK:
-            return None
-        found[tuple(np.round(u, 12))] = u
-    return np.array([found[key] for key in sorted(found)])
-
-
-def reference_viable_polytope(spec, empty, zero_classes, floors, pinned=False):
+def reference_viable_polytope(spec, empty, zero_classes, pinned=False):
     if pinned:
-        verts = reference_box_vertices(spec, empty, floors)
-        if verts is not None:
-            return verts
+        return np.array([np.linalg.solve(spec.outflow, spec.alpha)])
     a_eq, b_eq, a_ub, b_ub = constraints(spec, empty)
     if zero_classes:
         idx = sorted(zero_classes)
         a_ub = np.vstack([a_ub, spec.outflow[idx]])
-        b_ub = np.concatenate([b_ub, spec.alpha[idx] + np.asarray([floors[k] for k in idx])])
-    if pinned:
-        a_ub = np.vstack([a_ub, -spec.outflow])
-        b_ub = np.concatenate([b_ub, -spec.alpha])
+        b_ub = np.concatenate([b_ub, spec.alpha[idx]])
     return enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
 
 
@@ -104,7 +77,6 @@ def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
                        max_events=1_000_000):
     x0 = np.maximum(np.asarray(x0, dtype=float).copy(), 0.0)
     eps = empty_threshold(x0)
-    dust = dust_threshold(x0)
     selector.start_run()
     can_hold_zero = zero_invariant(spec)
 
@@ -116,7 +88,6 @@ def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
     allocation = [total_alloc.copy()]
     controls = []
 
-    cache = {}
     drained_at = None
     first_below = 0.0 if np.all(x0 < eps) else None
     below_streak = 1 if first_below is not None else 0
@@ -126,16 +97,8 @@ def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
     while t < end:
         empty, zeros = reference_active_sets(spec, q, eps)
         pinned = can_hold_zero and len(zeros) == spec.K
-        floors = {k: q[k] / h if q[k] >= dust else 0.0 for k in zeros}
-        exact = all(f == 0.0 for f in floors.values())
-        key = (empty, zeros, pinned) if exact else None
-        if key is not None and key in cache:
-            verts, velocities = cache[key]
-        else:
-            verts = reference_viable_polytope(spec, empty, zeros, floors, pinned=pinned)
-            velocities = verts @ (-spec.outflow.T) + spec.alpha
-            if key is not None:
-                cache[key] = (verts, velocities)
+        verts = reference_viable_polytope(spec, empty, zeros, pinned=pinned)
+        velocities = verts @ (-spec.outflow.T) + spec.alpha
 
         u = verts[selector.choose(t, q, verts, velocities)]
         v = spec.alpha - spec.outflow @ u
@@ -248,33 +211,18 @@ def test_matches_reference_on_fixtures(name, stop_on_drain):
             assert same_run(spec, x0, selector_name, 8.0, 0.02, stop_on_drain), selector_name
 
 
-def test_dust_and_step_sized_floors_are_covered():
-    """The fixture comparison reaches both floor regimes: dust, which counts
-    as zero, and step-sized levels above the dust bound, whose floors reach
-    the polytope through the kept subsets."""
-    spec = fixtures.reentrant_line()
-    x0 = np.ones(3) / 3
-    traj = simulate(spec, x0, MinDrain(), 8.0, 0.02, stop_on_drain=False)
-    levels = traj.levels[:-1]  # the states the selector saw
-    near = levels < empty_threshold(x0)
-    dust = near & (levels > 0.0) & (levels < dust_threshold(x0))
-    step_sized = near & (levels >= dust_threshold(x0))
-    assert dust.any(axis=1).mean() > 0.5
-    assert step_sized.any(axis=1).mean() > 0.5
-
-
 def test_structure_shared_across_keys_is_detected(monkeypatch):
-    """A viable system reused for another set of near-zero classes must fail."""
-    real = dynamics._ViableSystem
+    """A polytope reused for another set of near-zero classes must fail."""
+    real = dynamics._viable_polytope
     shared = {}
 
-    def keyed_by_empty_set_only(spec, empty, zero_classes, pinned):
-        key = (id(spec), empty)
+    def keyed_by_empty_rows_only(spec, zeros, pinned):
+        key = (id(spec), empty_rows(spec, zeros))
         if key not in shared:
-            shared[key] = real(spec, empty, zero_classes, pinned)
+            shared[key] = real(spec, zeros, pinned)
         return shared[key]
 
-    monkeypatch.setattr(dynamics, "_ViableSystem", keyed_by_empty_set_only)
+    monkeypatch.setattr(dynamics, "_viable_polytope", keyed_by_empty_rows_only)
 
     def mismatch(seed):
         spec, x0 = random_case(seed)
