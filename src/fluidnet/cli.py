@@ -2,8 +2,9 @@
 
 Reads a network description file, dispatches one analysis command, and writes
 a machine-readable JSON report plus CSV artifacts into the output directory.
-Exit status: 0 on success, 2 when a stability verdict is unstable (so shell
-scripts can branch on it), 1 on any error.
+Exit status: 0 on success, 2 when ``--command stability`` finds the network
+unstable (so shell scripts can branch on it), 1 on any error.  Other commands
+exit 0 whatever verdict their report holds.
 
 All randomness flows from the single --seed through counter-based child
 streams, and outputs are written atomically, so rerunning a command with the
@@ -113,7 +114,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "simulate":
         spec = _need_network(parsed)
         sim_cfg = parsed.simulate or {}
-        x0 = sim_cfg.get("x0") or (np.ones(spec.K) / spec.K).tolist()
+        x0 = sim_cfg.get("x0", (np.ones(spec.K) / spec.K).tolist())
         selector = _selector_from_name(sim_cfg.get("selector", "max_drain"), args.seed)
         traj = simulate(spec, x0, selector, args.horizon, args.step)
         artifacts["trajectory.csv"] = trajectory_csv(traj)
@@ -185,8 +186,8 @@ def run(args: argparse.Namespace) -> int:
         spec = _need_network(parsed)
         qspec = parsed.queueing or queueing_spec(spec)
         cfg = parsed.fluidlimit or {}
-        direction = cfg.get("direction") or (np.ones(spec.K) / spec.K).tolist()
-        scales = cfg.get("scales") or [10.0, 100.0]
+        direction = cfg.get("direction", (np.ones(spec.K) / spec.K).tolist())
+        scales = cfg.get("scales", [10.0, 100.0])
         seeds = child_seeds(args.seed, min(args.samples, 10))
         table = fluid_limit_compare(
             qspec, spec, direction, scales, args.horizon, seeds, h=args.step

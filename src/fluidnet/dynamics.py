@@ -45,11 +45,9 @@ from .errors import (
 from .model import (
     NetworkSpec,
     admissible_constraints,
-    admissible_polytope,
     empty_rows,
     empty_threshold,
     enumerate_polytope_vertices,
-    maximal_configurations,
     vertex_order,
 )
 
@@ -426,17 +424,14 @@ def complementarity_residual(spec: NetworkSpec, traj: Trajectory) -> float:
 
 
 def lipschitz_constant(spec: NetworkSpec) -> float:
-    """A priori slope bound: |alpha| + |outflow| * max vertex allocation mass.
+    """A priori slope bound: |alpha| + |outflow| * J.
 
-    The max runs over the vertices of every proper boundary configuration,
-    which are the vertices of the maximal ones
-    (:func:`model.maximal_configurations`); matrix norm is the induced l1
-    norm (max column sum).
+    Every admissible vertex gives each station at most one unit of rate
+    (``model.admissible_polytope``), so its allocation mass is at most J;
+    matrix norm is the induced l1 norm (max column sum).
     """
-    u_max = max(float(np.abs(admissible_polytope(spec, empty)).sum(axis=1).max())
-                for empty in maximal_configurations(spec))
     w_norm = float(np.abs(spec.outflow).sum(axis=0).max())
-    return l1(spec.alpha) + w_norm * u_max
+    return l1(spec.alpha) + w_norm * spec.J
 
 
 def idle(spec: NetworkSpec, traj: Trajectory) -> np.ndarray:

@@ -59,7 +59,8 @@ class PushBoundExceeded(FluidNetError):
 
 
 class DimensionTooLarge(FluidNetError):
-    """Combinatorial check refused: too many principal submatrices or active indices."""
+    """Combinatorial check refused: too many principal submatrices, active indices,
+    boundary configurations, or admissible vertices (past 2^16 in certificate search)."""
 
 
 class BadHorizon(FluidNetError):

@@ -297,7 +297,8 @@ def axiom_report(
 
     Applies random operations to simulated trajectories and records the worst
     flow-balance residual (normalized by 1 + initial mass) and the worst
-    Lipschitz estimate against the theoretical constant.  A negative
+    Lipschitz estimate against the theoretical constant; the report echoes
+    the ``horizon`` and step ``h`` every simulation ran with.  A negative
     ``n_ops`` or an ``n_base`` below 1 raises BadCount.
     """
     check_count("n_ops", n_ops)
@@ -339,6 +340,8 @@ def axiom_report(
         if out.grid.shape[0] >= 2:
             max_slope = max(max_slope, lipschitz_estimate(out))
     return {
+        "horizon": float(horizon),
+        "h": float(h),
         "operations": counts,
         "max_normalized_residual": max_residual,
         "max_lipschitz_estimate": max_slope,

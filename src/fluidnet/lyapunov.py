@@ -7,10 +7,10 @@ functions built from the Lipschitz constant and the draining time, and it
 decreases along every path at least as fast as the current mass.
 
 Certificates are checked against the drift set: linear candidates by one LP
-over the vertex velocities of the n maximal boundary configurations (whose
-vertices are those of every proper configuration, see
-``model.maximal_configurations``), piecewise-linear and quadratic candidates
-by seeded sampled-drift verification over every boundary configuration.
+over the vertex velocities of the all-empty admissible polytope without its
+origin (the vertices of every proper boundary configuration, see
+``model.admissible_polytope``), piecewise-linear and quadratic candidates by
+seeded sampled-drift verification over every boundary configuration.
 """
 from __future__ import annotations
 
@@ -34,12 +34,7 @@ from .dynamics import (
 )
 from .errors import BadCandidate, TruncatedWarning
 from .gfn import ExplicitPathFamily, NetworkPathFamily
-from .model import (
-    NetworkSpec,
-    admissible_polytope,
-    boundary_configurations,
-    maximal_configurations,
-)
+from .model import NetworkSpec, admissible_polytope, boundary_configurations
 
 
 def _mass(levels: np.ndarray) -> np.ndarray:
@@ -310,33 +305,19 @@ class Certificate:
         )
 
 
-def _drift_vertices(spec: NetworkSpec):
-    """Deduplicated (control, velocity) rows of every proper boundary configuration.
-
-    Only the n maximal configurations are enumerated: their vertices are the
-    vertices of all 2^n - 1 proper ones (``model.maximal_configurations``).
-    """
-    seen = {}
-    for empty in maximal_configurations(spec):
-        verts = admissible_polytope(spec, empty)
-        velocities = verts @ (-spec.outflow.T) + spec.alpha
-        for u, v in zip(verts, velocities):
-            seen[tuple(np.round(v, 12))] = (u, v)
-    controls = np.array([u for u, _ in seen.values()])
-    drifts = np.array([v for _, v in seen.values()])
-    return controls, drifts
-
-
 def linear_certificate_search(spec: NetworkSpec) -> Certificate:
     """One LP for a positive weight vector with uniformly negative drift.
 
     Finds h in [1e-6, 1]^K maximizing the margin epsilon >= 1e-6 subject to
     h . v <= -epsilon for every admissible vertex velocity v of every
-    proper boundary configuration, collected from the n maximal ones by
-    :func:`_drift_vertices`.  Infeasibility yields Unknown, never Falsified:
-    linear certificates are sufficient, not necessary.
+    proper boundary configuration.  Each of their polytopes is a face of the
+    all-empty one, and together they hold all its vertices but the origin,
+    which :func:`model.vertex_order` sorts first.  Infeasibility yields
+    Unknown, never Falsified: linear certificates are sufficient, not
+    necessary.
     """
-    _, drifts = _drift_vertices(spec)
+    verts = admissible_polytope(spec, range(spec.capacity.shape[0]))[1:]
+    drifts = verts @ (-spec.outflow.T) + spec.alpha
     k = spec.K
     n = drifts.shape[0]
     c = np.zeros(k + 1)

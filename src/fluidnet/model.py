@@ -10,17 +10,19 @@ The admissible allocation rates u (one per class, u = dT/dt) form a polytope
 that depends on which capacity rows (``NetworkSpec.capacity``) are empty: one
 per station, its constituency row, when work-conserving; one per class m, over
 the classes at m's station ranked no later than m, under priority.  Busy rows
-are used at full rate, empty rows may idle.  A polytope is its read-only
-vertex array, one row per vertex, enumerated exactly: problem dimensions here
-are tiny, so combinatorial enumeration over active constraint subsets is both
-fast and deterministic.  The subsets are processed in fixed-size chunks,
-each with one batched rank test and one batched solve; the vertices and their
-order (by the 12-decimal key, :func:`vertex_order`) are the same as from one
-rank test and solve per subset.
+are used at full rate, empty rows may idle.  Each row covers classes of one
+station, so the admissible set is a product of per-station simplices, and
+:func:`admissible_polytope` builds its vertices in closed form.  Polytopes
+with extra rows (``simulate``'s viability rows) are enumerated exactly over
+active constraint subsets, in fixed-size chunks with one batched rank test
+and one batched solve each, which give the same vertices as one per subset.
+A polytope is its read-only vertex array, one row per vertex, in
+:func:`vertex_order`.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +33,6 @@ from .errors import (
     ConstituencyNotPartition,
     DimensionMismatch,
     DimensionTooLarge,
-    InfeasibleActiveSet,
     NegativeRate,
     RoutingNotSubstochastic,
     SpectralRadiusTooLarge,
@@ -351,26 +352,44 @@ def admissible_constraints(spec: NetworkSpec, empty):
 work_conserving_constraints = priority_constraints = admissible_constraints
 
 
-def admissible_polytope(spec: NetworkSpec, empty=()) -> np.ndarray:
-    """Vertices of the admissible allocation rates when the capacity rows in
-    ``empty`` are empty, one row each, in :func:`vertex_order`."""
-    verts = enumerate_polytope_vertices(spec.K, *admissible_constraints(spec, empty))
-    if verts.shape[0] == 0:
-        raise InfeasibleActiveSet(f"no admissible allocation with empty rows {sorted(empty)}")
-    return verts
-
-
-#: Largest station or class count whose boundary configurations are enumerated
+#: log2 of the largest vertex count :func:`admissible_polytope` builds and of
+#: the largest configuration count :func:`boundary_configurations` yields
 CONFIGURATION_CAP = 16
 
 
+def admissible_polytope(spec: NetworkSpec, empty=()) -> np.ndarray:
+    """Vertices of the admissible allocation rates when the capacity rows in
+    ``empty`` are empty, one row each, in :func:`vertex_order`.
+
+    Each capacity row covers the classes of one station, so the set is a
+    product of per-station simplices: at a vertex each station serves one of
+    its classes at full rate (u_k = 1) or idles, and a station keeps only the
+    options that hold its busy rows with equality.  A product of more than
+    2^CONFIGURATION_CAP vertices raises DimensionTooLarge before it is built;
+    an out-of-range row raises DimensionMismatch.
+    """
+    busy = admissible_constraints(spec, empty)[0]
+    idle = spec.K  # a spare column collects the stations that idle
+    options = []
+    for classes in spec.station_classes:
+        rows = busy[busy[:, classes].any(axis=1)]
+        options.append([k for k in classes if rows[:, k].all()] + ([] if rows.size else [idle]))
+    count = math.prod(map(len, options))
+    if count > 2 ** CONFIGURATION_CAP:
+        raise DimensionTooLarge(f"{count} admissible vertices exceeds cap 2^{CONFIGURATION_CAP}")
+    choices = np.array(list(itertools.product(*options)), dtype=np.intp)
+    verts = np.zeros((count, spec.K + 1))
+    np.put_along_axis(verts, choices, 1.0, axis=1)
+    return vertex_order([verts[:, :idle]], spec.K)
+
+
 def boundary_configurations(spec: NetworkSpec):
-    """All boundary configurations relevant to drift checks.
+    """All boundary configurations, for the sampled drift checks.
 
     Yields every proper subset of capacity rows (stations of a
     work-conserving network, classes of a priority one) as a candidate empty
-    set: properness means some class can hold
-    fluid, so the configuration is realized by a nonzero state.
+    set: properness means some class can hold fluid, so the configuration is
+    realized by a nonzero state.
     """
     n = spec.capacity.shape[0]
     if n > CONFIGURATION_CAP:
@@ -380,23 +399,3 @@ def boundary_configurations(spec: NetworkSpec):
     items = range(n)
     for size in range(n):
         yield from (frozenset(c) for c in itertools.combinations(items, size))
-
-
-def maximal_configurations(spec: NetworkSpec):
-    """The n maximal proper boundary configurations, n - 1 items each.
-
-    Yields the subsets of n - 1 of the n capacity rows in lexicographic
-    order; for n = 1 the single empty set.  For E within E', the admissible
-    set of E is the face of the admissible set of E' on which the extra
-    capacity rows of E' (busy under E) hold with equality, and every vertex
-    of a face is a vertex of the polytope.  So the vertices of these n configurations are
-    the vertices of all 2^n - 1 proper ones.  Each is still enumerated
-    exactly, at C(rows, n - 1) subsets, hence the same cap as
-    :func:`boundary_configurations`.
-    """
-    n = spec.capacity.shape[0]
-    if n > CONFIGURATION_CAP:
-        raise DimensionTooLarge(
-            f"{n} maximal boundary configurations exceeds cap {CONFIGURATION_CAP}"
-        )
-    yield from (frozenset(c) for c in itertools.combinations(range(n), n - 1))

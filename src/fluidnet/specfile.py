@@ -93,10 +93,11 @@ def _finite(value, key: str, where: str) -> np.ndarray:
 
 
 def _vector(value, key: str, where: str) -> list[float]:
-    """``value`` as a flat list of finite floats; a scalar or nested list is rejected."""
+    """``value`` as a flat list of finite floats; a scalar, a nested list or an
+    empty list is rejected."""
     arr = _finite(value, key, where)
-    if arr.ndim != 1:
-        raise ParseError(f"key {key!r} in {where} must be a flat list, got {value!r}")
+    if arr.ndim != 1 or arr.size == 0:
+        raise ParseError(f"key {key!r} in {where} must be a nonempty flat list, got {value!r}")
     return [float(v) for v in arr]
 
 
@@ -201,17 +202,16 @@ def parse_spec_text(text: str) -> ParsedSpecFile:
     simulate_cfg = None
     if "simulate" in doc:
         section = _section(doc, "simulate")
-        simulate_cfg = {
-            "x0": _vector(section["x0"], "x0", "simulate section") if "x0" in section else None,
-            "selector": str(section.get("selector", "max_drain")),
-        }
+        simulate_cfg = {"selector": str(section.get("selector", "max_drain"))}
+        if "x0" in section:
+            simulate_cfg["x0"] = _vector(section["x0"], "x0", "simulate section")
 
     fluidlimit_cfg = None
     if "fluidlimit" in doc:
         section = _section(doc, "fluidlimit")
         fluidlimit_cfg = {
-            key: _vector(section.get(key, []), key, "fluidlimit section") or None
-            for key in ("direction", "scales")
+            key: _vector(section[key], key, "fluidlimit section")
+            for key in ("direction", "scales") if key in section
         }
 
     return ParsedSpecFile(network, lsp, queueing, simulate_cfg, fluidlimit_cfg)

@@ -119,6 +119,17 @@ def test_gfn_check_command(spec_file, tmp_path):
     assert report["gfn_check"]["lipschitz_ok"]
 
 
+def test_gfn_check_reports_the_horizon_and_step_it_ran(spec_file, tmp_path):
+    """At the default flags (horizon 50, step 0.01) the closure check runs at 25 and 0.02."""
+    out = tmp_path / "out"
+    assert run_cli("gfn-check", spec_file(fixtures.single_queue()), out) == 0
+    report = read_report(out)
+    assert report["parameters"]["horizon"] == 50.0
+    assert report["parameters"]["step"] == 0.01
+    assert report["gfn_check"]["horizon"] == 25.0
+    assert report["gfn_check"]["h"] == 0.02
+
+
 def test_fluidlimit_command(spec_file, tmp_path):
     text = network_to_yaml(fixtures.two_class_priority()) + (
         "queueing:\n  interarrival: exponential\n  service: exponential\n"

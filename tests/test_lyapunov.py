@@ -19,6 +19,11 @@ from fluidnet.lyapunov import (
     quadratic_check,
     v_functional,
 )
+from fluidnet.model import (
+    admissible_constraints,
+    boundary_configurations,
+    enumerate_polytope_vertices,
+)
 
 
 def unit_drain():
@@ -215,11 +220,12 @@ class TestLinearCertificate:
         assert cert.epsilon > 0
         h = np.asarray(cert.data["h"])
         assert np.all(h > 0)
-        # independent check: every admissible drift row is uniformly negative
-        from fluidnet.lyapunov import _drift_vertices
-
-        _, drifts = _drift_vertices(tandem)
-        assert (drifts @ h).max() <= -cert.epsilon + 1e-9
+        # independent check: every enumerated drift row of every proper
+        # boundary configuration is uniformly negative
+        for empty in boundary_configurations(tandem):
+            verts = enumerate_polytope_vertices(tandem.K, *admissible_constraints(tandem, empty))
+            drifts = verts @ (-tandem.outflow.T) + tandem.alpha
+            assert (drifts @ h).max() <= -cert.epsilon + 1e-9
 
     def test_certificate_bounds_drain_time(self, tandem):
         cert = linear_certificate_search(tandem)

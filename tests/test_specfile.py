@@ -152,6 +152,25 @@ def test_non_finite_section_value_names_key(section, key):
         parse_spec_text(TANDEM_YAML + section)
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("simulate:\n  x0: []\n", "x0"),
+        ("fluidlimit:\n  scales: []\n", "scales"),
+        ("fluidlimit:\n  direction: []\n", "direction"),
+    ],
+)
+def test_empty_section_list_rejected(section, key):
+    with pytest.raises(ParseError, match=f"key '{key}'.*nonempty"):
+        parse_spec_text(TANDEM_YAML + section)
+
+
+def test_absent_section_keys_left_out():
+    parsed = parse_spec_text(TANDEM_YAML + "simulate: {}\nfluidlimit:\n  scales: [10]\n")
+    assert parsed.simulate == {"selector": "max_drain"}
+    assert parsed.fluidlimit == {"scales": [10.0]}
+
+
 def test_parse_file(tmp_path):
     path = tmp_path / "net.yaml"
     path.write_text(TANDEM_YAML)
