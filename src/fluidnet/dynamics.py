@@ -17,8 +17,8 @@ nonnegative, so any vertex the selector picks yields a viable step.  Once the
 whole state is near zero and the empty state can be held, the only control is
 the nominal allocation.
 
-Within one ``simulate`` run each set of near-zero classes is enumerated once
-(the drained set not at all), and every stamp with that set reuses its vertex
+Within one ``simulate`` run each set of near-zero classes gets one polytope
+(the drained set none), and every stamp with that set reuses its vertex
 array.  Vertices are ordered by their 12-decimal key (``model.vertex_order``),
 so the selectors pick the same vertex whichever route found it.  Nothing is
 kept between runs.
@@ -45,9 +45,10 @@ from .errors import (
 from .model import (
     NetworkSpec,
     admissible_constraints,
+    admissible_polytope,
+    cut_polytope,
     empty_rows,
     empty_threshold,
-    enumerate_polytope_vertices,
     vertex_order,
 )
 
@@ -225,9 +226,10 @@ def _viable_polytope(spec: NetworkSpec, zeros, pinned: bool) -> np.ndarray:
 
     A class in ``zeros`` counts as empty: its velocity must be nonnegative,
     (outflow @ u)_k <= alpha_k, and the capacity rows all of whose classes are
-    in ``zeros`` may idle.  Raises InfeasibleActiveSet when there are no
-    vertices, which a valid network never gives: the face u_k = 0 of the
-    near-zero classes keeps them nonnegative.
+    in ``zeros`` may idle.  ``model.cut_polytope`` adds the viability rows, in
+    class order, to the closed-form product of those idle rows.  Raises
+    InfeasibleActiveSet when there are no vertices, which a valid network never
+    gives: the face u_k = 0 of the near-zero classes keeps them nonnegative.
 
     ``pinned`` (every class near zero, and :func:`zero_invariant` holds) also
     caps every velocity at zero: growing mass from empty while capacity idles
@@ -237,10 +239,10 @@ def _viable_polytope(spec: NetworkSpec, zeros, pinned: bool) -> np.ndarray:
     """
     if pinned:
         return vertex_order([spec.nominal_allocation()[None]], spec.K)
-    a_eq, b_eq, a_ub, b_ub = admissible_constraints(spec, empty_rows(spec, zeros))
+    empty = empty_rows(spec, zeros)
     idx = sorted(zeros)
-    verts = enumerate_polytope_vertices(spec.K, a_eq, b_eq, np.vstack([a_ub, spec.outflow[idx]]),
-                                        np.concatenate([b_ub, spec.alpha[idx]]))
+    verts = cut_polytope(admissible_polytope(spec, empty), *admissible_constraints(spec, empty)[2:],
+                         spec.outflow[idx], spec.alpha[idx])
     if verts.shape[0] == 0:
         raise InfeasibleActiveSet(f"no viable allocation with near-zero classes {idx}")
     return verts

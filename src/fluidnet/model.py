@@ -12,12 +12,11 @@ per station, its constituency row, when work-conserving; one per class m, over
 the classes at m's station ranked no later than m, under priority.  Busy rows
 are used at full rate, empty rows may idle.  Each row covers classes of one
 station, so the admissible set is a product of per-station simplices, and
-:func:`admissible_polytope` builds its vertices in closed form.  Polytopes
-with extra rows (``simulate``'s viability rows) are enumerated exactly over
-active constraint subsets, in fixed-size chunks with one batched rank test
-and one batched solve each, which give the same vertices as one per subset.
-A polytope is its read-only vertex array, one row per vertex, in
-:func:`vertex_order`.
+:func:`admissible_polytope` builds its vertices in closed form;
+:func:`cut_polytope` adds ``simulate``'s viability rows to it one at a time.
+The subset enumerator :func:`enumerate_polytope_vertices` is not called here:
+it is the tests' reference and the benchmark tracer's hook.  A polytope is its
+read-only vertex array, one row per vertex, in :func:`vertex_order`.
 """
 from __future__ import annotations
 
@@ -238,7 +237,8 @@ def enumerate_polytope_vertices(dim, a_eq, b_eq, a_ub, b_ub) -> np.ndarray:
     VERTEX_SLACK; :func:`vertex_order` then dedupes and orders them.
     Dependent equality rows raise DimensionMismatch: no admissible set has
     them, since busy capacity rows are disjoint across stations and nested
-    within one.
+    within one.  The library does not call it: it is the tests' reference and
+    the benchmark tracer's hook.
     """
     a_eq = np.asarray(a_eq, dtype=float).reshape(-1, dim)
     b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
@@ -381,6 +381,28 @@ def admissible_polytope(spec: NetworkSpec, empty=()) -> np.ndarray:
     verts = np.zeros((count, spec.K + 1))
     np.put_along_axis(verts, choices, 1.0, axis=1)
     return vertex_order([verts[:, :idle]], spec.K)
+
+
+def cut_polytope(verts, a_ub, b_ub, a_cut, b_cut) -> np.ndarray:
+    """Vertices of the polytope ``verts``, whose inequality rows are ``a_ub``,
+    ``b_ub``, cut by a_cut @ u <= b_cut one row at a time (double description):
+    vertices with slack >= VERTEX_SLACK stay, and each edge crossing the row
+    gets a vertex there.  Two vertices span an edge when no third one is
+    active on every row they share, which stays exact on degenerate vertices.
+    """
+    active = np.abs(verts @ a_ub.T - b_ub) <= -VERTEX_SLACK
+    for a, b in zip(a_cut, b_cut):
+        slack = b - verts @ a
+        inside, keep = slack > -VERTEX_SLACK, slack >= VERTEX_SLACK
+        i, j = np.nonzero(inside[:, None] & ~keep)
+        common = active[i] & active[j]
+        edge = (common @ active.T.astype(float) == common.sum(axis=1)[:, None]).sum(axis=1) == 2
+        i, j, common = i[edge], j[edge], common[edge]
+        t = (slack[i] / (slack[i] - slack[j]))[:, None]
+        verts = np.vstack([verts[keep], verts[i] + t * (verts[j] - verts[i])])
+        active = np.vstack([np.column_stack([active[keep], ~inside[keep]]),
+                            np.column_stack([common, np.ones(len(i), dtype=bool)])])
+    return vertex_order([verts], verts.shape[1])
 
 
 def boundary_configurations(spec: NetworkSpec):

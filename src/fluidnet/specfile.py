@@ -101,6 +101,14 @@ def _vector(value, key: str, where: str) -> list[float]:
     return [float(v) for v in arr]
 
 
+def _scalar(value, key: str, where: str) -> float:
+    """``value`` as a finite float; a list is rejected."""
+    arr = _finite(value, key, where)
+    if arr.ndim != 0:
+        raise ParseError(f"key {key!r} in {where} must be a number, got {value!r}")
+    return float(arr)
+
+
 def _integer(value, key: str, where: str) -> int:
     """``value`` as an int; text, booleans and non-integral numbers are rejected."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -157,9 +165,7 @@ def _parse_skorokhod(section: dict) -> LspInstance:
         _finite(section["reflection"], "reflection", where),
         _finite(section["z0"], "z0", where),
         push_bound=(
-            float(_finite(section["push_bound"], "push_bound", where))
-            if "push_bound" in section
-            else None
+            _scalar(section["push_bound"], "push_bound", where) if "push_bound" in section else None
         ),
     )
 

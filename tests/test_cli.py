@@ -236,6 +236,8 @@ def test_bad_queueing_law_or_scale_one_error_line(spec_file, tmp_path, capsys, s
     ("fluidlimit", "fluidlimit:\n  scales: 10.0\n"),
     ("fluidlimit", "fluidlimit:\n  scales: [[10.0]]\n"),
     ("skorokhod", "skorokhod:\n  theta: -1.0\n  reflection: [[1.0]]\n  z0: [1.0]\n"),
+    ("skorokhod", LSP_YAML + "  push_bound: [1.0, 2.0]\n"),
+    ("skorokhod", LSP_YAML + "  push_bound: []\n"),
 ])
 def test_section_value_not_a_flat_list_one_error_line(spec_file, tmp_path, capsys,
                                                        command, section):

@@ -8,13 +8,14 @@ enumeration of the same constraint system (``test_enumerate.viability_rows``)
 on random networks of both disciplines: one vertex, equal within TOL and
 under the 12-decimal key.
 
-The count guard checks that a run enumerates once per set of near-zero
-classes it meets, and never for the drained set.
+The count guard checks that a run builds one polytope per set of near-zero
+classes it meets, none for the drained set, and never calls the subset
+enumerator.
 """
 import numpy as np
 import pytest
 
-from fluidnet import dynamics, fixtures
+from fluidnet import dynamics, fixtures, model
 from fluidnet.dynamics import (
     FirstVertex,
     MaxDrain,
@@ -65,18 +66,26 @@ def test_pinned_polytope_matches_enumeration(discipline):
 def test_one_enumeration_per_near_zero_set(monkeypatch, name, selector):
     spec = FIXTURES[name]
     x0 = np.ones(spec.K) / spec.K
-    real = dynamics.enumerate_polytope_vertices
-    calls = []
+    calls = {"admissible_polytope": [], "enumerate_polytope_vertices": []}
 
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
+    def recording(attr):
+        real = getattr(model, attr)
 
-    monkeypatch.setattr(dynamics, "enumerate_polytope_vertices", recording)
+        def wrapper(*args):
+            calls[attr].append(args)
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "admissible_polytope", recording("admissible_polytope"))
+    enumerator = recording("enumerate_polytope_vertices")
+    for module in (model, dynamics):  # today only model binds the enumerator
+        monkeypatch.setattr(module, "enumerate_polytope_vertices", enumerator, raising=False)
     traj = simulate(spec, x0, selector(), 8.0, 0.02, stop_on_drain=False)
     near = traj.levels[:-1] < empty_threshold(x0)  # as the selector saw them
     zero_sets = {tuple(row) for row in near.tolist()}
-    assert len(calls) == len(zero_sets - {(True,) * spec.K})
+    assert len(calls["admissible_polytope"]) == len(zero_sets - {(True,) * spec.K})
+    assert calls["enumerate_polytope_vertices"] == []
     if name != "lu_kumar":  # lu_kumar does not drain under MinDrain
         assert traj.drained and zero_invariant(spec)
-        assert near.all(axis=1).sum() > 50  # drained stamps, none enumerated
+        assert near.all(axis=1).sum() > 50  # drained stamps, no polytope built

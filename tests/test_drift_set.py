@@ -130,8 +130,8 @@ def test_certificate_and_lipschitz_never_enumerate(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    for module in (model, dynamics):
-        monkeypatch.setattr(module, "enumerate_polytope_vertices", counting)
+    for module in (model, dynamics):  # today only model binds the enumerator
+        monkeypatch.setattr(module, "enumerate_polytope_vertices", counting, raising=False)
     assert linear_certificate_search(spec).status in ("Verified", "Unknown")
     lipschitz_constant(spec)
     assert calls == []

@@ -1,14 +1,15 @@
-"""Differential test of ``simulate`` against a loop that enumerates at every stamp.
+"""Differential test of ``simulate`` against a loop that builds a polytope at every stamp.
 
-``reference_simulate`` keeps no polytope between stamps: each stamp
-enumerates the viable polytope from scratch through
-``enumerate_polytope_vertices``, with a nonnegative velocity for every
-near-zero class, and the stamp loop runs on numpy arrays.  The drained
-(pinned) polytope is the nominal allocation, the one solution of
-outflow @ u = alpha.  ``RefMaxDrain`` and ``RefMinDrain`` rank the vertices
-at every call.  ``simulate`` must return
-the same bytes (``grid``, ``levels``, ``allocation``, ``controls``) and the
-same ``drained_at``, because the reports are byte-reproducible.
+``reference_simulate`` keeps no polytope between stamps: each stamp builds
+the viable polytope from scratch through ``dynamics._viable_polytope``, with
+a nonnegative velocity for every near-zero class, and the stamp loop runs on
+numpy arrays.  The drained (pinned) polytope is the nominal allocation, the
+one solution of outflow @ u = alpha.  ``RefMaxDrain`` and ``RefMinDrain``
+rank the vertices at every call.  ``simulate`` must return the same bytes
+(``grid``, ``levels``, ``allocation``, ``controls``) and the same
+``drained_at``, because the reports are byte-reproducible.  So this test
+checks the stepping, the per-run polytope cache and the selectors;
+``test_viable_cut`` checks the polytopes against exact enumeration.
 """
 import numpy as np
 import pytest
@@ -22,18 +23,13 @@ from fluidnet.dynamics import (
     MinDrain,
     RandomVertex,
     Trajectory,
+    _viable_polytope as viable_polytope,
     simulate,
     zero_invariant,
 )
 from fluidnet.errors import StepTooLarge
-from fluidnet.model import (
-    PRIORITY,
-    WORK_CONSERVING,
-    empty_rows,
-    empty_threshold,
-    enumerate_polytope_vertices,
-)
-from test_enumerate import constraints, random_network
+from fluidnet.model import PRIORITY, WORK_CONSERVING, empty_rows, empty_threshold
+from test_enumerate import random_network
 
 
 class RefMaxDrain(ControlSelector):
@@ -50,27 +46,12 @@ class RefMinDrain(ControlSelector):
         return int(np.argmax(np.round(velocities.sum(axis=1), 12)))
 
 
-def reference_active_sets(spec, q, eps):
-    zero_classes = frozenset(int(k) for k in np.flatnonzero(q < eps))
-    if spec.discipline == WORK_CONSERVING:
-        empty = frozenset(
-            j for j in range(spec.J)
-            if all(k in zero_classes for k in np.flatnonzero(spec.constituency[j]).tolist())
-        )
-    else:
-        empty = zero_classes
-    return empty, zero_classes
-
-
-def reference_viable_polytope(spec, empty, zero_classes, pinned=False):
+def reference_viable_polytope(spec, zero_classes, pinned=False):
     if pinned:
         return np.array([np.linalg.solve(spec.outflow, spec.alpha)])
-    a_eq, b_eq, a_ub, b_ub = constraints(spec, empty)
-    if zero_classes:
-        idx = sorted(zero_classes)
-        a_ub = np.vstack([a_ub, spec.outflow[idx]])
-        b_ub = np.concatenate([b_ub, spec.alpha[idx]])
-    return enumerate_polytope_vertices(spec.K, a_eq, b_eq, a_ub, b_ub)
+    # bound at import, so a test that patches dynamics._viable_polytope
+    # changes simulate and not this reference
+    return viable_polytope(spec, zero_classes, False)
 
 
 def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
@@ -95,9 +76,9 @@ def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
     end = horizon * (1 - 1e-15) - 1e-15
 
     while t < end:
-        empty, zeros = reference_active_sets(spec, q, eps)
+        zeros = frozenset(np.flatnonzero(q < eps).tolist())
         pinned = can_hold_zero and len(zeros) == spec.K
-        verts = reference_viable_polytope(spec, empty, zeros, pinned=pinned)
+        verts = reference_viable_polytope(spec, zeros, pinned=pinned)
         velocities = verts @ (-spec.outflow.T) + spec.alpha
 
         u = verts[selector.choose(t, q, verts, velocities)]

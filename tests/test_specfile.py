@@ -165,6 +165,18 @@ def test_empty_section_list_rejected(section, key):
         parse_spec_text(TANDEM_YAML + section)
 
 
+@pytest.mark.parametrize("value", ["[1.0, 2.0]", "[]", "[1.0]"])
+def test_push_bound_not_a_number_rejected(value):
+    section = f"skorokhod:\n  theta: [-1.0]\n  reflection: [[1.0]]\n  z0: [1.0]\n  push_bound: {value}\n"
+    with pytest.raises(ParseError, match="key 'push_bound'.*must be a number"):
+        parse_spec_text(TANDEM_YAML + section)
+
+
+def test_push_bound_number_accepted():
+    section = "skorokhod:\n  theta: [-1.0]\n  reflection: [[1.0]]\n  z0: [1.0]\n  push_bound: 2\n"
+    assert parse_spec_text(TANDEM_YAML + section).skorokhod.push_bound == 2.0
+
+
 def test_absent_section_keys_left_out():
     parsed = parse_spec_text(TANDEM_YAML + "simulate: {}\nfluidlimit:\n  scales: [10]\n")
     assert parsed.simulate == {"selector": "max_drain"}
