@@ -9,8 +9,10 @@ decreases along every path at least as fast as the current mass.
 Certificates are checked against the drift set: linear candidates by one LP
 over the vertex velocities of the all-empty admissible polytope without its
 origin (the vertices of every proper boundary configuration, see
-``model.admissible_polytope``), piecewise-linear and quadratic candidates by
-seeded sampled-drift verification over every boundary configuration.
+``model.admissible_polytope``), piecewise-linear candidates by one
+feasibility LP per boundary configuration and piece, and quadratic
+candidates by an exact copositivity test and a drift test at the K corners
+of the simplex.  All three are exact; none samples states.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import check_count, check_factor, check_seed, child_seeds, l1, rng_from, to_jsonable
+from ._util import check_count, check_factor, check_seed, child_seeds, l1, to_jsonable
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -32,9 +34,15 @@ from .dynamics import (
     Trajectory,
     simulate,
 )
-from .errors import BadCandidate, TruncatedWarning
+from .errors import BadCandidate, DimensionTooLarge, TruncatedWarning
 from .gfn import ExplicitPathFamily, NetworkPathFamily
-from .model import NetworkSpec, admissible_polytope, boundary_configurations
+from .model import (
+    CONFIGURATION_CAP,
+    NetworkSpec,
+    admissible_polytope,
+    boundary_configurations,
+    empty_rows,
+)
 
 
 def _mass(levels: np.ndarray) -> np.ndarray:
@@ -334,122 +342,114 @@ def linear_certificate_search(spec: NetworkSpec) -> Certificate:
     return Certificate("linear", {"h": h.tolist()}, eps, "Verified", meta=meta)
 
 
-def _pattern_states(spec: NetworkSpec, empty, n_samples: int, rng) -> np.ndarray:
-    """Unit-l1-sphere states realizing a boundary configuration."""
-    zero_classes = sorted(k for row in empty for k in spec.members[row])
-    support = [k for k in range(spec.K) if k not in zero_classes]
-    states = np.zeros((n_samples, spec.K))
-    states[:, support] = rng.dirichlet(np.ones(len(support)), size=n_samples)
-    return states
+def _verdict(kind, data, margin, witness, epsilon) -> Certificate:
+    """Verified when the worst margin reaches epsilon, Falsified when the
+    witness rises (margin below -1e-12), Unknown in between."""
+    meta = {"required_epsilon": epsilon}
+    if margin >= epsilon:
+        return Certificate(kind, data, margin, "Verified", None, meta)
+    if margin < -1e-12:
+        return Certificate(kind, data, 0.0, "Falsified", witness, meta)
+    return Certificate(kind, data, max(margin, 0.0), "Unknown", witness, meta)
 
 
-def _sampled_drift_check(spec, derivative_fn, positivity_fn, *, epsilon, samples):
-    """Shared driver for piecewise-linear and quadratic candidates.
+def piecewise_linear_check(spec: NetworkSpec, h_list, *, epsilon: float = 1e-6) -> Certificate:
+    """Exact drift check of max_j h_j . x as a certificate.
 
-    derivative_fn(states, velocities) -> per-state worst directional
-    derivative; positivity_fn(states) -> per-state candidate value (must be
-    strictly positive away from zero).  States are drawn from seed 42.
-    Returns (margin, witness or None, meta).
-    """
-    seed = 42
-    rng = rng_from(seed)
-    worst_margin = np.inf
-    checked = 0
-    witness = None
-    for empty in boundary_configurations(spec):
-        verts = admissible_polytope(spec, empty)
-        velocities = verts @ (-spec.outflow.T) + spec.alpha
-        states = _pattern_states(spec, empty, samples, rng)
-        values = positivity_fn(states)
-        if np.any(values <= 1e-12):
-            i = int(np.argmin(values))
-            worst_margin = 0.0
-            witness = {
-                "state": states[i].tolist(),
-                "value": float(values[i]),
-                "reason": "candidate not positive on the orthant",
-            }
-            break
-        derivs, arg_vertices = derivative_fn(states, velocities)
-        checked += len(states)
-        norms = states.sum(axis=1)  # states are nonnegative
-        bad = derivs > -epsilon * norms
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            worst_margin = float(np.min(-derivs / norms))
-            witness = {
-                "state": states[i].tolist(),
-                "control": verts[arg_vertices[i]].tolist(),
-                "derivative": float(derivs[i]),
-                "reason": "drift not sufficiently negative",
-            }
-            break
-        worst_margin = min(worst_margin, float(np.min(-derivs / norms)))
-    return worst_margin, witness, {"samples": checked, "seed": seed, "required_epsilon": epsilon}
-
-
-def piecewise_linear_check(spec: NetworkSpec, h_list, *, epsilon: float = 1e-6,
-                           samples: int = 1000) -> Certificate:
-    """Sampled-drift verification of max_j h_j . x as a certificate.
-
-    At kink states every active piece is checked (upper derivative of a max).
+    For each boundary configuration E and piece j, one feasibility LP looks
+    for a unit state on E's closed face (the classes of E's rows at 0) at
+    which piece j is on top.  Where there is one, the upper derivative of the
+    max, h_j . v, must be at most -epsilon at every vertex velocity v of E's
+    polytope.  A state on the closed face empties E's rows and perhaps more,
+    and its own polytope contains E's, so the LP's state and the worst vertex
+    make a witness.  Nonnegative pieces with no all-zero coordinate are
+    positive on the orthant.  The margin is the worst -h_j . v over every
+    (E, j) whose LP is feasible.
     """
     h_mat = np.asarray(h_list, dtype=float).reshape(-1, spec.K)
     if np.any(h_mat < 0):
         raise BadCandidate("piecewise-linear pieces must be nonnegative vectors")
     if np.any(h_mat.max(axis=0) <= 0):
         raise BadCandidate("some coordinate is zero in every piece; candidate vanishes")
-
-    def positivity(states):
-        return (states @ h_mat.T).max(axis=1)
-
-    def derivative(states, velocities):
-        piece_vals = states @ h_mat.T  # (n, N)
-        top = piece_vals.max(axis=1, keepdims=True)
-        active = piece_vals >= top - 1e-12 * (1.0 + np.abs(top))
-        piece_derivs = h_mat @ velocities.T  # (N, m)
-        best_vertex = piece_derivs.argmax(axis=1)  # per piece
-        per_piece = piece_derivs.max(axis=1)  # (N,)
-        masked = np.where(active, per_piece[None, :], -np.inf)
-        derivs = masked.max(axis=1)
-        arg_piece = masked.argmax(axis=1)
-        return derivs, best_vertex[arg_piece]
-
-    margin, witness, meta = _sampled_drift_check(
-        spec, derivative, positivity, epsilon=epsilon, samples=samples
-    )
-    data = {"h_list": h_mat.tolist()}
-    if witness is not None:
-        if witness.get("derivative", -1.0) > 1e-12:
-            return Certificate("piecewise_linear", data, 0.0, "Falsified", witness, meta)
-        return Certificate("piecewise_linear", data, max(margin, 0.0), "Unknown", witness, meta)
-    return Certificate("piecewise_linear", data, margin, "Verified", None, meta)
+    margin, witness = np.inf, None
+    for empty in boundary_configurations(spec):
+        verts = admissible_polytope(spec, empty)
+        piece_derivs = h_mat @ (verts @ (-spec.outflow.T) + spec.alpha).T  # (piece, vertex)
+        zero = {k for row in empty for k in spec.members[row]}
+        bounds = [(0.0, 0.0 if k in zero else None) for k in range(spec.K)]
+        for j, derivs in enumerate(piece_derivs):
+            worst = int(np.argmax(derivs))
+            if -derivs[worst] >= margin:
+                continue  # cannot lower the margin, feasible or not
+            res = linprog(np.zeros(spec.K), A_ub=h_mat - h_mat[j], b_ub=np.zeros(len(h_mat)),
+                          A_eq=np.ones((1, spec.K)), b_eq=[1.0], bounds=bounds, method="highs")
+            if res.status == 2:
+                continue  # infeasible: piece j is nowhere on top on this face
+            margin = float(-derivs[worst])
+            witness = {"state": np.maximum(res.x, 0.0).tolist(), "piece": j,
+                       "control": verts[worst].tolist(), "derivative": -margin,
+                       "reason": "drift not sufficiently negative"}
+    return _verdict("piecewise_linear", {"h_list": h_mat.tolist()}, margin, witness, epsilon)
 
 
-def quadratic_check(spec: NetworkSpec, a_matrix, *, epsilon: float = 1e-6,
-                    samples: int = 1000) -> Certificate:
-    """Sampled-drift verification of x . A x as a certificate.
+def _simplex_minimum(a: np.ndarray):
+    """Exact minimum of x . A x over the unit simplex, and a minimizer.
 
-    Strict copositivity is checked on the same samples; the directional
-    derivative under control u is 2 x . A v(u).
+    On its support S a minimizer solves A_S x = lambda 1, sum x = 1.  One of
+    least support has a nonsingular system: a null direction would keep the
+    value along a line that empties a class.  So the minimum is among the
+    nonnegative solutions of every support's system; each is clipped and
+    rescaled onto the simplex before its value is taken, so no candidate
+    reads below the true minimum.  More than CONFIGURATION_CAP classes
+    raises DimensionTooLarge before any solve.
+    """
+    k = a.shape[0]
+    if k > CONFIGURATION_CAP:
+        raise DimensionTooLarge(f"{2 ** k - 1} supports exceeds cap 2^{CONFIGURATION_CAP}")
+    best_value, best_x = np.inf, None
+    for size in range(1, k + 1):
+        supports = np.array(list(itertools.combinations(range(k), size)), dtype=np.intp)
+        systems = np.zeros((len(supports), size + 1, size + 1))
+        systems[:, :size, :size] = a[supports[:, :, None], supports[:, None, :]]
+        systems[:, :size, size] = -1.0
+        systems[:, size, :size] = 1.0
+        # pinv, not solve: a singular system gives some point instead of an error
+        x_s = np.linalg.pinv(systems)[:, :size, size]
+        keep = (x_s >= -1e-12).all(axis=1) & (x_s.sum(axis=1) > 0.0)
+        x_s = np.maximum(x_s[keep], 0.0)
+        x = np.zeros((len(x_s), k))
+        np.put_along_axis(x, supports[keep], x_s / x_s.sum(axis=1, keepdims=True), axis=1)
+        values = np.einsum("ik,kl,il->i", x, a, x)
+        if values.size and values.min() < best_value:
+            best_value, best_x = float(values.min()), x[np.argmin(values)]
+    return best_value, best_x
+
+
+def quadratic_check(spec: NetworkSpec, a_matrix, *, epsilon: float = 1e-6) -> Certificate:
+    """Exact check of x . A x as a certificate.
+
+    Strict copositivity is the exact simplex minimum of
+    :func:`_simplex_minimum`.  The derivative under control u is
+    2 x . A v(u), linear in x for a fixed v, so on the unit simplex its worst
+    state is a corner e_k; every state with class k nonempty empties only
+    rows that do not cover k, so its polytope lies inside e_k's.  The drift
+    check therefore takes the K corners, each over its own polytope.
     """
     a = np.asarray(a_matrix, dtype=float)
     a = 0.5 * (a + a.T)
-
-    def positivity(states):
-        return np.einsum("ik,kl,il->i", states, a, states)
-
-    def derivative(states, velocities):
-        grads = 2.0 * states @ a  # (n, K)
-        all_derivs = grads @ velocities.T  # (n, m)
-        return all_derivs.max(axis=1), all_derivs.argmax(axis=1)
-
-    margin, witness, meta = _sampled_drift_check(
-        spec, derivative, positivity, epsilon=epsilon, samples=samples
-    )
     data = {"A": a.tolist()}
-    if witness is not None:
-        if witness.get("derivative", -1.0) > 1e-12 or "value" in witness:
-            return Certificate("quadratic", data, 0.0, "Falsified", witness, meta)
-        return Certificate("quadratic", data, max(margin, 0.0), "Unknown", witness, meta)
-    return Certificate("quadratic", data, margin, "Verified", None, meta)
+    value, state = _simplex_minimum(a)
+    if value <= 1e-12:
+        witness = {"state": state.tolist(), "value": value,
+                   "reason": "candidate not positive on the orthant"}
+        return _verdict("quadratic", data, -np.inf, witness, epsilon)
+    margin, witness = np.inf, None
+    for k in range(spec.K):
+        verts = admissible_polytope(spec, empty_rows(spec, set(range(spec.K)) - {k}))
+        derivs = 2.0 * (verts @ (-spec.outflow.T) + spec.alpha) @ a[k]
+        worst = int(np.argmax(derivs))
+        if -derivs[worst] < margin:
+            margin = float(-derivs[worst])
+            witness = {"state": np.eye(spec.K)[k].tolist(), "control": verts[worst].tolist(),
+                       "derivative": -margin, "reason": "drift not sufficiently negative"}
+    return _verdict("quadratic", data, margin, witness, epsilon)

@@ -352,8 +352,9 @@ def admissible_constraints(spec: NetworkSpec, empty):
 work_conserving_constraints = priority_constraints = admissible_constraints
 
 
-#: log2 of the largest vertex count :func:`admissible_polytope` builds and of
-#: the largest configuration count :func:`boundary_configurations` yields
+#: log2 of the largest vertex count :func:`admissible_polytope` builds, of the
+#: largest configuration count :func:`boundary_configurations` yields, and of
+#: the support count ``lyapunov.quadratic_check``'s copositivity test solves
 CONFIGURATION_CAP = 16
 
 
@@ -406,7 +407,7 @@ def cut_polytope(verts, a_ub, b_ub, a_cut, b_cut) -> np.ndarray:
 
 
 def boundary_configurations(spec: NetworkSpec):
-    """All boundary configurations, for the sampled drift checks.
+    """All boundary configurations, for the exact piecewise-linear drift check.
 
     Yields every proper subset of capacity rows (stations of a
     work-conserving network, classes of a priority one) as a candidate empty

@@ -203,7 +203,9 @@ def _minimal_push(r: np.ndarray, active, c: np.ndarray, tol: float,
     ``bases`` maps each active set (a tuple) to R_a and its
     :func:`_push_bases`, built on the first call for that set.  Each call
     then makes one batched solve per block size and applies the sign and
-    feasibility checks as masks.  Batched ``solve`` runs the same LAPACK
+    feasibility checks as masks; every kept block passed the determinant
+    test, and ``solve`` raises only on an exactly zero pivot, where ``det``,
+    from the same LU factorization, is 0.  Batched ``solve`` runs the same LAPACK
     routine per matrix as a one-by-one loop, and every check is the same
     per-candidate arithmetic, so the push has the same bits as a
     per-candidate loop.
@@ -218,16 +220,7 @@ def _minimal_push(r: np.ndarray, active, c: np.ndarray, tol: float,
     u_a = np.zeros((1 + sum(rows.shape[0] for _, rows, _ in blocks_by_size), len(a)))
     start = 1  # row 0 is the zero push
     for blocks, rows, cols in blocks_by_size:
-        rhs = c[rows]
-        try:
-            x = np.linalg.solve(blocks, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # an exactly singular block: only it drops out
-            x = np.full(rows.shape, -np.inf)
-            for i, (block, b) in enumerate(zip(blocks, rhs)):
-                try:
-                    x[i] = np.linalg.solve(block, b)
-                except np.linalg.LinAlgError:
-                    pass
+        x = np.linalg.solve(blocks, c[rows][..., None])[..., 0]
         stop = start + rows.shape[0]
         u_a[np.arange(start, stop)[:, None], cols] = x
         start = stop

@@ -4,15 +4,14 @@
 one row per station (work-conserving) or per class (priority).  The
 ``reference_*`` functions below are the per-discipline code they replace: two
 constraint builders over the priority groups, the empty-set rule, idle
-processes, the zero-state test, the idling functional and the zero classes
-of the sampled drift states.  The constraint arrays must be the same bytes;
-the float functionals may differ in the last bits, since priority now sums
-in the work-conserving order.
+processes, the zero-state test and the idling functional.  The constraint
+arrays must be the same bytes; the float functionals may differ in the last
+bits, since priority now sums in the work-conserving order.
 """
 import numpy as np
 import pytest
 
-from fluidnet import fixtures, lyapunov
+from fluidnet import fixtures
 from fluidnet.dynamics import (
     MaxDrain,
     MinDrain,
@@ -128,17 +127,6 @@ def reference_complementarity(spec, traj):
     return total
 
 
-def reference_pattern_states(spec, empty, n_samples, rng):
-    if spec.discipline == WORK_CONSERVING:
-        zero_classes = sorted(k for j in empty for k in spec.classes_at(j))
-    else:
-        zero_classes = sorted(empty)
-    support = [k for k in range(spec.K) if k not in zero_classes]
-    states = np.zeros((n_samples, spec.K))
-    states[:, support] = rng.dirichlet(np.ones(len(support)), size=n_samples)
-    return states
-
-
 def networks():
     """Random networks of both disciplines with K = 1..6, then the fixtures."""
     for discipline in (WORK_CONSERVING, PRIORITY):
@@ -200,11 +188,3 @@ def test_idle_and_complementarity_agree(name, spec):
         assert np.all(np.abs(idle(spec, traj) - want) <= 1e-12 * (1 + np.abs(want)))
         want = reference_complementarity(spec, traj)
         assert abs(complementarity_residual(spec, traj) - want) <= 1e-12 * (1 + abs(want))
-
-
-@pytest.mark.parametrize("name,spec", NETWORKS, ids=IDS)
-def test_pattern_state_zero_classes_equal(name, spec):
-    for empty in boundary_configurations(spec):
-        got = lyapunov._pattern_states(spec, empty, 3, np.random.default_rng(5))
-        want = reference_pattern_states(spec, empty, 3, np.random.default_rng(5))
-        assert got.tobytes() == want.tobytes()

@@ -22,6 +22,7 @@ from fluidnet.gfn import (
     shift,
     uoc_distance,
 )
+from fluidnet.model import validate
 
 
 def coordinatewise(x1, x2):
@@ -241,6 +242,17 @@ class TestNetworkFamily:
         assert report["residual_ok"]
         assert report["lipschitz_ok"]
         assert sum(report["operations"].values()) == 60
+
+    @pytest.mark.xfail(strict=True, reason="lipschitz_estimate reads time-grid rounding as slope")
+    def test_axiom_report_lipschitz_ok_at_a_tight_bound(self):
+        """Serving class 1 gives |v| = 3.3, the bound itself.  At t ~ 1.42 a
+        zero-crossing step of 6.1e-10 s carries relative rounding u t / dt ~
+        2.6e-7, so the estimate reads 3.300001, more than 1e-9 above the
+        bound.  Passes once the slope is read without that rounding."""
+        spec = validate([0.3, 0.0], [1.0, 3.0], [[0, 1], [0, 0]], [[1, 1]], "priority", [1, 0])
+        report = axiom_report(spec, n_ops=400, seed=42, horizon=25.0, h=0.02)
+        assert report["lipschitz_bound"] == pytest.approx(3.3, abs=1e-12)
+        assert report["lipschitz_ok"]
 
     def test_axiom_report_rejects_a_negative_operation_count(self, tandem):
         with pytest.raises(BadCount, match="n_ops must be nonnegative, got -5"):

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from fluidnet import fixtures
 from fluidnet.dynamics import MaxDrain, RandomVertex, simulate
-from fluidnet.errors import BadCount, BadFactor, BadSeed, TruncatedWarning
+from fluidnet.errors import BadCount, BadFactor, BadSeed, DimensionTooLarge, TruncatedWarning
 from fluidnet.gfn import example_family, network_family, scale, shift
 from fluidnet.lyapunov import (
     MAX_DEPTH,
     SearchBudget,
+    _simplex_minimum,
     approximate_V,
     check_decrease,
     check_sandwich,
@@ -20,9 +21,13 @@ from fluidnet.lyapunov import (
     v_functional,
 )
 from fluidnet.model import (
+    CONFIGURATION_CAP,
     admissible_constraints,
+    admissible_polytope,
     boundary_configurations,
+    empty_rows,
     enumerate_polytope_vertices,
+    validate,
 )
 
 
@@ -239,32 +244,179 @@ class TestLinearCertificate:
             assert traj.drained_at <= bound
 
 
-class TestSampledCertificates:
+def reference_sampled_check(spec, kind, candidate, *, epsilon=1e-6, samples=20_000, seed=42):
+    """The sampled drift driver the exact checks replaced.
+
+    Draws ``samples`` Dirichlet states on each boundary configuration's face
+    (the classes of its rows at 0), tests the candidate's value and its worst
+    derivative over the configuration's vertex velocities, and applies the
+    same status rule.  Sampled states are a subset of the exact checks'
+    states, so its margin can only be larger.
+    """
+    if kind == "piecewise_linear":
+        h_mat = np.asarray(candidate, dtype=float).reshape(-1, spec.K)
+
+        def positivity(states):
+            return (states @ h_mat.T).max(axis=1)
+
+        def derivative(states, velocities):
+            piece_vals = states @ h_mat.T
+            top = piece_vals.max(axis=1, keepdims=True)
+            active = piece_vals >= top - 1e-12 * (1.0 + np.abs(top))
+            per_piece = (h_mat @ velocities.T).max(axis=1)
+            return np.where(active, per_piece[None, :], -np.inf).max(axis=1)
+    else:
+        a = np.asarray(candidate, dtype=float)
+        a = 0.5 * (a + a.T)
+
+        def positivity(states):
+            return np.einsum("ik,kl,il->i", states, a, states)
+
+        def derivative(states, velocities):
+            return (2.0 * states @ a @ velocities.T).max(axis=1)
+
+    rng = np.random.default_rng(seed)
+    margin, rises = np.inf, False
+    for empty in boundary_configurations(spec):
+        velocities = admissible_polytope(spec, empty) @ (-spec.outflow.T) + spec.alpha
+        zero = {k for row in empty for k in spec.members[row]}
+        support = [k for k in range(spec.K) if k not in zero]
+        states = np.zeros((samples, spec.K))
+        states[:, support] = rng.dirichlet(np.ones(len(support)), size=samples)
+        if np.any(positivity(states) <= 1e-12):
+            return "Falsified", 0.0
+        derivs = derivative(states, velocities)
+        margin = min(margin, float(np.min(-derivs)))
+        if margin < epsilon:
+            rises = bool(np.max(derivs) > 1e-12)
+            break
+    if margin >= epsilon:
+        return "Verified", margin
+    return ("Falsified", 0.0) if rises else ("Unknown", max(margin, 0.0))
+
+
+CERTIFICATE_FIXTURES = {**fixtures.stable_fixture_set(), "lu_kumar": fixtures.lu_kumar()}
+
+
+def random_candidates(n_per_fixture, seed=3):
+    """(spec, kind, candidate) triples near each fixture's linear certificate:
+    1-3 pieces scaled by U(0.5, 1.5), and symmetric matrices around diag(h)."""
+    rng = np.random.default_rng(seed)
+    for spec in CERTIFICATE_FIXTURES.values():
+        h = linear_certificate_search(spec).data["h"]
+        h = np.ones(spec.K) if h is None else np.asarray(h)
+        for _ in range(n_per_fixture):
+            pieces = h * rng.uniform(0.5, 1.5, (int(rng.integers(1, 4)), spec.K))
+            yield spec, "piecewise_linear", pieces
+            off = rng.uniform(-1.0, 1.0, (spec.K, spec.K)) * rng.uniform(0.0, 0.6)
+            yield spec, "quadratic", np.diag(h * rng.uniform(0.5, 1.5, spec.K)) + off + off.T
+
+
+def exact_check(spec, kind, candidate):
+    check = piecewise_linear_check if kind == "piecewise_linear" else quadratic_check
+    return check(spec, candidate)
+
+
+def assert_genuine_witness(spec, cert):
+    """A Falsified witness is a real state, an admissible control at that
+    state's own configuration, and a derivative that rises."""
+    w = cert.witness
+    x = np.asarray(w["state"])
+    assert np.all(x >= 0.0) and abs(x.sum() - 1.0) <= 1e-9
+    if "value" in w:
+        a = np.asarray(cert.data["A"])
+        assert x @ a @ x == pytest.approx(w["value"], abs=1e-12) and w["value"] <= 1e-12
+        return
+    u = np.asarray(w["control"])
+    a_eq, b_eq, a_ub, b_ub = admissible_constraints(
+        spec, empty_rows(spec, np.flatnonzero(x == 0.0))
+    )
+    assert np.all(np.abs(a_eq @ u - b_eq) <= 1e-12) and np.all(a_ub @ u <= b_ub + 1e-12)
+    v = u @ (-spec.outflow.T) + spec.alpha
+    if cert.kind == "quadratic":
+        assert 2.0 * x @ np.asarray(cert.data["A"]) @ v > 0.0
+        return
+    h_mat = np.asarray(cert.data["h_list"])
+    values = h_mat @ x
+    on_top = values >= values.max() - 1e-9
+    assert np.any(on_top & (h_mat @ v > 0.0))
+
+
+class TestExactCertificates:
     def test_single_piece_reduces_to_linear(self):
-        cert = piecewise_linear_check(
-            fixtures.single_queue(0.0, 1.0), [[1.0]], epsilon=1.0, samples=300
-        )
+        cert = piecewise_linear_check(fixtures.single_queue(0.0, 1.0), [[1.0]], epsilon=1.0)
         assert cert.status == "Verified"
 
     def test_quadratic_identity_on_stable(self):
-        cert = quadratic_check(
-            fixtures.single_queue(0.0, 1.0), [[1.0]], epsilon=1.0, samples=300
-        )
+        cert = quadratic_check(fixtures.single_queue(0.0, 1.0), [[1.0]], epsilon=1.0)
         assert cert.status == "Verified"
         assert cert.epsilon == pytest.approx(2.0, abs=1e-9)
 
     def test_quadratic_identity_on_overloaded(self, overloaded_queue):
-        cert = quadratic_check(overloaded_queue, [[1.0]], samples=300)
+        cert = quadratic_check(overloaded_queue, [[1.0]])
         assert cert.status == "Falsified"
         assert cert.witness["derivative"] == pytest.approx(2.0, abs=1e-9)
 
     def test_piecewise_on_priority(self, two_class_priority):
-        cert = piecewise_linear_check(
-            two_class_priority, [[1.0, 0.2], [0.2, 1.0]], epsilon=1e-6, samples=400
-        )
+        cert = piecewise_linear_check(two_class_priority, [[1.0, 0.2], [0.2, 1.0]], epsilon=1e-6)
         assert cert.status in ("Verified", "Unknown")
         if cert.status == "Verified":
             assert cert.epsilon > 0
+
+    def test_reentrant_line_sliver_falsified(self):
+        """Piece 2 is on top only on a sliver x_0 <= 3.1e-4 x_2 of the face
+        x_1 = 0, which 1,000 Dirichlet samples from seed 42 miss."""
+        h = [[1.4413, 0.51, 0.3537], [0.8925, 0.8517, 0.1561], [0.4859, 0.5799, 0.354]]
+        spec = fixtures.reentrant_line()
+        cert = piecewise_linear_check(spec, h)
+        assert cert.status == "Falsified"
+        assert cert.witness["derivative"] > 0.19
+        assert_genuine_witness(spec, cert)
+
+    @pytest.mark.parametrize("name", sorted(fixtures.stable_fixture_set()))
+    def test_one_piece_agrees_with_linear_search(self, name):
+        spec = fixtures.stable_fixture_set()[name]
+        linear = linear_certificate_search(spec)
+        cert = piecewise_linear_check(spec, [linear.data["h"]])
+        assert cert.status == "Verified"
+        assert cert.epsilon == pytest.approx(linear.epsilon, rel=1e-9)
+
+    def test_never_verified_where_sampling_falsifies(self):
+        seen = set()
+        for spec, kind, candidate in random_candidates(20):
+            cert = exact_check(spec, kind, candidate)
+            ref_status, ref_margin = reference_sampled_check(spec, kind, candidate)
+            seen.add((kind, cert.status))
+            assert not (cert.status == "Verified" and ref_status == "Falsified")
+            assert cert.epsilon <= ref_margin + 1e-12
+            if cert.status == "Falsified":
+                assert_genuine_witness(spec, cert)
+        assert {(kind, status) for kind in ("piecewise_linear", "quadratic")
+                for status in ("Verified", "Falsified")} <= seen
+
+    def test_simplex_minimum_below_every_sample(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            k = int(rng.integers(1, 6))
+            a = rng.uniform(-1.0, 2.0, (k, k))
+            a = 0.5 * (a + a.T)
+            value, x = _simplex_minimum(a)
+            assert np.all(x >= 0.0) and x.sum() == pytest.approx(1.0, abs=1e-12)
+            assert x @ a @ x == pytest.approx(value, abs=1e-12)
+            states = rng.dirichlet(np.ones(k), size=20_000)
+            assert value <= np.einsum("ik,kl,il->i", states, a, states).min() + 1e-12
+            assert value <= a.diagonal().min() + 1e-12
+
+    def test_copositivity_cap_checked_before_any_solve(self, monkeypatch):
+        k = CONFIGURATION_CAP + 1
+        spec = validate(np.zeros(k), np.ones(k), np.zeros((k, k)), np.eye(k), "work_conserving")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a support was solved")
+
+        monkeypatch.setattr(np.linalg, "pinv", refuse)
+        with pytest.raises(DimensionTooLarge, match="131071 supports"):
+            quadratic_check(spec, np.eye(k))
 
     def test_bad_candidate_rejected(self, two_class_priority):
         with pytest.raises(ValueError):

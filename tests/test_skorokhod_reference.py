@@ -206,26 +206,7 @@ def assert_same_push(r, active, c, tol, bases):
     return got
 
 
-@pytest.fixture(params=["batched", "per_block", "per_block_some_fail"])
-def solve_mode(request, monkeypatch):
-    """Also run with every batched solve failing, so each block is solved
-    alone, and with some single blocks failing as well (for the reference
-    too), so those candidates drop out."""
-    if request.param != "batched":
-        solve = np.linalg.solve
-
-        def no_batches(a, b):
-            if np.ndim(a) > 2:
-                raise np.linalg.LinAlgError("batched solve disabled")
-            if request.param == "per_block_some_fail" and a[0, 0] < 0.0:
-                raise np.linalg.LinAlgError("single solve disabled")
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", no_batches)
-    return request.param
-
-
-def test_minimal_push_same_bytes_on_random_c(solve_mode):
+def test_minimal_push_same_bytes_on_random_c():
     rng = np.random.default_rng([20111990, 13])
     infeasible = 0
     for trial in range(300):
@@ -240,7 +221,7 @@ def test_minimal_push_same_bytes_on_random_c(solve_mode):
     assert infeasible > 0
 
 
-def test_minimal_push_same_bytes_at_degenerate_vertices(solve_mode):
+def test_minimal_push_same_bytes_at_degenerate_vertices():
     """c = R_a u* for a sparse u* >= 0 makes every row tight at u*, so many
     (S, T) pairs reach it with differently rounded bits: the first in
     (size, S, T) order must win."""
