@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
 )
 from .fluidlimit import distance_table_csv, fluid_limit_compare, queueing_spec
-from .gfn import axiom_report, network_family
+from .gfn import axiom_report, lipschitz_estimate, network_family
 from .lyapunov import (
     MAX_DEPTH,
     SearchBudget,
@@ -51,7 +51,6 @@ from .lyapunov import (
 from .skorokhod import (
     complementarity_residual,
     lipschitz_bound,
-    observed_slope,
     solution_csv,
     solution_residual,
     solve_lsp,
@@ -178,8 +177,8 @@ def run(args: argparse.Namespace) -> int:
             "flow_residual": solution_residual(inst, sol),
             "complementarity_residual": complementarity_residual(sol),
             "lipschitz_bound": lipschitz_bound(inst),
-            "observed_slope": observed_slope(sol),
-            "final_state": sol.states[-1].tolist(),
+            "observed_slope": lipschitz_estimate(sol),
+            "final_state": sol.levels[-1].tolist(),
         }
 
     elif args.command == "fluidlimit":

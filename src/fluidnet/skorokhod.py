@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import check_factor, csv_text, freeze_arrays, l1
-from .dynamics import _EVENT_CAP, _event_split
+from ._util import csv_text, l1
+from .dynamics import _EVENT_CAP, Trajectory, _event_split
 from .errors import (
     BadPushBound,
     DimensionMismatch,
@@ -108,8 +108,8 @@ def _default_push_bound(theta: np.ndarray, r: np.ndarray) -> float:
 class LspInstance:
     """A validated linear Skorokhod problem.
 
-    Raises DimensionMismatch for a theta that is not a vector or for
-    inconsistent shapes, NonFiniteInput for NaN
+    Raises DimensionMismatch for a theta that is not a nonempty vector or
+    for inconsistent shapes, NonFiniteInput for NaN
     or infinity in theta, R or Z0, NegativeState for a negative Z0 and
     BadPushBound for a push bound that is not positive.
     """
@@ -124,9 +124,9 @@ class LspInstance:
         r = np.asarray(self.reflection, dtype=float)
         z0 = np.asarray(self.z0, dtype=float)
         j = theta.size
-        if theta.shape != (j,) or r.shape != (j, j) or z0.shape != (j,):
+        if j == 0 or theta.shape != (j,) or r.shape != (j, j) or z0.shape != (j,):
             raise DimensionMismatch(
-                f"inconsistent shapes: theta {theta.shape}, R {r.shape}, Z0 {z0.shape}"
+                f"empty or inconsistent shapes: theta {theta.shape}, R {r.shape}, Z0 {z0.shape}"
             )
         arrays = (("theta", theta), ("reflection", r), ("z0", z0))
         for name, val in arrays:
@@ -149,23 +149,19 @@ class LspInstance:
         return int(self.theta.shape[0])
 
 
-@dataclass(frozen=True, eq=False)
-class LspSolution:
-    grid: np.ndarray
-    states: np.ndarray
-    pushing: np.ndarray
-    controls: np.ndarray
+class LspSolution(Trajectory):
+    """A solution as a fluid path: ``levels`` is Z, ``allocation`` the pushing
+    process Y and ``controls`` the push rates; it never drains.  The gfn path
+    operations apply to it and return plain ``Trajectory``s."""
 
-    def __post_init__(self):
-        freeze_arrays(self, ("grid", "states", "pushing", "controls"))
+    # Old names of Z and Y, kept because the fixed benchmark harness (perfbench/) reads them.
+    @property
+    def states(self) -> np.ndarray:
+        return self.levels
 
     @property
-    def J(self) -> int:
-        return int(self.states.shape[1])
-
-    @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
+    def pushing(self) -> np.ndarray:
+        return self.allocation
 
 
 def _push_bases(r_a: np.ndarray) -> list:
@@ -277,23 +273,23 @@ def solve_lsp(inst: LspInstance, horizon: float, h: float) -> LspSolution:
     return LspSolution(*_event_split(inst.z0, horizon, h, _EVENT_CAP, push))
 
 
-def solution_residual(inst: LspInstance, sol: LspSolution) -> float:
+def solution_residual(inst: LspInstance, sol: Trajectory) -> float:
     """Max over stamps of |Z - (Z0 + theta t + R Y)| in l1."""
     predicted = (
         inst.z0[None, :]
         + sol.grid[:, None] * inst.theta[None, :]
-        + sol.pushing @ inst.reflection.T
+        + sol.allocation @ inst.reflection.T
     )
-    return float(np.abs(sol.states - predicted).sum(axis=1).max())
+    return float(np.abs(sol.levels - predicted).sum(axis=1).max())
 
 
-def complementarity_residual(sol: LspSolution) -> float:
+def complementarity_residual(sol: Trajectory) -> float:
     """Discrete boundary-push-while-positive functional sum_j int Z_j dY_j,
     trapezoidal in Z per interval."""
     if sol.controls.shape[0] == 0:
         return 0.0
-    z_mid = 0.5 * (sol.states[:-1] + sol.states[1:])
-    dy = np.diff(sol.pushing, axis=0)
+    z_mid = 0.5 * (sol.levels[:-1] + sol.levels[1:])
+    dy = np.diff(sol.allocation, axis=0)
     return float(np.sum(z_mid * dy))
 
 
@@ -303,24 +299,7 @@ def lipschitz_bound(inst: LspInstance) -> float:
     return l1(inst.theta) + r_norm * inst.push_bound
 
 
-def observed_slope(sol: LspSolution) -> float:
-    if sol.grid.shape[0] < 2:
-        return 0.0
-    dz = np.abs(np.diff(sol.states, axis=0)).sum(axis=1)
-    dt = np.diff(sol.grid)
-    return float((dz / dt).max())
-
-
-def scale_solution(sol: LspSolution, r: float) -> LspSolution:
-    """Time-space rescaling t -> Z(r t) / r; a solution from Z0 / r.
-
-    Raises BadFactor unless r is finite and positive.
-    """
-    r = check_factor("scale factor", r)
-    return LspSolution(sol.grid / r, sol.states / r, sol.pushing / r, sol.controls)
-
-
-def solution_csv(sol: LspSolution) -> str:
+def solution_csv(sol: Trajectory) -> str:
     """CSV export: t, Z1..ZJ, Y1..YJ, 17 significant digits."""
-    header = ["t", *(f"{name}{i + 1}" for name in "ZY" for i in range(sol.J))]
-    return csv_text(header, np.column_stack([sol.grid, sol.states, sol.pushing]).tolist())
+    header = ["t", *(f"{name}{i + 1}" for name in "ZY" for i in range(sol.K))]
+    return csv_text(header, np.column_stack([sol.grid, sol.levels, sol.allocation]).tolist())

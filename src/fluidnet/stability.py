@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import check_count, child_seeds, l1, rng_from, to_jsonable
+from ._util import check_count, check_factor, child_seeds, l1, rng_from, to_jsonable
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -144,18 +144,21 @@ def scale_invariance_check(verdict: Verdict, spec: NetworkSpec, r_list) -> dict:
 
     Runs the comparison under MaxDrain with step h = 0.01 for every scale in
     r_list from each basis start; tolerance is two control-switch intervals.
+    Raises BadCount for an empty r_list and BadFactor for a scale that is not
+    finite and positive.
     """
     if not verdict.is_stable:
         raise NotStable("scale invariance check requires a stable verdict")
+    r_list = [check_factor("scale", r) for r in r_list]
+    check_count("scale count", len(r_list), low=1)
     selector = MaxDrain()
     h = 0.01
+    horizon = 4.0 * (verdict.tau or 1.0) * max(1.0, *r_list) + 1.0
     rows = []
     ok = True
     for x in np.eye(spec.K):
-        horizon = 4.0 * (verdict.tau or 1.0) * max(1.0, max(float(r) for r in r_list)) + 1.0
         base = simulate(spec, x, selector, horizon, h).drained_at
         for r in r_list:
-            r = float(r)
             scaled = simulate(spec, r * x, selector, horizon, h).drained_at
             row_ok = (
                 base is not None

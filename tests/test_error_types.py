@@ -15,6 +15,7 @@ from fluidnet.dynamics import FixedSequence, Trajectory
 from fluidnet.errors import (
     BadCandidate,
     BadCount,
+    BadFactor,
     DimensionMismatch,
     FluidNetError,
     NegativeState,
@@ -25,7 +26,7 @@ from fluidnet.errors import (
 from fluidnet.fluidlimit import concatenation_evidence
 from fluidnet.gfn import example_family, lipschitz_estimate
 from fluidnet.lyapunov import piecewise_linear_check
-from fluidnet.stability import Verdict, scale_invariance_check
+from fluidnet.stability import STABLE, Verdict, scale_invariance_check
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fluidnet"
 
@@ -56,6 +57,14 @@ SITES = {
     "scale invariance of an unstable verdict": (
         NotStable,
         lambda: scale_invariance_check(Verdict("unstable"), fixtures.overloaded_queue(), [2.0])),
+    "scale invariance without scales": (
+        BadCount, lambda: scale_invariance_check(Verdict(STABLE, 1.0), fixtures.tandem(), [])),
+    **{
+        f"scale invariance at scale {r}": (
+            BadFactor,
+            lambda r=r: scale_invariance_check(Verdict(STABLE, 1.0), fixtures.tandem(), [2.0, r]))
+        for r in (0.0, -1.0, float("nan"))
+    },
 }
 
 

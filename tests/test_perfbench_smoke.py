@@ -2,8 +2,12 @@
 
 ``perfbench/`` resolves names in ``fluidnet`` (the tracer wraps
 ``fluidnet.model.enumerate_polytope_vertices``, the certificate check calls
-``work_conserving_constraints`` and ``priority_constraints``), so a library
-change that drops one of them breaks the benchmark.  The smoke check runs
+``work_conserving_constraints`` and ``priority_constraints``, the Skorokhod
+check calls ``solution_csv``, ``solution_residual`` and
+``complementarity_residual`` and reads ``LspSolution.states`` and
+``.pushing``), so a library change that drops one of them breaks the
+benchmark.  ``test_perfbench_names.py`` lists every such name with the line
+that reads it and fails at once when one is gone.  The smoke check runs
 every workload at tiny sizes with and without the tracer and writes only to
 the git-ignored ``.perfbench_run/``.
 """

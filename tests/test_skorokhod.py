@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from fluidnet import fixtures
+from fluidnet import fixtures, gfn
+from fluidnet.dynamics import Trajectory
 from fluidnet.errors import (
     BadFactor,
     BadHorizon,
     BadPushBound,
     BadStep,
+    DimensionMismatch,
     DimensionTooLarge,
     FluidNetError,
     NegativeState,
@@ -22,8 +24,6 @@ from fluidnet.skorokhod import (
     is_completely_s,
     is_s_matrix,
     lipschitz_bound,
-    observed_slope,
-    scale_solution,
     solution_csv,
     solution_residual,
     solve_lsp,
@@ -176,6 +176,10 @@ class TestLspInstance:
         with pytest.raises(NegativeState):
             LspInstance([-1.0], [[1.0]], [-0.5])
 
+    def test_empty_instance_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            LspInstance([], np.zeros((0, 0)), [])
+
     @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan])
     def test_nonpositive_push_bound_rejected(self, bound):
         with pytest.raises(BadPushBound):
@@ -251,7 +255,7 @@ class TestSolveLsp:
         inst = fixtures.lsp_chattering()
         sol = solve_lsp(inst, 4.0, 0.01)
         r = 2.0
-        scaled = scale_solution(sol, r)
+        scaled = gfn.scale(sol, r)
         scaled_inst = LspInstance(inst.theta, inst.reflection, inst.z0 / r,
                                   push_bound=inst.push_bound)
         assert solution_residual(scaled_inst, scaled) < 1e-7 * (1 + 1.5 / r)
@@ -260,7 +264,7 @@ class TestSolveLsp:
     def test_scaling_rejects_a_factor_that_is_not_finite_and_positive(self, bad):
         sol = solve_lsp(fixtures.lsp_one_dimensional(), 1.0, 0.1)
         with pytest.raises(BadFactor, match="scale factor must be finite and positive"):
-            scale_solution(sol, bad)
+            gfn.scale(sol, bad)
 
     def test_concatenated_solutions_pass_invariants(self):
         inst = fixtures.lsp_chattering()
@@ -269,16 +273,59 @@ class TestSolveLsp:
         second_inst = LspInstance(inst.theta, inst.reflection, mid,
                                   push_bound=inst.push_bound)
         second = solve_lsp(second_inst, 2.0, 0.01)
-        grid = np.concatenate([first.grid, second.grid[1:] + first.grid[-1]])
-        states = np.vstack([first.states, second.states[1:]])
-        pushing = np.vstack([first.pushing, second.pushing[1:] + first.pushing[-1]])
-        from fluidnet.skorokhod import LspSolution
-
-        spliced = LspSolution(grid, states, pushing,
-                              np.vstack([first.controls, second.controls]))
+        spliced = gfn.concatenate(first, first.horizon, second)
         assert solution_residual(inst, spliced) < 1e-7 * (1 + 1.5)
-        assert np.diff(spliced.pushing, axis=0).min() >= 0.0
-        assert spliced.states.min() >= 0.0
+        assert np.diff(spliced.allocation, axis=0).min() >= 0.0
+        assert spliced.levels.min() >= 0.0
+
+
+LSP_FIXTURES = ["lsp_one_dimensional", "lsp_decoupled", "lsp_chattering"]
+
+
+def with_start(inst, z0):
+    return LspInstance(inst.theta, inst.reflection, z0, push_bound=inst.push_bound)
+
+
+def assert_solves(inst, path):
+    """A path solves the instance: flow balance, Z >= 0 and Y nondecreasing."""
+    assert solution_residual(inst, path) <= 1e-7 * (1.0 + float(np.abs(inst.z0).sum()))
+    assert path.levels.min() >= 0.0
+    assert np.diff(path.allocation, axis=0).min() >= 0.0
+
+
+class TestSolutionsAreGfnPaths:
+    """Linear Skorokhod problems define strict GFN models: a solution shifted,
+    scaled or spliced with the solution from its state at the cut solves the
+    matching instance again."""
+
+    HORIZON, STEP, CUT = 2.0, 0.01, 0.737
+
+    @pytest.fixture(params=LSP_FIXTURES)
+    def solved(self, request):
+        inst = getattr(fixtures, request.param)()
+        return inst, solve_lsp(inst, self.HORIZON, self.STEP)
+
+    def test_a_solution_is_a_trajectory(self, solved):
+        _, sol = solved
+        assert isinstance(sol, Trajectory) and sol.drained_at is None
+
+    def test_shift(self, solved):
+        inst, sol = solved
+        shifted = gfn.shift(sol, self.CUT)
+        assert shifted.grid[0] == 0.0 and shifted.horizon == pytest.approx(self.HORIZON - self.CUT)
+        assert_solves(with_start(inst, shifted.levels[0]), shifted)
+
+    @pytest.mark.parametrize("r", [0.5, 3.0])
+    def test_scale(self, solved, r):
+        inst, sol = solved
+        assert_solves(with_start(inst, inst.z0 / r), gfn.scale(sol, r))
+
+    def test_concatenate(self, solved):
+        inst, sol = solved
+        tail = solve_lsp(with_start(inst, sol.level_at(self.CUT)), self.HORIZON, self.STEP)
+        spliced = gfn.concatenate(sol, self.CUT, tail)
+        assert spliced.horizon == pytest.approx(self.CUT + self.HORIZON)
+        assert_solves(inst, spliced)
 
 
 class TestLipschitzBound:
@@ -286,17 +333,17 @@ class TestLipschitzBound:
         inst = LspInstance([-1.0], [[1.0]], [1.0], push_bound=2.0)
         assert lipschitz_bound(inst) == pytest.approx(3.0)
         sol = solve_lsp(inst, 3.0, 0.1)
-        assert observed_slope(sol) <= 3.0
+        assert gfn.lipschitz_estimate(sol) <= 3.0
 
     def test_zero_drift(self):
         inst = LspInstance([0.0], [[1.0]], [1.0])
         sol = solve_lsp(inst, 2.0, 0.1)
-        assert observed_slope(sol) == 0.0
+        assert gfn.lipschitz_estimate(sol) == 0.0
 
     def test_decoupled_within_bound(self):
         inst = fixtures.lsp_decoupled()
         sol = solve_lsp(inst, 2.0, 0.05)
-        assert observed_slope(sol) <= lipschitz_bound(inst)
+        assert gfn.lipschitz_estimate(sol) <= lipschitz_bound(inst)
 
 
 def test_solution_csv_format():

@@ -140,8 +140,8 @@ def reference_solve_lsp(inst: LspInstance, horizon: float, h: float,
 
     return LspSolution(
         grid=np.asarray(grid),
-        states=np.asarray(states),
-        pushing=np.asarray(pushing),
+        levels=np.asarray(states),
+        allocation=np.asarray(pushing),
         controls=np.asarray(controls) if controls else np.empty((0, inst.J)),
     )
 
