@@ -17,11 +17,13 @@ nonnegative, so any vertex the selector picks yields a viable step.  Once the
 whole state is near zero and the empty state can be held, the only control is
 the nominal allocation.
 
-Within one ``simulate`` run each set of near-zero classes gets one polytope
-(the drained set none), and every stamp with that set reuses its vertex
-array.  Vertices are ordered by their 12-decimal key (``model.vertex_order``),
-so the selectors pick the same vertex whichever route found it.  Nothing is
-kept between runs.
+Each set of near-zero classes gets one polytope per spec (the drained set
+none), kept in ``NetworkSpec.polytopes``: every stamp of every run on the same
+spec object with that set reuses its read-only vertex and velocity arrays.
+The entry depends only on the spec and the set, so sharing it changes no
+trajectory.  Vertices are ordered by their 12-decimal key
+(``model.vertex_order``), so the selectors pick the same vertex whichever
+route found it.
 """
 from __future__ import annotations
 
@@ -155,8 +157,9 @@ class _TotalVelocityRank(ControlSelector):
     """Picks a vertex by the total velocity of each vertex, rounded to 12 digits.
 
     The pick depends only on the vertices and their velocities, and
-    ``simulate`` hands back the same arrays on every cache hit, so it is made
-    once per vertex array.
+    ``simulate`` hands back the same read-only arrays on every cache hit, in
+    every run on the spec, so the pick is made again only when the arrays
+    differ from the last call's.
     """
 
     def __init__(self):
@@ -357,14 +360,16 @@ def simulate(
     selector.start_run()
     can_hold_zero = zero_invariant(spec)
     velocity_map = -spec.outflow.T
-    polytopes: dict = {}  # near-zero classes -> (vertices, velocities), for this run only
+    polytopes = spec.polytopes  # near-zero classes -> (vertices, velocities)
 
     def select(t, q, ql):
         zeros = frozenset(k for k, level in enumerate(ql) if level < eps)
         entry = polytopes.get(zeros)
         if entry is None:
             verts = _viable_polytope(spec, zeros, can_hold_zero and len(zeros) == spec.K)
-            entry = polytopes[zeros] = (verts, verts @ velocity_map + spec.alpha)
+            velocities = verts @ velocity_map + spec.alpha
+            velocities.setflags(write=False)  # shared by every run on the spec
+            entry = polytopes[zeros] = (verts, velocities)
         verts, velocities = entry
         u = verts[operator.index(selector.choose(t, q, verts, velocities))]
         return u, spec.alpha - spec.outflow @ u, ()

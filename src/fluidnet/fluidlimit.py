@@ -293,17 +293,38 @@ def distance_to_fluid(scaled: SamplePath, traj: Trajectory, horizon: float):
     return sup, mean
 
 
+def _sup_gap(traj: Trajectory, pts: np.ndarray, right: np.ndarray, left: np.ndarray) -> float:
+    """The sup gap of :func:`distance_to_fluid` over ``pts``, given the path's
+    right and left counts there."""
+    fluid = traj.level_at(pts)
+    return float(np.maximum(np.abs(right - fluid).sum(axis=1),
+                            np.abs(left - fluid).sum(axis=1)).max())
+
+
 def _nearest_fluid(spec: NetworkSpec, x0, horizon: float, h: float):
     """Simulate the fluid ensemble from x0: three greedy selectors and eight
     random-vertex runs seeded from 42.  Returns the function that gives a
-    scaled path's (sup, mean) distance to the nearest of them by sup."""
+    scaled path's (sup, mean) distance to the nearest of them by sup, the
+    first of them on a tie.
+
+    The sup over the joint points of :func:`distance_to_fluid` is the larger
+    of the sups over the path's points and over the run's own stamps, so the
+    path's points and counts are looked up once per path, and only the
+    nearest run gets the full distance."""
     selectors = [MaxDrain(), MinDrain(), FirstVertex()]
     selectors.extend(RandomVertex(s) for s in child_seeds(42, 8))
     trajs = [simulate(spec, x0, sel, horizon, h) for sel in selectors]
 
     def nearest(scaled: SamplePath):
-        return min((distance_to_fluid(scaled, traj, horizon) for traj in trajs),
-                   key=lambda pair: pair[0])
+        pts = window_points(horizon, scaled.times)
+        counts = scaled.count_at(pts, side="right"), scaled.count_at(pts, side="left")
+
+        def sup(traj):
+            stamps = traj.grid[traj.grid <= horizon]
+            own = scaled.count_at(stamps, side="right"), scaled.count_at(stamps, side="left")
+            return max(_sup_gap(traj, pts, *counts), _sup_gap(traj, stamps, *own))
+
+        return distance_to_fluid(scaled, min(trajs, key=sup), horizon)
 
     return nearest
 

@@ -106,6 +106,10 @@ class NetworkSpec:
     checking.  ``priority`` holds one rank per class (lower rank = served
     first); it is None for work-conserving networks.  ``members`` lists the
     classes that must be empty for each capacity row to be empty.
+    ``polytopes`` is ``dynamics.simulate``'s cache: it maps each set of
+    near-zero classes that a run on this spec met to its read-only viable
+    vertices and their velocities, so every run on the same spec object
+    shares them (at most 2^K entries).
     """
 
     alpha: np.ndarray
@@ -119,6 +123,7 @@ class NetworkSpec:
     station_classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     capacity: np.ndarray = field(init=False, repr=False)
     members: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    polytopes: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _readonly(self.alpha))
@@ -143,6 +148,7 @@ class NetworkSpec:
             members = tuple((m,) for m in range(k))
         object.__setattr__(self, "capacity", _readonly(capacity))
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "polytopes", {})
 
     @property
     def K(self) -> int:
@@ -265,8 +271,8 @@ def vertex_order(blocks, dim: int) -> np.ndarray:
     are equal in exact arithmetic but differ in the last bits (a vertex found
     by another route) do not reorder the vertices, and the selectors, which
     index into this order, pick the same one.  The result is read-only: it is
-    the control set itself, and the polytopes kept by ``simulate`` are shared
-    between stamps.
+    the control set itself, and the polytopes ``simulate`` keeps on the spec
+    are shared between stamps and between runs.
     """
     found = {}
     for x in blocks:

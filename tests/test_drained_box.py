@@ -8,9 +8,10 @@ enumeration of the same constraint system (``test_enumerate.viability_rows``)
 on random networks of both disciplines: one vertex, equal within TOL and
 under the 12-decimal key.
 
-The count guard checks that a run builds one polytope per set of near-zero
-classes it meets, none for the drained set, and never calls the subset
-enumerator.
+The count guard checks that the runs on one spec build one polytope per set
+of near-zero classes they meet between them, none for the drained set, and
+never call the subset enumerator.  The polytopes live on the spec object, so
+the guard builds a fresh spec from the fixture factory.
 """
 import numpy as np
 import pytest
@@ -35,8 +36,6 @@ from test_enumerate import random_network, viability_rows
 
 TOL = 1e-12  # per coordinate; the vertices are O(1) and one solve apart
 
-FIXTURES = {**fixtures.stable_fixture_set(), "lu_kumar": fixtures.lu_kumar()}
-
 
 @pytest.mark.parametrize("discipline", [WORK_CONSERVING, PRIORITY])
 def test_pinned_polytope_matches_enumeration(discipline):
@@ -57,6 +56,15 @@ def test_pinned_polytope_matches_enumeration(discipline):
         assert np.round(got, 12).tolist() == np.round(want, 12).tolist()
 
 
+def near_zero_sets(traj, x0) -> set:
+    """The near-zero pattern of each stamp, as the selector saw it."""
+    return {tuple(row) for row in (traj.levels[:-1] < empty_threshold(x0)).tolist()}
+
+
+#: the second selector run on the same spec
+OTHER = {FirstVertex: MaxDrain, MaxDrain: MinDrain, MinDrain: MaxDrain}
+
+
 @pytest.mark.parametrize("name,selector", [
     *((name, MaxDrain) for name in sorted(fixtures.stable_fixture_set())),
     ("reentrant_line", FirstVertex),
@@ -64,7 +72,7 @@ def test_pinned_polytope_matches_enumeration(discipline):
     ("lu_kumar", MinDrain),
 ])
 def test_one_enumeration_per_near_zero_set(monkeypatch, name, selector):
-    spec = FIXTURES[name]
+    spec = getattr(fixtures, name)()
     x0 = np.ones(spec.K) / spec.K
     calls = {"admissible_polytope": [], "enumerate_polytope_vertices": []}
 
@@ -81,11 +89,13 @@ def test_one_enumeration_per_near_zero_set(monkeypatch, name, selector):
     enumerator = recording("enumerate_polytope_vertices")
     for module in (model, dynamics):  # today only model binds the enumerator
         monkeypatch.setattr(module, "enumerate_polytope_vertices", enumerator, raising=False)
-    traj = simulate(spec, x0, selector(), 8.0, 0.02, stop_on_drain=False)
-    near = traj.levels[:-1] < empty_threshold(x0)  # as the selector saw them
-    zero_sets = {tuple(row) for row in near.tolist()}
-    assert len(calls["admissible_polytope"]) == len(zero_sets - {(True,) * spec.K})
+    traj, other = (simulate(spec, x0, make(), 8.0, 0.02, stop_on_drain=False)
+                   for make in (selector, OTHER[selector]))
+    met = near_zero_sets(traj, x0) | near_zero_sets(other, x0)
+    assert len(calls["admissible_polytope"]) == len(met - {(True,) * spec.K})
+    assert set(spec.polytopes) == {frozenset(np.flatnonzero(row).tolist()) for row in met}
     assert calls["enumerate_polytope_vertices"] == []
     if name != "lu_kumar":  # lu_kumar does not drain under MinDrain
         assert traj.drained and zero_invariant(spec)
+        near = traj.levels[:-1] < empty_threshold(x0)
         assert near.all(axis=1).sum() > 50  # drained stamps, no polytope built

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from fluidnet import fixtures
-from fluidnet.dynamics import MaxDrain, MinDrain, simulate
+from fluidnet._util import child_seeds
+from fluidnet.dynamics import FirstVertex, MaxDrain, MinDrain, RandomVertex, simulate
 from fluidnet.errors import BadFactor, EventBudgetExceeded, NegativeState, NoSeeds, UnknownLaw
 from fluidnet.fluidlimit import (
     DETERMINISTIC,
     EXPONENTIAL,
     QueueingSpec,
+    SamplePath,
+    _nearest_fluid,
     concatenation_evidence,
     distance_table_csv,
     distance_to_fluid,
     fluid_limit_compare,
+    queueing_spec,
     simulate_queueing,
 )
 
@@ -249,6 +253,31 @@ class TestFluidDistance:
         )
         agg = table["aggregate"]
         assert agg[100.0]["mean_of_max"] <= agg[10.0]["mean_of_max"]
+
+
+def reference_nearest(scaled, trajs, horizon):
+    """The full distance to every run, the first smallest sup kept."""
+    return min((distance_to_fluid(scaled, traj, horizon) for traj in trajs),
+               key=lambda pair: pair[0])
+
+
+@pytest.mark.parametrize("r", [100.0, 1000.0])
+@pytest.mark.parametrize("name", ["two_class_priority", "reentrant_line"])
+def test_nearest_fluid_matches_the_full_distance_to_every_run(name, r):
+    spec = getattr(fixtures, name)()
+    start = np.round(r * np.ones(spec.K) / spec.K).astype(np.int64)
+    horizon, h = 10.0, 0.05
+    selectors = [MaxDrain(), MinDrain(), FirstVertex()]
+    selectors.extend(RandomVertex(s) for s in child_seeds(42, 8))
+    trajs = [simulate(spec, start / r, sel, horizon, h) for sel in selectors]
+    nearest = _nearest_fluid(spec, start / r, horizon, h)
+    # a path that holds its start has no jump in the window, so each run's
+    # sup lies at one of its own stamps
+    held = SamplePath(np.zeros(1), start[None] / r, np.zeros((1, spec.K)))
+    for seed in (1, 2, 3):
+        scaled = simulate_queueing(queueing_spec(spec), start, r * horizon, seed).scaled(r)
+        assert nearest(scaled) == reference_nearest(scaled, trajs, horizon)
+    assert nearest(held) == reference_nearest(held, trajs, horizon)
 
 
 def test_scaled_slopes_within_fluid_bound():

@@ -8,7 +8,7 @@ one solution of outflow @ u = alpha.  ``RefMaxDrain`` and ``RefMinDrain``
 rank the vertices at every call.  ``simulate`` must return the same bytes
 (``grid``, ``levels``, ``allocation``, ``controls``) and the same
 ``drained_at``, because the reports are byte-reproducible.  So this test
-checks the stepping, the per-run polytope cache and the selectors;
+checks the stepping, the per-spec polytope cache and the selectors;
 ``test_viable_cut`` checks the polytopes against exact enumeration.
 """
 import numpy as np

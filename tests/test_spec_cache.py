@@ -1,0 +1,125 @@
+"""The viable polytopes ``simulate`` keeps on the spec, shared by every run.
+
+An entry depends only on the spec and the set of near-zero classes, so a run
+on a spec whose cache other runs filled, in any order, must give the same
+bytes as the same run on a fresh spec.  A repeated run builds nothing, two
+equal specs keep their own caches, the shared arrays are read-only, and the
+analyses that make many runs on one spec build one polytope per set.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from fluidnet import dynamics, fixtures
+from fluidnet.dynamics import (
+    ControlSelector,
+    FirstVertex,
+    FixedSequence,
+    MaxDrain,
+    MinDrain,
+    RandomVertex,
+    simulate,
+)
+from fluidnet.errors import StepTooLarge
+from fluidnet.gfn import axiom_report
+from fluidnet.model import PRIORITY, WORK_CONSERVING
+from fluidnet.stability import draining_time
+from test_enumerate import random_network
+
+SELECTORS = (MaxDrain, MinDrain, FirstVertex, lambda: RandomVertex(7),
+             lambda: FixedSequence([1, 0, 2, 1]))
+
+
+def fresh(spec):
+    """A spec with the same data as ``spec`` and an empty cache."""
+    return dataclasses.replace(spec)
+
+
+def outcome(spec, x0, make):
+    """The run's bytes, or StepTooLarge when it chatters past its budget."""
+    try:
+        traj = simulate(spec, x0, make(), 2.0, 0.1, max_events=5000)
+    except StepTooLarge:
+        return "StepTooLarge"
+    return (traj.grid.tobytes(), traj.levels.tobytes(), traj.allocation.tobytes(),
+            traj.controls.tobytes(), traj.drained_at)
+
+
+def count_builds(monkeypatch) -> list:
+    """The arguments of each ``_viable_polytope`` call ``simulate`` makes."""
+    built = []
+    real = dynamics._viable_polytope
+
+    def recording(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_viable_polytope", recording)
+    return built
+
+
+@pytest.mark.parametrize("discipline", [WORK_CONSERVING, PRIORITY])
+def test_runs_on_a_shared_spec_equal_runs_on_a_fresh_one(discipline):
+    rng = np.random.default_rng([20111990, 20, len(discipline)])
+    for _ in range(6):
+        k = int(rng.integers(2, 5))
+        spec = random_network(rng, k, discipline)
+        x0 = rng.dirichlet(np.ones(k)) * (rng.uniform(size=k) < 0.7)
+        for order in (SELECTORS, SELECTORS[::-1]):
+            shared = fresh(spec)
+            for make in order:
+                assert outcome(shared, x0, make) == outcome(fresh(spec), x0, make)
+            assert shared.polytopes
+
+
+def test_a_repeated_run_builds_nothing(monkeypatch):
+    spec = fixtures.reentrant_line()
+    x0 = np.ones(spec.K) / spec.K
+    first = [outcome(spec, x0, make) for make in SELECTORS]
+    built = count_builds(monkeypatch)
+    assert [outcome(spec, x0, make) for make in SELECTORS] == first
+    assert built == []
+
+
+def test_equal_specs_do_not_share_a_cache(monkeypatch):
+    spec, twin = fixtures.reentrant_line(), fixtures.reentrant_line()
+    x0 = np.ones(spec.K) / spec.K
+    want = outcome(spec, x0, MinDrain)
+    built = count_builds(monkeypatch)
+    assert outcome(twin, x0, MinDrain) == want
+    assert len(built) == len(twin.polytopes) == len(spec.polytopes) > 1
+    assert all(args[0] is twin for args in built)
+    assert twin.polytopes is not spec.polytopes
+
+
+class Scribbler(ControlSelector):
+    """Writes into one of the arrays ``simulate`` hands every run on the spec."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def choose(self, t, q, vertices, velocities):
+        {"vertices": vertices, "velocities": velocities}[self.target][0, 0] = 1.0
+        return 0
+
+
+@pytest.mark.parametrize("target", ["vertices", "velocities"])
+def test_a_selector_cannot_write_into_the_shared_arrays(target):
+    spec = fixtures.tandem()
+    with pytest.raises(ValueError, match="read-only"):
+        simulate(spec, [1.0, 0.0], Scribbler(target), 1.0, 0.1)
+    for verts, velocities in spec.polytopes.values():
+        assert not verts.flags.writeable and not velocities.flags.writeable
+
+
+def test_axiom_report_builds_one_polytope_per_set(monkeypatch):
+    built = count_builds(monkeypatch)
+    axiom_report(fixtures.reentrant_line(), n_ops=100, seed=42, horizon=10, h=0.02)
+    assert 0 < len(built) <= 8
+
+
+def test_draining_time_builds_one_polytope_per_set(monkeypatch):
+    built = count_builds(monkeypatch)
+    draining_time(fixtures.lu_kumar(), samples=0, horizon=10, h=0.02, seed=42)
+    assert 0 < len(built) <= 16
