@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import BadCount, BadFactor, BadSeed
+from .errors import BadCount, BadFactor, BadHorizon, BadSeed
 
 
 def l1(x) -> float:
@@ -41,6 +41,12 @@ def check_factor(name: str, value: float) -> float:
     return value
 
 
+def check_horizon(horizon) -> None:
+    """BadHorizon unless the horizon is finite and nonnegative (so for NaN too)."""
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise BadHorizon(f"horizon must be finite and nonnegative, got {horizon!r}")
+
+
 def freeze_arrays(obj, names) -> None:
     """Set each named field of a frozen dataclass to a read-only float array."""
     for name in names:
@@ -50,7 +56,9 @@ def freeze_arrays(obj, names) -> None:
 
 
 def window_points(horizon: float, *stamps) -> np.ndarray:
-    """The sorted distinct stamps within [0, horizon], with both ends."""
+    """The sorted distinct stamps within [0, horizon], with both ends; BadHorizon
+    for a horizon that is negative, infinite or NaN."""
+    check_horizon(horizon)
     return np.unique(np.concatenate([*(s[s <= horizon] for s in stamps), [0.0, float(horizon)]]))
 
 

@@ -63,22 +63,18 @@ log = logging.getLogger("fluidnet")
 COMMANDS = ("simulate", "stability", "lyapunov", "skorokhod", "fluidlimit", "gfn-check")
 
 
-_SELECTORS = {
-    "first_vertex": FirstVertex,
-    "max_drain": MaxDrain,
-    "min_drain": MinDrain,
-}
+_SELECTORS = {cls.name: cls for cls in (FirstVertex, MaxDrain, MinDrain)}
 
 
 def _selector_from_name(name: str, seed: int):
-    if name == "random_vertex":
+    if name == RandomVertex.name:
         return RandomVertex(seed)
     try:
         return _SELECTORS[name]()
     except KeyError:
         raise ParseError(
             f"unknown selector {name!r}; choose from "
-            f"{sorted(_SELECTORS) + ['random_vertex']}"
+            f"{sorted(_SELECTORS) + [RandomVertex.name]}"
         ) from None
 
 
@@ -114,7 +110,7 @@ def run(args: argparse.Namespace) -> int:
         spec = _need_network(parsed)
         sim_cfg = parsed.simulate or {}
         x0 = sim_cfg.get("x0", (np.ones(spec.K) / spec.K).tolist())
-        selector = _selector_from_name(sim_cfg.get("selector", "max_drain"), args.seed)
+        selector = _selector_from_name(sim_cfg.get("selector", MaxDrain.name), args.seed)
         traj = simulate(spec, x0, selector, args.horizon, args.step)
         artifacts["trajectory.csv"] = trajectory_csv(traj)
         report["simulate"] = {

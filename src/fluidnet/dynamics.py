@@ -19,11 +19,12 @@ the nominal allocation.
 
 Each set of near-zero classes gets one polytope per spec (the drained set
 none), kept in ``NetworkSpec.polytopes``: every stamp of every run on the same
-spec object with that set reuses its read-only vertex and velocity arrays.
-The entry depends only on the spec and the set, so sharing it changes no
-trajectory.  Vertices are ordered by their 12-decimal key
-(``model.vertex_order``), so the selectors pick the same vertex whichever
-route found it.
+spec object with that set reuses its read-only vertex array and the drift of
+each vertex, d/dt of the total mass rounded to 12 decimals, by which
+``MaxDrain`` and ``MinDrain`` pick.  The entry depends only on the spec and
+the set, so sharing it changes no trajectory.  Vertices are ordered by their
+12-decimal key (``model.vertex_order``), so the selectors pick the same vertex
+whichever route found it.
 """
 from __future__ import annotations
 
@@ -33,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_count, csv_text, freeze_arrays, l1, rng_from
+from ._util import check_count, check_horizon, csv_text, freeze_arrays, l1, rng_from
 from .errors import (
-    BadHorizon,
     BadStep,
     DimensionMismatch,
     InfeasibleActiveSet,
@@ -98,15 +98,21 @@ class Trajectory:
         return self.drained_at is not None
 
     def level_at(self, t) -> np.ndarray:
-        """Linear interpolation of Q; the last level after the grid once drained."""
+        """Linear interpolation of Q; the last level after the grid once drained.
+
+        Raises ShiftBeyondHorizon for a NaN time, and for a time past the grid
+        of an undrained trajectory."""
         t = np.asarray(t, dtype=float)
+        if not np.all(t <= self.grid[-1]):  # past the grid, or NaN
+            if np.isnan(t).any():
+                raise ShiftBeyondHorizon("NaN time in a level lookup")
+            if not self.drained:
+                # holding the final value is only sound once the run drained
+                # (the held state then sits below the emptiness threshold)
+                raise ShiftBeyondHorizon("time beyond the sampled horizon of an undrained trajectory")
         out = np.empty(t.shape + (self.K,))
         for k in range(self.K):
             out[..., k] = np.interp(t, self.grid, self.levels[:, k])
-        if np.any(t > self.grid[-1]) and not self.drained:
-            # holding the final value is only sound once the run drained
-            # (the held state then sits below the emptiness threshold)
-            raise ShiftBeyondHorizon("time beyond the sampled horizon of an undrained trajectory")
         return out
 
 
@@ -114,8 +120,9 @@ class ControlSelector:
     """Strategy picking a vertex of the viable polytope from (time, state).
 
     ``choose`` gets the read-only vertex array (one row per vertex, in
-    ``model.vertex_order``) and the velocity of each vertex, and returns a row
-    index; ``simulate`` applies that row, so every applied control is a vertex.
+    ``model.vertex_order``) and the read-only drift of each vertex, d/dt of
+    the total mass rounded to 12 decimals, and returns a row index;
+    ``simulate`` applies that row, so every applied control is a vertex.
     """
 
     name = "selector"
@@ -123,7 +130,7 @@ class ControlSelector:
     def start_run(self) -> None:
         """Reset per-run state so repeated runs are reproducible."""
 
-    def choose(self, t, q, vertices: np.ndarray, velocities: np.ndarray) -> int:
+    def choose(self, t, q, vertices: np.ndarray, drift: np.ndarray) -> int:
         raise NotImplementedError
 
 
@@ -132,69 +139,45 @@ class FirstVertex(ControlSelector):
 
     name = "first_vertex"
 
-    def choose(self, t, q, vertices, velocities):
+    def choose(self, t, q, vertices, drift):
         return 0
 
 
 class RandomVertex(ControlSelector):
     """Uniformly random vertex; reproducible for a fixed seed."""
 
+    name = "random_vertex"
+
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self.name = f"random_vertex({self.seed})"
+        self.name = f"{RandomVertex.name}({self.seed})"
         self._rng = None
 
     def start_run(self):
         self._rng = rng_from(self.seed)
 
-    def choose(self, t, q, vertices, velocities):
+    def choose(self, t, q, vertices, drift):
         if self._rng is None:
             self.start_run()
         return int(self._rng.integers(len(vertices)))
 
 
-class _TotalVelocityRank(ControlSelector):
-    """Picks a vertex by the total velocity of each vertex, rounded to 12 digits.
-
-    The pick depends only on the vertices and their velocities, and
-    ``simulate`` hands back the same read-only arrays on every cache hit, in
-    every run on the spec, so the pick is made again only when the arrays
-    differ from the last call's.
-    """
-
-    def __init__(self):
-        self._last = (None, None, None)
-
-    def start_run(self):
-        self._last = (None, None, None)
-
-    def choose(self, t, q, vertices, velocities):
-        last_vertices, last_velocities, i = self._last
-        if vertices is not last_vertices or velocities is not last_velocities:
-            i = self._pick(np.round(velocities.sum(axis=1), 12))
-            self._last = (vertices, velocities, i)
-        return i
-
-    def _pick(self, totals) -> int:
-        raise NotImplementedError
-
-
-class MaxDrain(_TotalVelocityRank):
+class MaxDrain(ControlSelector):
     """Vertex minimizing d/dt of the total mass; ties to the first vertex."""
 
     name = "max_drain"
 
-    def _pick(self, totals):
-        return int(np.argmin(totals))
+    def choose(self, t, q, vertices, drift):
+        return int(drift.argmin())
 
 
-class MinDrain(_TotalVelocityRank):
+class MinDrain(ControlSelector):
     """Vertex maximizing d/dt of the total mass; ties to the first vertex."""
 
     name = "min_drain"
 
-    def _pick(self, totals):
-        return int(np.argmax(totals))
+    def choose(self, t, q, vertices, drift):
+        return int(drift.argmax())
 
 
 def default_selectors() -> tuple[ControlSelector, ...]:
@@ -218,7 +201,7 @@ class FixedSequence(ControlSelector):
     def start_run(self):
         self._pos = 0
 
-    def choose(self, t, q, vertices, velocities):
+    def choose(self, t, q, vertices, drift):
         idx = self.indices[min(self._pos, len(self.indices) - 1)]
         self._pos += 1
         return idx % len(vertices)
@@ -259,11 +242,6 @@ def zero_invariant(spec: NetworkSpec) -> bool:
     return bool(np.all(spec.capacity @ u <= 1 + 1e-9))
 
 
-def _check_horizon(horizon) -> None:
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise BadHorizon(f"horizon must be finite and nonnegative, got {horizon!r}")
-
-
 def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int,
                  control, stop=None):
     """Euler steps of at most h, cut at the earliest zero crossing.
@@ -279,7 +257,7 @@ def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int,
     Returns the grid, the states, the cumulative controls and the controls
     (one row per step) as arrays.
     """
-    _check_horizon(horizon)
+    check_horizon(horizon)
     if not (math.isfinite(h) and h > 0):
         raise BadStep(f"step must be finite and positive, got {h!r}")
     x = x0
@@ -360,18 +338,19 @@ def simulate(
     selector.start_run()
     can_hold_zero = zero_invariant(spec)
     velocity_map = -spec.outflow.T
-    polytopes = spec.polytopes  # near-zero classes -> (vertices, velocities)
+    polytopes = spec.polytopes  # near-zero classes -> (vertices, drift)
 
     def select(t, q, ql):
         zeros = frozenset(k for k, level in enumerate(ql) if level < eps)
         entry = polytopes.get(zeros)
         if entry is None:
             verts = _viable_polytope(spec, zeros, can_hold_zero and len(zeros) == spec.K)
-            velocities = verts @ velocity_map + spec.alpha
-            velocities.setflags(write=False)  # shared by every run on the spec
-            entry = polytopes[zeros] = (verts, velocities)
-        verts, velocities = entry
-        u = verts[operator.index(selector.choose(t, q, verts, velocities))]
+            drift = np.round((verts @ velocity_map + spec.alpha).sum(axis=1), 12)
+            drift.setflags(write=False)  # shared by every run on the spec
+            entry = polytopes[zeros] = (verts, drift)
+        verts, drift = entry
+        u = verts[operator.index(selector.choose(t, q, verts, drift))]
+        # not the row of verts @ velocity_map, which can differ in the last bits
         return u, spec.alpha - spec.outflow @ u, ()
 
     drained_at = None

@@ -15,14 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_factor, child_seeds, csv_text, freeze_arrays, rng_from, window_points
+from ._util import (
+    check_factor,
+    check_horizon,
+    child_seeds,
+    csv_text,
+    freeze_arrays,
+    rng_from,
+    window_points,
+)
 from .dynamics import (
     FirstVertex,
     MaxDrain,
     MinDrain,
     RandomVertex,
     Trajectory,
-    _check_horizon,
     simulate,
 )
 from .errors import (
@@ -155,7 +162,7 @@ def simulate_queueing(
         raise DimensionMismatch(f"initial counts have shape {q_arr.shape}, expected ({net.K},)")
     if np.any(q_arr < 0):
         raise NegativeState(f"queue lengths must be nonnegative, got {q_arr.tolist()}")
-    _check_horizon(horizon)
+    check_horizon(horizon)
     rng = rng_from(seed)
     exponential = rng.exponential
     uniform = rng.random

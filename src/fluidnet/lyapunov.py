@@ -34,7 +34,7 @@ from .dynamics import (
     Trajectory,
     simulate,
 )
-from .errors import BadCandidate, DimensionTooLarge, TruncatedWarning
+from .errors import BadCandidate, DimensionTooLarge, ShiftBeyondHorizon, TruncatedWarning
 from .gfn import ExplicitPathFamily, NetworkPathFamily
 from .model import (
     CONFIGURATION_CAP,
@@ -52,7 +52,9 @@ def _mass(levels: np.ndarray) -> np.ndarray:
 def v_functional(traj: Trajectory, t: float) -> float:
     """Tail integral of the l1 level from time t onward; at t = 0 the total
     fluid.  Trapezoidal, so exact for piecewise-linear paths whose grid
-    contains the kinks."""
+    contains the kinks.  A NaN time raises ShiftBeyondHorizon."""
+    if np.isnan(t):
+        raise ShiftBeyondHorizon("tail integral from a NaN time")
     if not traj.drained:
         warnings.warn(
             "trajectory never drained; tail integral is a lower bound",
@@ -149,26 +151,22 @@ class VEstimate:
         return self.status in ("exact", "lower_bound")
 
 
-class _PrefixSelector(ControlSelector):
+class _PrefixSelector(MinDrain):
     """Forced vertex indices for the first selections, then greedy slow drain."""
 
     def __init__(self, prefix):
         self.prefix = tuple(int(i) for i in prefix)
         self.name = f"prefix{self.prefix}"
         self._calls = 0
-        self._tail = MinDrain()
 
     def start_run(self):
         self._calls = 0
-        self._tail.start_run()
 
-    def choose(self, t, q, vertices, velocities):
+    def choose(self, t, q, vertices, drift):
         if self._calls < len(self.prefix):
-            idx = self.prefix[self._calls] % len(vertices)
             self._calls += 1
-            return idx
-        self._calls += 1
-        return self._tail.choose(t, q, vertices, velocities)
+            return self.prefix[self._calls - 1] % len(vertices)
+        return super().choose(t, q, vertices, drift)
 
 
 _BRANCH_BASE = 3

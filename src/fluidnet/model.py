@@ -108,8 +108,9 @@ class NetworkSpec:
     classes that must be empty for each capacity row to be empty.
     ``polytopes`` is ``dynamics.simulate``'s cache: it maps each set of
     near-zero classes that a run on this spec met to its read-only viable
-    vertices and their velocities, so every run on the same spec object
-    shares them (at most 2^K entries).
+    vertices and their drift (d/dt of the total mass, rounded to 12
+    decimals), so every run on the same spec object shares them (at most
+    2^K entries).
     """
 
     alpha: np.ndarray

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from .dynamics import MaxDrain
 from .errors import ParseError
 from .fluidlimit import QueueingSpec
 from .model import PRIORITY, NetworkSpec, validate
@@ -208,7 +209,7 @@ def parse_spec_text(text: str) -> ParsedSpecFile:
     simulate_cfg = None
     if "simulate" in doc:
         section = _section(doc, "simulate")
-        simulate_cfg = {"selector": str(section.get("selector", "max_drain"))}
+        simulate_cfg = {"selector": str(section.get("selector", MaxDrain.name))}
         if "x0" in section:
             simulate_cfg["x0"] = _vector(section["x0"], "x0", "simulate section")
 

@@ -30,6 +30,7 @@ from fluidnet.errors import (
     InfeasibleActiveSet,
     NegativeState,
     NonFiniteInput,
+    ShiftBeyondHorizon,
     StepTooLarge,
 )
 from fluidnet.lyapunov import _PrefixSelector
@@ -88,6 +89,12 @@ class TestSimulate:
         ts = np.asarray([0.0, 0.25, 0.5, 0.99, 1.0])
         want = np.maximum(1 - ts, 0.0)
         assert traj.level_at(ts)[:, 0] == pytest.approx(want.tolist(), abs=1e-12)
+
+    def test_level_at_a_nan_time_raises(self, draining_queue):
+        traj = simulate(draining_queue, [1.0], MaxDrain(), 3.0, 0.1)
+        for t in (float("nan"), [0.5, float("nan")]):
+            with pytest.raises(ShiftBeyondHorizon):
+                traj.level_at(t)
 
     def test_half_loaded_drain_and_hold(self, single_queue):
         traj = simulate(single_queue, [1.0], MaxDrain(), 6.0, 0.1, stop_on_drain=False)
@@ -178,13 +185,13 @@ def test_selector_outputs_lie_in_polytope(tandem):
     """Each selector returns a row index of the vertex array, so the applied
     control is a vertex of the polytope by construction."""
     verts = admissible_polytope(tandem, [1])
-    velocities = verts @ (-tandem.outflow.T) + tandem.alpha
+    drift = np.round((verts @ (-tandem.outflow.T) + tandem.alpha).sum(axis=1), 12)
     selectors = [FirstVertex(), MaxDrain(), MinDrain(), RandomVertex(2), FixedSequence([1, 5]),
                  _PrefixSelector((4, 1))]
     for sel in selectors:
         sel.start_run()
         for _ in range(3):
-            i = sel.choose(0.0, np.asarray([1.0, 0.0]), verts, velocities)
+            i = sel.choose(0.0, np.asarray([1.0, 0.0]), verts, drift)
             assert 0 <= operator.index(i) < len(verts)
 
 
@@ -192,7 +199,7 @@ class _Returns(ControlSelector):
     def __init__(self, pick):
         self.pick = pick
 
-    def choose(self, t, q, vertices, velocities):
+    def choose(self, t, q, vertices, drift):
         return self.pick(vertices)
 
 

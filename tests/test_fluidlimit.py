@@ -6,7 +6,7 @@ import pytest
 from fluidnet import fixtures
 from fluidnet._util import child_seeds
 from fluidnet.dynamics import FirstVertex, MaxDrain, MinDrain, RandomVertex, simulate
-from fluidnet.errors import BadFactor, EventBudgetExceeded, NegativeState, NoSeeds, UnknownLaw
+from fluidnet.errors import BadFactor, BadHorizon, EventBudgetExceeded, NegativeState, NoSeeds, UnknownLaw
 from fluidnet.fluidlimit import (
     DETERMINISTIC,
     EXPONENTIAL,
@@ -198,6 +198,14 @@ class TestFluidDistance:
             sup, mean = distance_to_fluid(path.scaled(r), fluid, 1.5)
             assert sup == pytest.approx(1.0 / r, abs=1e-12)
             assert mean < sup
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_horizon_rejected(self, bad):
+        net = fixtures.single_queue(0.0, 1.0)
+        path = simulate_queueing(fixtures.queueing_single_deterministic(), [10], 15.0, seed=1)
+        fluid = simulate(net, [1.0], MaxDrain(), 1.5, 0.01)
+        with pytest.raises(BadHorizon):
+            distance_to_fluid(path.scaled(10), fluid, bad)
 
     def test_compare_table_shape(self):
         table = fluid_limit_compare(

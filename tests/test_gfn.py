@@ -7,6 +7,7 @@ from fluidnet.dynamics import MaxDrain, MinDrain, check_trajectory, simulate
 from fluidnet.errors import (
     BadCount,
     BadFactor,
+    BadHorizon,
     EndpointMismatch,
     ShiftBeyondHorizon,
     UnknownFixture,
@@ -183,6 +184,12 @@ class TestUocDistance:
         a = coordinatewise(1.0, 1.0)
         b = coordinatewise(1 + 1 / n, 1 - 1 / n)
         assert uoc_distance(a, b, 2.0) == pytest.approx(2 / n, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_horizon_rejected(self, bad):
+        a = coordinatewise(1.0, 0.3)
+        with pytest.raises(BadHorizon):
+            uoc_distance(a, a, bad)
 
 
 class TestLipschitzEstimate:

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from fluidnet import fixtures
 from fluidnet.dynamics import MaxDrain, RandomVertex, simulate
-from fluidnet.errors import BadCount, BadFactor, BadSeed, DimensionTooLarge, TruncatedWarning
+from fluidnet.errors import (
+    BadCount,
+    BadFactor,
+    BadSeed,
+    DimensionTooLarge,
+    ShiftBeyondHorizon,
+    TruncatedWarning,
+)
 from fluidnet.gfn import example_family, network_family, scale, shift
 from fluidnet.lyapunov import (
     MAX_DEPTH,
@@ -72,6 +79,10 @@ class TestTailFunctional:
 
     def test_past_drain(self):
         assert v_functional(unit_drain(), 1.5) == 0.0
+
+    def test_nan_time_raises(self):
+        with pytest.raises(ShiftBeyondHorizon):
+            v_functional(unit_drain(), float("nan"))
 
     def test_matches_shift(self):
         traj = example_family("lsc_counterexample").paths_from([1.0, 0.7])[0]

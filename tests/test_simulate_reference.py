@@ -4,8 +4,9 @@
 the viable polytope from scratch through ``dynamics._viable_polytope``, with
 a nonnegative velocity for every near-zero class, and the stamp loop runs on
 numpy arrays.  The drained (pinned) polytope is the nominal allocation, the
-one solution of outflow @ u = alpha.  ``RefMaxDrain`` and ``RefMinDrain``
-rank the vertices at every call.  ``simulate`` must return the same bytes
+one solution of outflow @ u = alpha.  The loop computes each vertex's drift
+(d/dt of the total mass, rounded to 12 decimals) at every stamp, and
+``RefMaxDrain`` and ``RefMinDrain`` rank the vertices by it at every call.  ``simulate`` must return the same bytes
 (``grid``, ``levels``, ``allocation``, ``controls``) and the same
 ``drained_at``, because the reports are byte-reproducible.  So this test
 checks the stepping, the per-spec polytope cache and the selectors;
@@ -35,15 +36,15 @@ from test_enumerate import random_network
 class RefMaxDrain(ControlSelector):
     name = "max_drain"
 
-    def choose(self, t, q, vertices, velocities):
-        return int(np.argmin(np.round(velocities.sum(axis=1), 12)))
+    def choose(self, t, q, vertices, drift):
+        return int(np.argmin(drift))
 
 
 class RefMinDrain(ControlSelector):
     name = "min_drain"
 
-    def choose(self, t, q, vertices, velocities):
-        return int(np.argmax(np.round(velocities.sum(axis=1), 12)))
+    def choose(self, t, q, vertices, drift):
+        return int(np.argmax(drift))
 
 
 def reference_viable_polytope(spec, zero_classes, pinned=False):
@@ -79,9 +80,9 @@ def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
         zeros = frozenset(np.flatnonzero(q < eps).tolist())
         pinned = can_hold_zero and len(zeros) == spec.K
         verts = reference_viable_polytope(spec, zeros, pinned=pinned)
-        velocities = verts @ (-spec.outflow.T) + spec.alpha
+        drift = np.round((verts @ (-spec.outflow.T) + spec.alpha).sum(axis=1), 12)
 
-        u = verts[selector.choose(t, q, verts, velocities)]
+        u = verts[selector.choose(t, q, verts, drift)]
         v = spec.alpha - spec.outflow @ u
 
         dt = min(h, horizon - t)

@@ -3,8 +3,9 @@
 An entry depends only on the spec and the set of near-zero classes, so a run
 on a spec whose cache other runs filled, in any order, must give the same
 bytes as the same run on a fresh spec.  A repeated run builds nothing, two
-equal specs keep their own caches, the shared arrays are read-only, and the
-analyses that make many runs on one spec build one polytope per set.
+equal specs keep their own caches, the shared arrays are read-only, the
+cached drift is the rounded total velocity of each vertex, and the analyses
+that make many runs on one spec build one polytope per set.
 """
 import dataclasses
 
@@ -99,18 +100,45 @@ class Scribbler(ControlSelector):
     def __init__(self, target):
         self.target = target
 
-    def choose(self, t, q, vertices, velocities):
-        {"vertices": vertices, "velocities": velocities}[self.target][0, 0] = 1.0
+    def choose(self, t, q, vertices, drift):
+        {"vertices": vertices, "drift": drift}[self.target].flat[0] = 1.0
         return 0
 
 
-@pytest.mark.parametrize("target", ["vertices", "velocities"])
+@pytest.mark.parametrize("target", ["vertices", "drift"])
 def test_a_selector_cannot_write_into_the_shared_arrays(target):
     spec = fixtures.tandem()
     with pytest.raises(ValueError, match="read-only"):
         simulate(spec, [1.0, 0.0], Scribbler(target), 1.0, 0.1)
-    for verts, velocities in spec.polytopes.values():
-        assert not verts.flags.writeable and not velocities.flags.writeable
+    for verts, drift in spec.polytopes.values():
+        assert not verts.flags.writeable and not drift.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted([*fixtures.stable_fixture_set(), "lu_kumar"]))
+def test_cached_drift_is_the_rounded_total_velocity(name):
+    """Every polytope a fixture's runs meet carries a read-only 1-D drift equal,
+    bit for bit, to the rounded row sum of velocities recomputed from its vertices."""
+    spec = getattr(fixtures, name)()
+    x0 = np.ones(spec.K) / spec.K
+    for make in SELECTORS:
+        outcome(spec, x0, make)
+    assert spec.polytopes
+    for verts, drift in spec.polytopes.values():
+        assert drift.shape == (len(verts),) and not drift.flags.writeable
+        want = np.round((verts @ -spec.outflow.T + spec.alpha).sum(axis=1), 12)
+        assert drift.tobytes() == want.tobytes()
+
+
+def test_drain_selectors_keep_no_state_between_runs():
+    """One MaxDrain and one MinDrain reused across interleaved runs on two specs
+    give the same bytes as fresh instances."""
+    specs = (fixtures.reentrant_line(), fixtures.lu_kumar())
+    reused = {MaxDrain: MaxDrain(), MinDrain: MinDrain()}
+    for _ in range(2):
+        for make in (MaxDrain, MinDrain):
+            for spec in specs:
+                x0 = np.ones(spec.K) / spec.K
+                assert outcome(spec, x0, lambda: reused[make]) == outcome(fresh(spec), x0, make)
 
 
 def test_axiom_report_builds_one_polytope_per_set(monkeypatch):
