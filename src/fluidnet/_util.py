@@ -23,8 +23,10 @@ def check_seed(seed: int) -> int:
 
 
 def check_count(name: str, value: int, cap: int | None = None, low: int = 0) -> int:
-    """The count itself if it is at least ``low`` (default: nonnegative) and
-    at most ``cap``; else BadCount."""
+    """The count itself if it is an integer (numpy integers too) of at least
+    ``low`` (default: nonnegative) and at most ``cap``; else BadCount."""
+    if not isinstance(value, (int, np.integer)):
+        raise BadCount(f"{name} must be an integer, got {value!r}")
     if value < low:
         bound = "nonnegative" if low == 0 else f"at least {low}"
         raise BadCount(f"{name} must be {bound}, got {value}")

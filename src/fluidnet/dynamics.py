@@ -19,17 +19,19 @@ the nominal allocation.
 
 Each set of near-zero classes gets one polytope per spec (the drained set
 none), kept in ``NetworkSpec.polytopes``: every stamp of every run on the same
-spec object with that set reuses its read-only vertex array and the drift of
-each vertex, d/dt of the total mass rounded to 12 decimals, by which
-``MaxDrain`` and ``MinDrain`` pick.  The entry depends only on the spec and
-the set, so sharing it changes no trajectory.  Vertices are ordered by their
-12-decimal key (``model.vertex_order``), so the selectors pick the same vertex
-whichever route found it.
+spec object with that set reuses its read-only vertex array, the drift of each
+vertex (d/dt of the total mass rounded to 12 decimals, by which ``MaxDrain``
+and ``MinDrain`` pick) and each picked vertex's control and velocity.  The
+entry depends only on the spec and the set, so sharing it changes no
+trajectory.  Vertices are ordered by their 12-decimal key
+(``model.vertex_order``), so the selectors pick the same vertex whichever
+route found it.
 """
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +121,10 @@ class Trajectory:
 class ControlSelector:
     """Strategy picking a vertex of the viable polytope from (time, state).
 
-    ``choose`` gets the read-only vertex array (one row per vertex, in
-    ``model.vertex_order``) and the read-only drift of each vertex, d/dt of
-    the total mass rounded to 12 decimals, and returns a row index;
+    ``choose`` gets the time, the state as a tuple of floats, the read-only
+    vertex array (one row per vertex, in ``model.vertex_order``) and each
+    vertex's read-only drift, d/dt of the total mass rounded to 12 decimals,
+    and returns a row index in 0..n-1, else ``simulate`` raises IndexError;
     ``simulate`` applies that row, so every applied control is a vertex.
     """
 
@@ -130,7 +133,7 @@ class ControlSelector:
     def start_run(self) -> None:
         """Reset per-run state so repeated runs are reproducible."""
 
-    def choose(self, t, q, vertices: np.ndarray, drift: np.ndarray) -> int:
+    def choose(self, t, q: tuple, vertices: np.ndarray, drift: np.ndarray) -> int:
         raise NotImplementedError
 
 
@@ -246,32 +249,32 @@ def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int,
                  control, stop=None):
     """Euler steps of at most h, cut at the earliest zero crossing.
 
-    The one stepper behind :func:`simulate` and ``skorokhod.solve_lsp``.
-    Before each step ``control(t, x, xs)`` gets the time and the state, as an
-    array and as a list of floats, and returns ``(u, v, exempt)``: the control
-    held over the step, the velocity it gives, and the components whose zero
-    crossings do not cut the step.  A component that reaches zero is snapped
-    to exactly 0, and every level is clamped at zero.  After each stamp
-    ``stop(t, xs)``, if given, ends the run when it returns True.
-
-    Returns the grid, the states, the cumulative controls and the controls
-    (one row per step) as arrays.
+    The one stepper behind :func:`simulate` and ``skorokhod.solve_lsp``, run
+    on Python floats: ``x + v * dt`` per component is the same IEEE arithmetic
+    as on arrays, and ``x if x > 0.0 else 0.0`` is ``np.maximum(x, 0.0)``,
+    -0.0 included.  Before each step ``control(t, xs)`` gets the time and the
+    state as a tuple of floats and returns ``(u, v, exempt)``: the control held
+    over the step and its velocity, as float sequences, and the components
+    whose zero crossings do not cut the step.  A component that reaches zero
+    is snapped to 0, and every level is clamped at zero.  After each stamp
+    ``stop(t, xs)``, if given, ends the run when it returns True.  Returns the
+    grid, states, cumulative controls and controls (one row per step) as arrays.
     """
     check_horizon(horizon)
     if not (math.isfinite(h) and h > 0):
         raise BadStep(f"step must be finite and positive, got {h!r}")
-    x = x0
-    xs = x.tolist()
-    cum = np.zeros(x.shape[0])
+    check_count("max_events", max_events)
+    xs = tuple(x0.tolist())
+    cum = [0.0] * len(xs)
     t = 0.0
-    grid, states, cumulative, controls = [t], [x.copy()], [cum], []
+    grid, states, cumulative, controls = array("d", [t]), array("d", xs), array("d", cum), array("d")
     end = horizon * (1 - 1e-15) - 1e-15
 
     while t < end:
-        u, v, exempt = control(t, x, xs)
+        u, v, exempt = control(t, xs)
         dt = min(h, horizon - t)
         crossing = []
-        for k, v_k in enumerate(v.tolist()):
+        for k, v_k in enumerate(v):
             if v_k < -1e-14 and xs[k] > 0.0 and k not in exempt:
                 t_k = xs[k] / -v_k
                 if t_k < dt * (1 - 1e-12):
@@ -279,29 +282,25 @@ def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int,
                     crossing = [k]
                 elif t_k <= dt * (1 + 1e-12) and crossing:
                     crossing.append(k)
-        x = x + v * dt
-        cum = cum + u * dt
+        x = [x_k + v_k * dt for x_k, v_k in zip(xs, v)]
+        cum = [c_k + u_k * dt for c_k, u_k in zip(cum, u)]
         t = t + dt
         for k in crossing:
             x[k] = 0.0
-        np.maximum(x, 0.0, out=x)
-        xs = x.tolist()
+        xs = tuple([x_k if x_k > 0.0 else 0.0 for x_k in x])
 
         grid.append(t)
-        states.append(x.copy())
-        cumulative.append(cum)
-        controls.append(u)
-        if len(controls) > max_events:
+        states.extend(xs)
+        cumulative.extend(cum)
+        controls.extend(u)
+        if len(grid) > max_events + 1:
             raise StepTooLarge(f"more than {max_events} sub-steps; reduce h or horizon")
         if stop is not None and stop(t, xs):
             break
 
-    return (
-        np.asarray(grid),
-        np.asarray(states),
-        np.asarray(cumulative),
-        np.asarray(controls) if controls else np.empty((0, x.shape[0])),
-    )
+    shape = (-1, len(cum))
+    return (np.frombuffer(grid), np.frombuffer(states).reshape(shape),
+            np.frombuffer(cumulative).reshape(shape), np.frombuffer(controls).reshape(shape))
 
 
 def simulate(
@@ -322,8 +321,9 @@ def simulate(
     mass stays below the emptiness threshold for two consecutive stamps and
     the empty state can be held (unless ``stop_on_drain`` is False).  A
     negative or non-finite horizon raises BadHorizon, a step that is not
-    finite and positive BadStep, a non-finite initial state NonFiniteInput
-    and a negative one NegativeState.
+    finite and positive BadStep, a non-finite initial state NonFiniteInput, a
+    negative one NegativeState and a ``max_events`` that is no nonnegative
+    integer BadCount; more than ``max_events`` steps raise StepTooLarge.
     """
     x0 = np.asarray(x0, dtype=float).copy()
     if x0.shape != (spec.K,):
@@ -338,20 +338,24 @@ def simulate(
     selector.start_run()
     can_hold_zero = zero_invariant(spec)
     velocity_map = -spec.outflow.T
-    polytopes = spec.polytopes  # near-zero classes -> (vertices, drift)
+    polytopes = spec.polytopes  # near-zero classes -> (vertices, drift, rows)
 
-    def select(t, q, ql):
-        zeros = frozenset(k for k, level in enumerate(ql) if level < eps)
+    def select(t, q):
+        zeros = frozenset(k for k, level in enumerate(q) if level < eps)
         entry = polytopes.get(zeros)
         if entry is None:
             verts = _viable_polytope(spec, zeros, can_hold_zero and len(zeros) == spec.K)
             drift = np.round((verts @ velocity_map + spec.alpha).sum(axis=1), 12)
             drift.setflags(write=False)  # shared by every run on the spec
-            entry = polytopes[zeros] = (verts, drift)
-        verts, drift = entry
-        u = verts[operator.index(selector.choose(t, q, verts, drift))]
-        # not the row of verts @ velocity_map, which can differ in the last bits
-        return u, spec.alpha - spec.outflow @ u, ()
+            entry = polytopes[zeros] = (verts, drift, {})
+        verts, drift, rows = entry
+        i = operator.index(selector.choose(t, q, verts, drift))
+        if i not in rows:
+            if not 0 <= i < len(verts):
+                raise IndexError(f"vertex index {i} outside 0..{len(verts) - 1}")
+            # not the row of verts @ velocity_map, which can differ in the last bits
+            rows[i] = tuple(verts[i].tolist()), tuple(rhs(spec, verts[i]).tolist())
+        return (*rows[i], ())
 
     drained_at = None
     first_below = 0.0 if x0.max() < eps else None
@@ -371,23 +375,16 @@ def simulate(
             below_streak = 0
         return False
 
-    grid, levels, allocation, controls = _event_split(
-        x0, horizon, h, max_events, select, drained
-    )
-    return Trajectory(grid, levels, allocation, controls, drained_at=drained_at)
+    arrays = _event_split(x0, horizon, h, max_events, select, drained)
+    return Trajectory(*arrays, drained_at=drained_at)
 
 
 def flow_balance_residual(spec: NetworkSpec, traj: Trajectory) -> float:
     """Max over stamps of |Q(t) - (Q(0) + alpha t - outflow @ T(t))| in l1."""
     if traj.levels.shape[1] != spec.K:
-        raise DimensionMismatch(
-            f"trajectory has {traj.levels.shape[1]} classes, network has {spec.K}"
-        )
-    predicted = (
-        traj.levels[0][None, :]
-        + traj.grid[:, None] * spec.alpha[None, :]
-        - traj.allocation @ spec.outflow.T
-    )
+        raise DimensionMismatch(f"trajectory has {traj.levels.shape[1]} classes, network has {spec.K}")
+    predicted = (traj.levels[0][None, :] + traj.grid[:, None] * spec.alpha[None, :]
+                 - traj.allocation @ spec.outflow.T)
     return float(np.abs(traj.levels - predicted).sum(axis=1).max())
 
 

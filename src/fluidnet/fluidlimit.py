@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (
+    check_count,
     check_factor,
     check_horizon,
     child_seeds,
@@ -154,7 +155,7 @@ def simulate_queueing(
     reference in ``tests/test_queueing_reference.py``, so the output bytes are
     the same.  At exact ties completions beat arrivals, and the lowest class
     index goes first.  A negative, infinite or NaN horizon raises BadHorizon,
-    a negative count NegativeState.
+    a negative count NegativeState, a bad ``max_events`` count BadCount.
     """
     net = qspec.network
     q_arr = np.asarray(q0, dtype=np.int64)
@@ -163,6 +164,7 @@ def simulate_queueing(
     if np.any(q_arr < 0):
         raise NegativeState(f"queue lengths must be nonnegative, got {q_arr.tolist()}")
     check_horizon(horizon)
+    check_count("max_events", max_events)
     rng = rng_from(seed)
     exponential = rng.exponential
     uniform = rng.random

@@ -107,10 +107,11 @@ class NetworkSpec:
     first); it is None for work-conserving networks.  ``members`` lists the
     classes that must be empty for each capacity row to be empty.
     ``polytopes`` is ``dynamics.simulate``'s cache: it maps each set of
-    near-zero classes that a run on this spec met to its read-only viable
-    vertices and their drift (d/dt of the total mass, rounded to 12
-    decimals), so every run on the same spec object shares them (at most
-    2^K entries).
+    near-zero classes that a run on this spec met to ``(vertices, drift,
+    rows)``: the read-only viable vertices, their drift (d/dt of the total
+    mass, rounded to 12 decimals) and a dict that maps each vertex index
+    picked so far to its control and velocity as tuples of floats.  Every run
+    on the same spec object shares them (at most 2^K entries).
     """
 
     alpha: np.ndarray

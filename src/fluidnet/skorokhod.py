@@ -255,12 +255,12 @@ def solve_lsp(inst: LspInstance, horizon: float, h: float) -> LspSolution:
     eps = empty_threshold(inst.z0)
     tol = 1e-9 * (1.0 + l1(theta))
 
-    def push(t, z, zs):
+    def push(t, zs):
         # the active components are held at the boundary by the push, so
         # their crossings do not cut the step
         active = [j for j, level in enumerate(zs) if level < eps]
         if active:
-            c = -theta[active] - z[active] / h
+            c = -theta[active] - np.array(zs)[active] / h
             u = _minimal_push(r, active, c, tol, bases)
             if np.any(u > inst.push_bound * (1 + 1e-12)):
                 raise PushBoundExceeded(
@@ -268,18 +268,15 @@ def solve_lsp(inst: LspInstance, horizon: float, h: float) -> LspSolution:
                 )
         else:
             u = np.zeros(inst.J)
-        return u, theta + r @ u, active
+        return u.tolist(), (theta + r @ u).tolist(), active
 
     return LspSolution(*_event_split(inst.z0, horizon, h, _EVENT_CAP, push))
 
 
 def solution_residual(inst: LspInstance, sol: Trajectory) -> float:
     """Max over stamps of |Z - (Z0 + theta t + R Y)| in l1."""
-    predicted = (
-        inst.z0[None, :]
-        + sol.grid[:, None] * inst.theta[None, :]
-        + sol.allocation @ inst.reflection.T
-    )
+    predicted = (inst.z0[None, :] + sol.grid[:, None] * inst.theta[None, :]
+                 + sol.allocation @ inst.reflection.T)
     return float(np.abs(sol.levels - predicted).sum(axis=1).max())
 
 

@@ -208,6 +208,7 @@ class _Returns(ControlSelector):
     (lambda verts: verts.mean(axis=0), TypeError),  # a point that is no vertex
     (lambda verts: 0.0, TypeError),
     (lambda verts: len(verts), IndexError),
+    pytest.param(lambda verts: -1, IndexError, id="negative"),  # numpy would take the last row
 ])
 def test_simulate_refuses_a_pick_that_is_no_row_index(tandem, pick, error):
     with pytest.raises(error):

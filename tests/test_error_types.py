@@ -11,22 +11,25 @@ import numpy as np
 import pytest
 
 from fluidnet import fixtures
-from fluidnet.dynamics import FixedSequence, Trajectory
+from fluidnet._util import child_seeds
+from fluidnet.dynamics import FirstVertex, FixedSequence, Trajectory, simulate
 from fluidnet.errors import (
     BadCandidate,
     BadCount,
     BadFactor,
     DimensionMismatch,
+    EventBudgetExceeded,
     FluidNetError,
     NegativeState,
     NoSeeds,
     NotStable,
     ShiftBeyondHorizon,
+    StepTooLarge,
 )
-from fluidnet.fluidlimit import concatenation_evidence
-from fluidnet.gfn import example_family, lipschitz_estimate
+from fluidnet.fluidlimit import concatenation_evidence, simulate_queueing
+from fluidnet.gfn import axiom_report, example_family, lipschitz_estimate
 from fluidnet.lyapunov import piecewise_linear_check
-from fluidnet.stability import STABLE, Verdict, scale_invariance_check
+from fluidnet.stability import STABLE, Verdict, scale_invariance_check, unit_sphere_states
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fluidnet"
 
@@ -74,6 +77,47 @@ def test_site_raises_its_class(site):
     assert issubclass(cls, FluidNetError) and issubclass(cls, ValueError)
     with pytest.raises(cls):
         call()
+
+
+def run_tandem(max_events):
+    return simulate(fixtures.tandem(), [1.0, 0.0], FirstVertex(), 1.0, 0.1, max_events=max_events)
+
+
+def run_queue(max_events):
+    return simulate_queueing(fixtures.queueing_two_class_priority(), [3, 2], 5.0, 1,
+                             max_events=max_events)
+
+
+COUNT_SITES = {
+    "unit_sphere_states samples": lambda n: unit_sphere_states(2, n, 1),
+    "axiom_report n_ops": lambda n: axiom_report(fixtures.tandem(), n_ops=n, horizon=1.0, h=0.1),
+    "child_seeds count": lambda n: child_seeds(1, n),
+    "simulate max_events": run_tandem,
+    "simulate_queueing max_events": run_queue,
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), 2.5, float("inf"), 2.0])
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_a_count_that_is_no_integer_is_a_bad_count(site, value):
+    with pytest.raises(BadCount, match="must be an integer"):
+        COUNT_SITES[site](value)
+
+
+@pytest.mark.parametrize("run", [run_tandem, run_queue])
+def test_a_negative_event_budget_is_a_bad_count(run):
+    with pytest.raises(BadCount, match="max_events must be nonnegative, got -1"):
+        run(-1)
+
+
+def test_counts_accept_numpy_integers_and_a_zero_budget_keeps_its_meaning():
+    assert child_seeds(1, np.int64(2)) == child_seeds(1, 2)
+    assert unit_sphere_states(2, np.int32(3), 1).shape == (5, 2)
+    assert run_tandem(np.int64(100)).grid.shape == run_tandem(100).grid.shape
+    with pytest.raises(StepTooLarge, match="more than 0 sub-steps"):
+        run_tandem(0)
+    with pytest.raises(EventBudgetExceeded, match="exceeded 0 events"):
+        run_queue(0)
 
 
 def test_explicit_family_shape_is_a_dimension_mismatch():

@@ -143,20 +143,21 @@ SELECTORS = {
 MAX_EVENTS = 3000  # sliding can cut a step into an event storm; both sides must raise alike
 
 
-def outcome(run, spec, x0, selector, horizon, h, stop_on_drain):
+def outcome(run, spec, x0, selector, horizon, h, stop_on_drain, max_events=MAX_EVENTS):
     try:
         traj = run(spec, x0, selector, horizon, h, stop_on_drain=stop_on_drain,
-                   max_events=MAX_EVENTS)
+                   max_events=max_events)
     except StepTooLarge as exc:
         return str(exc)
     arrays = (traj.grid, traj.levels, traj.allocation, traj.controls)
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays], traj.drained_at
 
 
-def same_run(spec, x0, selector_name, horizon, h, stop_on_drain) -> bool:
+def same_run(spec, x0, selector_name, horizon, h, stop_on_drain, max_events=MAX_EVENTS) -> bool:
     make, make_ref = SELECTORS[selector_name]
-    got = outcome(simulate, spec, x0, make(), horizon, h, stop_on_drain)
-    want = outcome(reference_simulate, spec, x0, make_ref(), horizon, h, stop_on_drain)
+    got = outcome(simulate, spec, x0, make(), horizon, h, stop_on_drain, max_events)
+    want = outcome(reference_simulate, spec, x0, make_ref(), horizon, h, stop_on_drain,
+                   max_events)
     return got == want
 
 
@@ -191,6 +192,27 @@ def test_matches_reference_on_fixtures(name, stop_on_drain):
     for x0 in (np.ones(spec.K) / spec.K, boundary_start):
         for selector_name in SELECTORS:
             assert same_run(spec, x0, selector_name, 8.0, 0.02, stop_on_drain), selector_name
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_matches_reference_at_the_edges_of_the_step_loop(name):
+    """A zero horizon (no step: a (0, K) control array), a horizon below h
+    (one short step) and budgets of one and two steps, which both sides must
+    refuse with the same StepTooLarge text."""
+    spec = FIXTURES[name]
+    x0 = np.ones(spec.K) / spec.K
+    for selector_name in SELECTORS:
+        for horizon in (0.0, 0.03):
+            assert same_run(spec, x0, selector_name, horizon, 0.05, True), (selector_name, horizon)
+        for max_events in (1, 2):
+            assert same_run(spec, x0, selector_name, 1.0, 0.05, True, max_events)
+    arrays, _ = outcome(simulate, spec, x0, FirstVertex(), 0.0, 0.05, True)
+    assert [shape for _, shape, _ in arrays] == [(1,), (1, spec.K), (1, spec.K), (0, spec.K)]
+    arrays, _ = outcome(simulate, spec, x0, FirstVertex(), 0.03, 0.05, True)
+    assert [shape for _, shape, _ in arrays] == [(2,), (2, spec.K), (2, spec.K), (1, spec.K)]
+    for max_events in (1, 2):
+        assert outcome(simulate, spec, x0, FirstVertex(), 1.0, 0.05, True, max_events) == (
+            f"more than {max_events} sub-steps; reduce h or horizon")
 
 
 def test_structure_shared_across_keys_is_detected(monkeypatch):

@@ -193,6 +193,30 @@ def test_fixtures_same_bytes(make, h):
     assert_same_solution(solve_lsp(inst, 3.0, h), reference_solve_lsp(inst, 3.0, h))
 
 
+@pytest.mark.parametrize("horizon", [0.0, 0.02])
+@pytest.mark.parametrize("seed", range(10))
+def test_a_zero_or_sub_step_horizon_same_bytes(seed, horizon):
+    """No step at horizon 0 (a (0, J) control array); below h one short step,
+    or more where a zero crossing cuts it."""
+    inst = random_instance(seed)
+    got = solve_lsp(inst, horizon, 0.05)
+    assert_same_solution(got, reference_solve_lsp(inst, horizon, 0.05))
+    assert got.controls.shape[0] > 0 if horizon else got.controls.shape == (0, inst.J)
+
+
+def test_a_negative_zero_start_same_bytes():
+    """-0.0 is a valid start: it stays -0.0 in the first stamp, counts as
+    active, and both sides clamp the same way from then on."""
+    for seed in range(10):
+        inst = random_instance(seed)
+        z0 = inst.z0.copy()
+        z0[0] = -0.0
+        inst = LspInstance(inst.theta, inst.reflection, z0)
+        got = solve_lsp(inst, 1.0, 0.1)
+        assert_same_solution(got, reference_solve_lsp(inst, 1.0, 0.1))
+        assert np.signbit(got.levels[0, 0])
+
+
 def assert_same_push(r, active, c, tol, bases):
     """The push, or None when both sides find no feasible push."""
     try:

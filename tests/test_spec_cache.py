@@ -4,8 +4,10 @@ An entry depends only on the spec and the set of near-zero classes, so a run
 on a spec whose cache other runs filled, in any order, must give the same
 bytes as the same run on a fresh spec.  A repeated run builds nothing, two
 equal specs keep their own caches, the shared arrays are read-only, the
-cached drift is the rounded total velocity of each vertex, and the analyses
-that make many runs on one spec build one polytope per set.
+cached drift is the rounded total velocity of each vertex, only picked
+vertices get a cached control and velocity, bit-equal to the vertex and its
+velocity, and the analyses that make many runs on one spec build one
+polytope per set.
 """
 import dataclasses
 
@@ -110,7 +112,7 @@ def test_a_selector_cannot_write_into_the_shared_arrays(target):
     spec = fixtures.tandem()
     with pytest.raises(ValueError, match="read-only"):
         simulate(spec, [1.0, 0.0], Scribbler(target), 1.0, 0.1)
-    for verts, drift in spec.polytopes.values():
+    for verts, drift, _ in spec.polytopes.values():
         assert not verts.flags.writeable and not drift.flags.writeable
 
 
@@ -123,10 +125,48 @@ def test_cached_drift_is_the_rounded_total_velocity(name):
     for make in SELECTORS:
         outcome(spec, x0, make)
     assert spec.polytopes
-    for verts, drift in spec.polytopes.values():
+    for verts, drift, _ in spec.polytopes.values():
         assert drift.shape == (len(verts),) and not drift.flags.writeable
         want = np.round((verts @ -spec.outflow.T + spec.alpha).sum(axis=1), 12)
         assert drift.tobytes() == want.tobytes()
+
+
+class Recording(ControlSelector):
+    """Passes each pick of ``inner`` through and records it per vertex array."""
+
+    def __init__(self, inner, picks):
+        self.inner, self.picks = inner, picks
+
+    def start_run(self):
+        self.inner.start_run()
+
+    def choose(self, t, q, vertices, drift):
+        assert type(q) is tuple and all(type(level) is float for level in q)
+        i = self.inner.choose(t, q, vertices, drift)
+        self.picks.setdefault(id(vertices), set()).add(i)
+        return i
+
+
+@pytest.mark.parametrize("name", sorted([*fixtures.stable_fixture_set(), "lu_kumar"]))
+def test_cached_rows_are_the_picked_vertices_and_their_velocities(name):
+    """Every filled ``rows[i]`` is a pair of float tuples bit-equal to vertex i
+    and to alpha - outflow @ vertex i, the gemv of an uncached step (not a row
+    of verts @ -outflow.T), and a vertex no selector picked stays unfilled."""
+    spec = getattr(fixtures, name)()
+    picks = {}
+    for x0 in (np.ones(spec.K) / spec.K, np.eye(spec.K)[-1]):
+        for make in SELECTORS:
+            outcome(spec, x0, lambda: Recording(make(), picks))
+    assert spec.polytopes
+    for verts, _, rows in spec.polytopes.values():
+        assert set(rows) == picks[id(verts)]
+        for i, row in rows.items():
+            assert type(row) is tuple and len(row) == 2
+            for part in row:
+                assert type(part) is tuple and all(type(value) is float for value in part)
+            u, v = row
+            assert np.array(u).tobytes() == verts[i].tobytes()
+            assert np.array(v).tobytes() == (spec.alpha - spec.outflow @ verts[i]).tobytes()
 
 
 def test_drain_selectors_keep_no_state_between_runs():
