@@ -15,8 +15,15 @@ def l1(x) -> float:
     return float(np.abs(np.asarray(x, dtype=float)).sum())
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool and every float (2.0, NaN)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed: int) -> int:
-    """The seed itself if it is nonnegative, as SeedSequence requires; else BadSeed."""
+    """The seed itself if it is a nonnegative integer, as SeedSequence requires; else BadSeed."""
+    if not is_integer(seed):
+        raise BadSeed(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise BadSeed(f"seed must be nonnegative, got {seed}")
     return seed
@@ -25,7 +32,7 @@ def check_seed(seed: int) -> int:
 def check_count(name: str, value: int, cap: int | None = None, low: int = 0) -> int:
     """The count itself if it is an integer (numpy integers too) of at least
     ``low`` (default: nonnegative) and at most ``cap``; else BadCount."""
-    if not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise BadCount(f"{name} must be an integer, got {value!r}")
     if value < low:
         bound = "nonnegative" if low == 0 else f"at least {low}"
@@ -49,8 +56,16 @@ def check_horizon(horizon) -> None:
         raise BadHorizon(f"horizon must be finite and nonnegative, got {horizon!r}")
 
 
+def readonly(a) -> np.ndarray:
+    """A read-only float copy of ``a``, so the caller's own array stays writable."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 def freeze_arrays(obj, names) -> None:
-    """Set each named field of a frozen dataclass to a read-only float array."""
+    """Set each named field of a frozen dataclass to a read-only float array, in
+    place: for arrays the library has just built (``Trajectory``, ``SamplePath``)."""
     for name in names:
         arr = np.asarray(getattr(obj, name), dtype=float)
         arr.setflags(write=False)

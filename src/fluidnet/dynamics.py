@@ -36,8 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_count, check_horizon, csv_text, freeze_arrays, l1, rng_from
+from ._util import (check_count, check_horizon, check_seed, csv_text, freeze_arrays,
+                    is_integer, l1, readonly, rng_from)
 from .errors import (
+    BadCount,
     BadStep,
     DimensionMismatch,
     InfeasibleActiveSet,
@@ -131,7 +133,7 @@ class ControlSelector:
     name = "selector"
 
     def start_run(self) -> None:
-        """Reset per-run state so repeated runs are reproducible."""
+        """Reset per-run state; ``simulate`` calls it before each run's first ``choose``."""
 
     def choose(self, t, q: tuple, vertices: np.ndarray, drift: np.ndarray) -> int:
         raise NotImplementedError
@@ -152,16 +154,13 @@ class RandomVertex(ControlSelector):
     name = "random_vertex"
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self.name = f"{RandomVertex.name}({self.seed})"
-        self._rng = None
 
     def start_run(self):
         self._rng = rng_from(self.seed)
 
     def choose(self, t, q, vertices, drift):
-        if self._rng is None:
-            self.start_run()
         return int(self._rng.integers(len(vertices)))
 
 
@@ -196,8 +195,11 @@ class FixedSequence(ControlSelector):
     """
 
     def __init__(self, indices):
-        self.indices = [int(i) for i in indices]
+        self.indices = list(indices)
         check_count("FixedSequence index count", len(self.indices), low=1)
+        if not all(map(is_integer, self.indices)):
+            raise BadCount(f"FixedSequence indices must be integers, got {self.indices!r}")
+        self.indices = list(map(int, self.indices))  # numpy integers become ints
         self.name = f"fixed_sequence({self.indices})"
         self._pos = 0
 
@@ -345,8 +347,7 @@ def simulate(
         entry = polytopes.get(zeros)
         if entry is None:
             verts = _viable_polytope(spec, zeros, can_hold_zero and len(zeros) == spec.K)
-            drift = np.round((verts @ velocity_map + spec.alpha).sum(axis=1), 12)
-            drift.setflags(write=False)  # shared by every run on the spec
+            drift = readonly(np.round((verts @ velocity_map + spec.alpha).sum(axis=1), 12))
             entry = polytopes[zeros] = (verts, drift, {})
         verts, drift, rows = entry
         i = operator.index(selector.choose(t, q, verts, drift))
@@ -358,21 +359,17 @@ def simulate(
         return (*rows[i], ())
 
     drained_at = None
-    first_below = 0.0 if x0.max() < eps else None
-    below_streak = 1 if first_below is not None else 0
+    first_below = 0.0 if x0.max() < eps else None  # start of the latest stretch below eps
 
     def drained(t, ql):
-        nonlocal drained_at, first_below, below_streak
-        if max(ql) < eps:
-            if first_below is None:
-                first_below = t
-            below_streak += 1
-            if below_streak >= 2 and can_hold_zero and drained_at is None:
-                drained_at = first_below
-                return stop_on_drain
-        else:
+        nonlocal drained_at, first_below
+        if max(ql) >= eps:
             first_below = None
-            below_streak = 0
+        elif first_below is None:
+            first_below = t
+        elif can_hold_zero and drained_at is None:
+            drained_at = first_below
+            return stop_on_drain
         return False
 
     arrays = _event_split(x0, horizon, h, max_events, select, drained)

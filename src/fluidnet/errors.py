@@ -88,7 +88,7 @@ class BadPushBound(FluidNetError, ValueError):
 
 
 class BadSeed(FluidNetError, ValueError):
-    """A seed is negative."""
+    """A seed is negative or no integer."""
 
 
 class BadCount(FluidNetError, ValueError):

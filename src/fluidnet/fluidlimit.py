@@ -19,6 +19,7 @@ from ._util import (
     check_count,
     check_factor,
     check_horizon,
+    check_seed,
     child_seeds,
     csv_text,
     freeze_arrays,
@@ -172,9 +173,8 @@ def simulate_queueing(
     n_classes = net.K
     priority = net.discipline == PRIORITY
     stations = [
-        sorted(net.classes_at(j), key=net.priority.__getitem__) if priority
-        else list(net.classes_at(j))
-        for j in range(net.J)
+        sorted(classes, key=net.priority.__getitem__) if priority else list(classes)
+        for classes in net.station_classes
     ]
     route_cum = np.cumsum(net.routing, axis=1).tolist()
     service_mean = [1.0 / float(m) for m in net.mu]
@@ -339,8 +339,8 @@ def _nearest_fluid(spec: NetworkSpec, x0, horizon: float, h: float):
 
 
 def _seed_list(seeds) -> list[int]:
-    """The seeds as ints; NoSeeds when there are none."""
-    seeds = [int(seed) for seed in seeds]
+    """The seeds, each checked by ``check_seed``; NoSeeds when there are none."""
+    seeds = [check_seed(seed) for seed in seeds]
     if not seeds:
         raise NoSeeds("a sampled comparison needs at least one seed")
     return seeds

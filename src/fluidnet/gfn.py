@@ -102,12 +102,8 @@ def concatenate(traj1: Trajectory, t_star: float, traj2: Trajectory) -> Trajecto
     grid = np.concatenate([traj1.grid[:i], [t_star], traj2.grid[1:] + t_star])
     levels = np.vstack([traj1.levels[:i], level_cut, traj2.levels[1:]])
     alloc = np.vstack([traj1.allocation[:i], alloc_cut, traj2.allocation[1:] + alloc_cut])
-    head_controls = traj1.controls[:i]
-    if head_controls.shape[0] + traj2.controls.shape[0]:
-        controls = np.vstack([head_controls.reshape(-1, traj1.K),
-                              traj2.controls.reshape(-1, traj1.K)])
-    else:
-        controls = np.empty((0, traj1.K))
+    controls = np.vstack([traj1.controls[:i].reshape(-1, traj1.K),
+                          traj2.controls.reshape(-1, traj1.K)])
     drained = None
     if traj2.drained_at is not None:
         drained = t_star + traj2.drained_at
@@ -209,8 +205,6 @@ class ExplicitPathFamily:
         scale_tol = MEMBER_TOL * (1.0 + l1(x))
         horizon = float(traj.grid[-1])
         for cand in self.paths_from(x):
-            if not cand.drained and cand.grid[-1] < horizon:
-                continue
             if uoc_distance(traj, cand, horizon) <= scale_tol:
                 return True
         return False
@@ -231,14 +225,13 @@ class NetworkPathFamily:
         ]
 
     def is_member(self, traj: Trajectory) -> bool:
-        """Residual-based membership: flow balance and monotonicity only.
+        """Residual-based membership: ``check_trajectory``'s ``ok``, so flow
+        balance within 1e-7 (1 + |Q(0)|), nonnegativity and monotone processes.
 
         Finite samples cannot certify set membership exactly; this checks the
         network invariants the family's paths must satisfy.
         """
-        report = check_trajectory(self.spec, traj)
-        scale_ok = report["flow_balance_residual"] <= MEMBER_TOL * (1.0 + l1(traj.levels[0]))
-        return bool(report["ok"] and scale_ok)
+        return bool(check_trajectory(self.spec, traj)["ok"])
 
 
 def network_family(spec: NetworkSpec, horizon: float, h: float) -> NetworkPathFamily:

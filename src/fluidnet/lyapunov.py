@@ -155,7 +155,7 @@ class _PrefixSelector(MinDrain):
     """Forced vertex indices for the first selections, then greedy slow drain."""
 
     def __init__(self, prefix):
-        self.prefix = tuple(int(i) for i in prefix)
+        self.prefix = tuple(prefix)
         self.name = f"prefix{self.prefix}"
         self._calls = 0
 

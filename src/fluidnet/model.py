@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import l1
+from ._util import is_integer, l1, readonly
 from .errors import (
     BadPermutation,
     ConstituencyNotPartition,
@@ -92,12 +92,6 @@ def spectral_radius(P: np.ndarray) -> float:
     return estimate
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkSpec:
     """Validated, immutable description of a fluid network.
@@ -128,13 +122,13 @@ class NetworkSpec:
     polytopes: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _readonly(self.alpha))
-        object.__setattr__(self, "mu", _readonly(self.mu))
-        object.__setattr__(self, "routing", _readonly(self.routing))
-        object.__setattr__(self, "constituency", _readonly(self.constituency))
+        object.__setattr__(self, "alpha", readonly(self.alpha))
+        object.__setattr__(self, "mu", readonly(self.mu))
+        object.__setattr__(self, "routing", readonly(self.routing))
+        object.__setattr__(self, "constituency", readonly(self.constituency))
         k = self.alpha.shape[0]
         w = (np.eye(k) - self.routing.T) @ np.diag(self.mu)
-        object.__setattr__(self, "outflow", _readonly(w))
+        object.__setattr__(self, "outflow", readonly(w))
         object.__setattr__(
             self,
             "station_classes",
@@ -148,7 +142,7 @@ class NetworkSpec:
             rank = np.asarray(self.priority)
             capacity = (station[:, None] == station) & (rank <= rank[:, None])
             members = tuple((m,) for m in range(k))
-        object.__setattr__(self, "capacity", _readonly(capacity))
+        object.__setattr__(self, "capacity", readonly(capacity))
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "polytopes", {})
 
@@ -159,9 +153,6 @@ class NetworkSpec:
     @property
     def J(self) -> int:
         return int(self.constituency.shape[0])
-
-    def classes_at(self, station: int) -> tuple[int, ...]:
-        return self.station_classes[station]
 
     def nominal_allocation(self) -> np.ndarray:
         """Allocation rates that balance inflow exactly: solves outflow @ u = alpha."""
@@ -219,9 +210,10 @@ def validate(alpha, mu, routing, constituency, discipline, priority=None) -> Net
     if discipline == PRIORITY:
         if priority is None:
             raise BadPermutation("priority discipline requires a priority permutation")
-        ranks = tuple(int(p) for p in priority)
-        if sorted(ranks) != list(range(k)):
+        ranks = tuple(priority)
+        if not all(map(is_integer, ranks)) or sorted(ranks) != list(range(k)):
             raise BadPermutation(f"priority ranks must be a permutation of 0..{k - 1}")
+        ranks = tuple(map(int, ranks))  # numpy integers become ints
     elif priority is not None:
         raise BadPermutation("priority order given for a work-conserving network")
 
@@ -280,7 +272,7 @@ def vertex_order(blocks, dim: int) -> np.ndarray:
     for x in blocks:
         for key, row in zip(np.round(x, 12).tolist(), x):
             found[tuple(key)] = row
-    return _readonly([found[key] for key in sorted(found)] or np.empty((0, dim)))
+    return readonly([found[key] for key in sorted(found)] or np.empty((0, dim)))
 
 
 def _active_systems(a_eq, a_ub, idx) -> np.ndarray:
@@ -345,10 +337,10 @@ def admissible_constraints(spec: NetworkSpec, empty):
     may idle (capacity row @ u <= 1), and allocations are nonnegative.
     """
     n = spec.capacity.shape[0]
-    empty = frozenset(int(i) for i in empty)
+    empty = frozenset(empty)
     for i in empty:
-        if not 0 <= i < n:
-            raise DimensionMismatch(f"capacity row {i} out of range for {n} rows")
+        if not (is_integer(i) and 0 <= i < n):
+            raise DimensionMismatch(f"capacity row {i!r} is no index in 0..{n - 1}")
     busy = [i for i in range(n) if i not in empty]
     idx = sorted(empty)
     a_ub = np.vstack([-np.eye(spec.K), spec.capacity[idx]])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import csv_text, l1
+from ._util import csv_text, l1, readonly
 from .dynamics import _EVENT_CAP, Trajectory, _event_split
 from .errors import (
     BadPushBound,
@@ -106,7 +106,8 @@ def _default_push_bound(theta: np.ndarray, r: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LspInstance:
-    """A validated linear Skorokhod problem.
+    """A validated linear Skorokhod problem; it holds read-only copies of
+    theta, R and Z0, so the caller's arrays stay writable and unshared.
 
     Raises DimensionMismatch for a theta that is not a nonempty vector or
     for inconsistent shapes, NonFiniteInput for NaN
@@ -120,9 +121,7 @@ class LspInstance:
     push_bound: float | None = None
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        r = np.asarray(self.reflection, dtype=float)
-        z0 = np.asarray(self.z0, dtype=float)
+        theta, r, z0 = readonly(self.theta), readonly(self.reflection), readonly(self.z0)
         j = theta.size
         if j == 0 or theta.shape != (j,) or r.shape != (j, j) or z0.shape != (j,):
             raise DimensionMismatch(
@@ -140,7 +139,6 @@ class LspInstance:
         if not bound > 0:
             raise BadPushBound(f"push bound must be positive, got {bound!r}")
         for name, val in arrays:
-            val.setflags(write=False)
             object.__setattr__(self, name, val)
         object.__setattr__(self, "push_bound", float(bound))
 

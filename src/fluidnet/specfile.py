@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
+from ._util import is_integer
 from .dynamics import MaxDrain
 from .errors import ParseError
 from .fluidlimit import QueueingSpec
@@ -112,7 +113,7 @@ def _scalar(value, key: str, where: str) -> float:
 
 def _integer(value, key: str, where: str) -> int:
     """``value`` as an int; text, booleans and non-integral numbers are rejected."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_integer(value):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)

@@ -78,10 +78,11 @@ def draining_time(
 
     Stable when every (start, selector) run drains; tau is the max draining
     time observed.  Otherwise an instability witness is searched; absence of
-    both gives Inconclusive.
+    both gives Inconclusive.  An empty selector tuple raises BadCount.
     """
     if selectors is None:
         selectors = default_selectors()
+    check_count("selector count", len(selectors), low=1)
     starts = unit_sphere_states(spec.K, samples, seed)
     results = [
         simulate(spec, x, sel, horizon, h).drained_at for x in starts for sel in selectors

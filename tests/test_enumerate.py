@@ -123,7 +123,7 @@ def random_cases(seed):
         yield (spec.K, *constraints(spec, empty))
     empty = configs[rng.integers(len(configs))]
     if discipline == WORK_CONSERVING:
-        forced = [c for j in empty for c in spec.classes_at(j)]
+        forced = [c for j in empty for c in spec.station_classes[j]]
     else:
         forced = list(empty)
     extra = rng.uniform(size=spec.K) < 0.3

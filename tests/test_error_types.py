@@ -12,11 +12,13 @@ import pytest
 
 from fluidnet import fixtures
 from fluidnet._util import child_seeds
-from fluidnet.dynamics import FirstVertex, FixedSequence, Trajectory, simulate
+from fluidnet.dynamics import FirstVertex, FixedSequence, RandomVertex, Trajectory, simulate
 from fluidnet.errors import (
     BadCandidate,
     BadCount,
     BadFactor,
+    BadPermutation,
+    BadSeed,
     DimensionMismatch,
     EventBudgetExceeded,
     FluidNetError,
@@ -26,10 +28,13 @@ from fluidnet.errors import (
     ShiftBeyondHorizon,
     StepTooLarge,
 )
-from fluidnet.fluidlimit import concatenation_evidence, simulate_queueing
+from fluidnet.fluidlimit import concatenation_evidence, fluid_limit_compare, simulate_queueing
 from fluidnet.gfn import axiom_report, example_family, lipschitz_estimate
-from fluidnet.lyapunov import piecewise_linear_check
-from fluidnet.stability import STABLE, Verdict, scale_invariance_check, unit_sphere_states
+from fluidnet.lyapunov import SearchBudget, piecewise_linear_check
+from fluidnet.model import PRIORITY, admissible_constraints, validate
+from fluidnet.stability import (
+    STABLE, Verdict, draining_time, scale_invariance_check, unit_sphere_states,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fluidnet"
 
@@ -62,6 +67,9 @@ SITES = {
         lambda: scale_invariance_check(Verdict("unstable"), fixtures.overloaded_queue(), [2.0])),
     "scale invariance without scales": (
         BadCount, lambda: scale_invariance_check(Verdict(STABLE, 1.0), fixtures.tandem(), [])),
+    "draining time without selectors": (
+        BadCount, lambda: draining_time(fixtures.tandem(), selectors=(), samples=0)),
+    "negative RandomVertex seed": (BadSeed, lambda: RandomVertex(-1)),
     **{
         f"scale invariance at scale {r}": (
             BadFactor,
@@ -77,6 +85,12 @@ def test_site_raises_its_class(site):
     assert issubclass(cls, FluidNetError) and issubclass(cls, ValueError)
     with pytest.raises(cls):
         call()
+
+
+def one_station_priority(ranks):
+    k = len(ranks)
+    return validate(np.full(k, 0.1), np.ones(k), np.zeros((k, k)), np.ones((1, k)), PRIORITY,
+                    ranks)
 
 
 def run_tandem(max_events):
@@ -97,11 +111,56 @@ COUNT_SITES = {
 }
 
 
-@pytest.mark.parametrize("value", [float("nan"), 2.5, float("inf"), 2.0])
+@pytest.mark.parametrize("value", [float("nan"), 2.5, float("inf"), 2.0, True])
 @pytest.mark.parametrize("site", sorted(COUNT_SITES))
 def test_a_count_that_is_no_integer_is_a_bad_count(site, value):
     with pytest.raises(BadCount, match="must be an integer"):
         COUNT_SITES[site](value)
+
+
+# each site gets one value where an integer belongs: cast with int(), 2.0 would
+# pass at every site and True at every site but the priority ranks (lu_kumar
+# has four capacity rows)
+INTEGER_SITES = {
+    "priority rank": (BadPermutation, lambda v: one_station_priority([v, 0, 1])),
+    "FixedSequence index": (BadCount, lambda v: FixedSequence([1, v])),
+    "RandomVertex seed": (BadSeed, RandomVertex),
+    "SearchBudget seed": (BadSeed, lambda v: SearchBudget(seed=v)),
+    "unit_sphere_states seed": (BadSeed, lambda v: unit_sphere_states(2, 1, v)),
+    "fluid_limit_compare seed": (
+        BadSeed,
+        lambda v: fluid_limit_compare(fixtures.queueing_two_class_priority(),
+                                      fixtures.two_class_priority(), [0.5, 0.5], [10.0], 2.0,
+                                      [v])),
+    "concatenation_evidence seed": (
+        BadSeed,
+        lambda v: concatenation_evidence(fixtures.queueing_two_class_priority(),
+                                         fixtures.two_class_priority(), [0.5, 0.5], 10.0, 2.0,
+                                         [v])),
+    "admissible_constraints row": (
+        DimensionMismatch, lambda v: admissible_constraints(fixtures.lu_kumar(), [v])),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), 1.5, 2.0, True])
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_a_value_that_is_no_integer_is_refused(site, value):
+    cls, call = INTEGER_SITES[site]
+    with pytest.raises(cls):
+        call(value)
+
+
+def test_integer_sites_accept_numpy_integers():
+    spec = one_station_priority(np.array([2, 0, 1]))
+    assert spec.priority == (2, 0, 1) and all(type(rank) is int for rank in spec.priority)
+    assert FixedSequence(np.array([1, 0])).indices == [1, 0]
+    assert RandomVertex(np.int64(3)).name == RandomVertex(3).name
+    assert SearchBudget(seed=np.int64(3)).seed == 3
+    assert np.array_equal(unit_sphere_states(2, 1, np.int64(3)), unit_sphere_states(2, 1, 3))
+    lu = fixtures.lu_kumar()
+    want = admissible_constraints(lu, [2])
+    for got, part in zip(admissible_constraints(lu, np.array([2])), want):
+        assert np.array_equal(got, part)
 
 
 @pytest.mark.parametrize("run", [run_tandem, run_queue])

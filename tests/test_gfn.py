@@ -134,6 +134,12 @@ class TestConcatenate:
         cat = concatenate(z, z.grid[-1] / 2, z)
         assert np.abs(cat.levels).max() == 0.0
 
+    def test_one_stamp_paths_give_no_controls(self):
+        point = _make_traj(np.array([0.0]), np.array([[1.0, 0.5]]))
+        cat = concatenate(point, 0.0, point)
+        assert cat.grid.tolist() == [0.0] and cat.levels.tolist() == [[1.0, 0.5]]
+        assert cat.controls.shape == (0, 2) and cat.controls.dtype == np.float64
+
     def test_self_consistency(self):
         whole = coordinatewise(1.0, 0.0)
         tail = shift(whole, 0.5)

@@ -117,6 +117,8 @@ class TestValidate:
             validate([0, 0], [1, 1], np.zeros((2, 2)), [[1, 1]], PRIORITY, priority=(0, 0))
         with pytest.raises(BadPermutation):
             validate([0, 0], [1, 1], np.zeros((2, 2)), [[1, 1]], PRIORITY)
+        with pytest.raises(BadPermutation):  # ranks that truncate to the permutation (0, 1)
+            validate([0, 0], [1, 1], np.zeros((2, 2)), [[1, 1]], PRIORITY, priority=[0.9, 1.7])
 
     def test_unknown_discipline(self):
         with pytest.raises(UnknownDiscipline, match="fifo") as info:

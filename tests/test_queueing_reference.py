@@ -29,7 +29,7 @@ def reference_service_rates(qspec: QueueingSpec, q: np.ndarray) -> np.ndarray:
     net = qspec.network
     rates = np.zeros(net.K)
     for j in range(net.J):
-        classes = [k for k in net.classes_at(j) if q[k] > 0]
+        classes = [k for k in net.station_classes[j] if q[k] > 0]
         if not classes:
             continue
         if net.discipline == PRIORITY:

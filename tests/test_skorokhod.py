@@ -185,6 +185,17 @@ class TestLspInstance:
         with pytest.raises(BadPushBound):
             LspInstance([-1.0], [[1.0]], [1.0], push_bound=bound)
 
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        theta, r, z0 = np.array([-1.0, -0.5]), np.eye(2), np.array([1.0, 2.0])
+        inst = LspInstance(theta, r, z0)
+        assert theta.flags.writeable and r.flags.writeable and z0.flags.writeable
+        assert not (inst.theta.flags.writeable or inst.reflection.flags.writeable
+                    or inst.z0.flags.writeable)
+        theta[0], r[0, 1], z0[1] = 7.0, 3.0, 9.0
+        assert inst.theta.tolist() == [-1.0, -0.5]
+        assert inst.reflection.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert inst.z0.tolist() == [1.0, 2.0]
+
     def test_errors_are_also_value_errors(self):
         for error in (NonFiniteInput, NegativeState, BadPushBound):
             assert issubclass(error, FluidNetError) and issubclass(error, ValueError)
