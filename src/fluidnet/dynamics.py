@@ -76,8 +76,8 @@ class Trajectory:
     ``grid`` holds strictly increasing time stamps starting at 0; ``levels``
     and ``allocation`` hold the fluid level Q and cumulative allocation T at
     each stamp; ``controls`` holds the allocation rate on each inter-stamp
-    interval.  ``drained_at`` is the first time the total mass stayed below
-    the emptiness threshold, or None if the run never drained.
+    interval.  ``drained_at`` is the first stamp at which :func:`simulate`
+    pins the empty state, or None if the run never drained.
     """
 
     grid: np.ndarray
@@ -247,8 +247,7 @@ def zero_invariant(spec: NetworkSpec) -> bool:
     return bool(np.all(spec.capacity @ u <= 1 + 1e-9))
 
 
-def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int,
-                 control, stop=None):
+def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int, control):
     """Euler steps of at most h, cut at the earliest zero crossing.
 
     The one stepper behind :func:`simulate` and ``skorokhod.solve_lsp``, run
@@ -257,10 +256,10 @@ def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int,
     -0.0 included.  Before each step ``control(t, xs)`` gets the time and the
     state as a tuple of floats and returns ``(u, v, exempt)``: the control held
     over the step and its velocity, as float sequences, and the components
-    whose zero crossings do not cut the step.  A component that reaches zero
-    is snapped to 0, and every level is clamped at zero.  After each stamp
-    ``stop(t, xs)``, if given, ends the run when it returns True.  Returns the
-    grid, states, cumulative controls and controls (one row per step) as arrays.
+    whose zero crossings do not cut the step, or None to end the run at that
+    stamp.  A component that reaches zero is snapped to 0, and every level is
+    clamped at zero.  Returns the grid, states, cumulative controls and
+    controls (one row per step) as arrays.
     """
     check_horizon(horizon)
     if not (math.isfinite(h) and h > 0):
@@ -272,8 +271,8 @@ def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int,
     grid, states, cumulative, controls = array("d", [t]), array("d", xs), array("d", cum), array("d")
     end = horizon * (1 - 1e-15) - 1e-15
 
-    while t < end:
-        u, v, exempt = control(t, xs)
+    while t < end and (step := control(t, xs)) is not None:
+        u, v, exempt = step
         dt = min(h, horizon - t)
         crossing = []
         for k, v_k in enumerate(v):
@@ -297,8 +296,6 @@ def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int,
         controls.extend(u)
         if len(grid) > max_events + 1:
             raise StepTooLarge(f"more than {max_events} sub-steps; reduce h or horizon")
-        if stop is not None and stop(t, xs):
-            break
 
     shape = (-1, len(cum))
     return (np.frombuffer(grid), np.frombuffer(states).reshape(shape),
@@ -319,10 +316,10 @@ def simulate(
 
     The selector is consulted at t=0, after every boundary event, and at
     checkpoints every ``h``.  Steps are cut at the earliest zero crossing so
-    stamps land exactly on the boundary.  The run stops early once the total
-    mass stays below the emptiness threshold for two consecutive stamps and
-    the empty state can be held (unless ``stop_on_drain`` is False).  A
-    negative or non-finite horizon raises BadHorizon, a step that is not
+    stamps land exactly on the boundary.  The first stamp with every class
+    below the emptiness threshold pins the empty state if it can be held; it
+    is ``drained_at``, where the run ends unless ``stop_on_drain`` is False.
+    A negative or non-finite horizon raises BadHorizon, a step that is not
     finite and positive BadStep, a non-finite initial state NonFiniteInput, a
     negative one NegativeState and a ``max_events`` that is no nonnegative
     integer BadCount; more than ``max_events`` steps raise StepTooLarge.
@@ -341,12 +338,19 @@ def simulate(
     can_hold_zero = zero_invariant(spec)
     velocity_map = -spec.outflow.T
     polytopes = spec.polytopes  # near-zero classes -> (vertices, drift, rows)
+    drained_at = None  # the first stamp at which select pins the state
 
     def select(t, q):
+        nonlocal drained_at
         zeros = frozenset(k for k, level in enumerate(q) if level < eps)
+        pinned = can_hold_zero and len(zeros) == spec.K
+        if pinned and drained_at is None:
+            drained_at = t
+            if stop_on_drain:
+                return None
         entry = polytopes.get(zeros)
         if entry is None:
-            verts = _viable_polytope(spec, zeros, can_hold_zero and len(zeros) == spec.K)
+            verts = _viable_polytope(spec, zeros, pinned)
             drift = readonly(np.round((verts @ velocity_map + spec.alpha).sum(axis=1), 12))
             entry = polytopes[zeros] = (verts, drift, {})
         verts, drift, rows = entry
@@ -358,21 +362,7 @@ def simulate(
             rows[i] = tuple(verts[i].tolist()), tuple(rhs(spec, verts[i]).tolist())
         return (*rows[i], ())
 
-    drained_at = None
-    first_below = 0.0 if x0.max() < eps else None  # start of the latest stretch below eps
-
-    def drained(t, ql):
-        nonlocal drained_at, first_below
-        if max(ql) >= eps:
-            first_below = None
-        elif first_below is None:
-            first_below = t
-        elif can_hold_zero and drained_at is None:
-            drained_at = first_below
-            return stop_on_drain
-        return False
-
-    arrays = _event_split(x0, horizon, h, max_events, select, drained)
+    arrays = _event_split(x0, horizon, h, max_events, select)
     return Trajectory(*arrays, drained_at=drained_at)
 
 

@@ -262,7 +262,7 @@ def check_decrease(v_fn, traj: Trajectory, w3, *, max_stamps: int | None = None)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (w3_vals[:-1] + w3_vals[1:]) * np.diff(grid))])
 
     idx = np.arange(len(grid))
-    if max_stamps is not None and len(grid) > max_stamps:
+    if max_stamps is not None and len(grid) > check_count("max_stamps", max_stamps, low=1):
         idx = np.unique(np.linspace(0, len(grid) - 1, max_stamps).round().astype(int))
     v_vals = np.asarray([float(v_fn(traj.levels[i])) for i in idx])
     slack = 1e-4 * (1.0 + v_vals[0])

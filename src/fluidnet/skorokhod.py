@@ -41,11 +41,20 @@ _ACTIVE_CAP = 8  # combinatorial push enumeration is C(2a, a) in the active coun
 _COMPLETELY_S_CAP = 20  # principal submatrices tested: 2^J - 1
 
 
-def is_s_matrix(r_matrix) -> bool:
-    """LP test: does some x >= 0 with sum(x) <= 1 give R x >= t for some t > 1e-10?"""
+def _square_matrix(r_matrix) -> np.ndarray:
+    """R as floats: DimensionMismatch unless square, NonFiniteInput unless finite."""
     r = np.asarray(r_matrix, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise DimensionMismatch("S-matrix test needs a square matrix")
+        raise DimensionMismatch(f"S-matrix test needs a square matrix, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise NonFiniteInput(f"S-matrix test needs finite entries, got {r.tolist()}")
+    return r
+
+
+def is_s_matrix(r_matrix) -> bool:
+    """LP test: does some x >= 0 with sum(x) <= 1 give R x >= t for some t > 1e-10?
+    Raises DimensionMismatch unless R is square, NonFiniteInput unless finite."""
+    r = _square_matrix(r_matrix)
     n = r.shape[0]
     if n == 0:
         return True
@@ -74,9 +83,9 @@ def is_completely_s(r_matrix) -> bool:
     S_WITNESS, so the LP of :func:`is_s_matrix` reaches at least S_WITNESS,
     four orders above its 1e-10 cut.  The LP runs only for the submatrices
     this witness leaves open, so the answer is the same as with an LP for
-    every one.  Nothing is kept between calls.
+    every one.  Nothing is kept between calls.  Raises as :func:`is_s_matrix`.
     """
-    r = np.asarray(r_matrix, dtype=float)
+    r = _square_matrix(r_matrix)
     n = r.shape[0]
     if n > _COMPLETELY_S_CAP:
         raise DimensionTooLarge(f"{2 ** n - 1} principal submatrices exceeds the cap (J={n})")

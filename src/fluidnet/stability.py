@@ -129,7 +129,7 @@ def instability_witness(
     best_traj = None
     for x in starts:
         for sel in selectors:
-            traj = simulate(spec, x, sel, horizon, h, stop_on_drain=True)
+            traj = simulate(spec, x, sel, horizon, h)
             if traj.drained:
                 continue
             inf_mass = float(np.abs(traj.levels).sum(axis=1).min())

@@ -23,6 +23,7 @@ from fluidnet.errors import (
     EventBudgetExceeded,
     FluidNetError,
     NegativeState,
+    NonFiniteInput,
     NoSeeds,
     NotStable,
     ShiftBeyondHorizon,
@@ -30,8 +31,9 @@ from fluidnet.errors import (
 )
 from fluidnet.fluidlimit import concatenation_evidence, fluid_limit_compare, simulate_queueing
 from fluidnet.gfn import axiom_report, example_family, lipschitz_estimate
-from fluidnet.lyapunov import SearchBudget, piecewise_linear_check
+from fluidnet.lyapunov import SearchBudget, check_decrease, piecewise_linear_check
 from fluidnet.model import PRIORITY, admissible_constraints, validate
+from fluidnet.skorokhod import is_completely_s, is_s_matrix
 from fluidnet.stability import (
     STABLE, Verdict, draining_time, scale_invariance_check, unit_sphere_states,
 )
@@ -75,6 +77,19 @@ SITES = {
             BadFactor,
             lambda r=r: scale_invariance_check(Verdict(STABLE, 1.0), fixtures.tandem(), [2.0, r]))
         for r in (0.0, -1.0, float("nan"))
+    },
+    **{
+        f"check_decrease max_stamps {n!r}": (
+            BadCount,
+            lambda n=n: check_decrease(lambda q: float(q.sum()), undrained(5), lambda m: 0.0,
+                                       max_stamps=n))
+        for n in (-1, 0, 1.5, float("nan"), True)
+    },
+    **{
+        f"{test.__name__} with entry {bad!r}": (
+            NonFiniteInput, lambda test=test, bad=bad: test([[1.0, 0.0], [bad, 1.0]]))
+        for test in (is_s_matrix, is_completely_s)
+        for bad in (float("nan"), float("inf"))
     },
 }
 
@@ -182,6 +197,14 @@ def test_counts_accept_numpy_integers_and_a_zero_budget_keeps_its_meaning():
 def test_explicit_family_shape_is_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         example_family("lsc_counterexample").paths_from([1.0, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("matrix", [[[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [],
+                                    [1.0, 2.0]])
+@pytest.mark.parametrize("test", [is_s_matrix, is_completely_s])
+def test_an_s_matrix_test_of_a_matrix_that_is_not_square_is_a_dimension_mismatch(test, matrix):
+    with pytest.raises(DimensionMismatch, match="square matrix"):
+        test(matrix)
 
 
 def bare_value_errors(tree):

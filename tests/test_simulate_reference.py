@@ -8,10 +8,14 @@ one solution of outflow @ u = alpha.  The loop computes each vertex's drift
 (d/dt of the total mass, rounded to 12 decimals) at every stamp, and
 ``RefMaxDrain`` and ``RefMinDrain`` rank the vertices by it at every call.  ``simulate`` must return the same bytes
 (``grid``, ``levels``, ``allocation``, ``controls``) and the same
-``drained_at``, because the reports are byte-reproducible.  So this test
+``drained_at``, because the reports are byte-reproducible.  Both end a run
+that may stop on drain at the first stamp with every class below the
+emptiness threshold, when the empty state can be held.  So this test
 checks the stepping, the per-spec polytope cache and the selectors;
 ``test_viable_cut`` checks the polytopes against exact enumeration.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,14 +75,16 @@ def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
     controls = []
 
     drained_at = None
-    first_below = 0.0 if np.all(x0 < eps) else None
-    below_streak = 1 if first_below is not None else 0
     events = 0
     end = horizon * (1 - 1e-15) - 1e-15
 
     while t < end:
         zeros = frozenset(np.flatnonzero(q < eps).tolist())
         pinned = can_hold_zero and len(zeros) == spec.K
+        if pinned and drained_at is None:
+            drained_at = t
+            if stop_on_drain:
+                break
         verts = reference_viable_polytope(spec, zeros, pinned=pinned)
         drift = np.round((verts @ (-spec.outflow.T) + spec.alpha).sum(axis=1), 12)
 
@@ -110,18 +116,6 @@ def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
         events += 1
         if events > max_events:
             raise StepTooLarge(f"more than {max_events} sub-steps; reduce h or horizon")
-
-        if np.all(q < eps):
-            if first_below is None:
-                first_below = t
-            below_streak += 1
-            if below_streak >= 2 and can_hold_zero and drained_at is None:
-                drained_at = first_below
-                if stop_on_drain:
-                    break
-        else:
-            first_below = None
-            below_streak = 0
 
     return Trajectory(
         grid=np.asarray(grid),
@@ -213,6 +207,76 @@ def test_matches_reference_at_the_edges_of_the_step_loop(name):
     for max_events in (1, 2):
         assert outcome(simulate, spec, x0, FirstVertex(), 1.0, 0.05, True, max_events) == (
             f"more than {max_events} sub-steps; reduce h or horizon")
+
+
+def check_stop_ends_the_unstopped_run_at_its_drain(spec, x0, selector_name, horizon, h):
+    """A stopped run is the unstopped run's prefix through ``drained_at``, and
+    it ends at the first stamp with every class below the emptiness threshold."""
+    make, _ = SELECTORS[selector_name]
+    try:
+        stopped = simulate(spec, x0, make(), horizon, h, max_events=MAX_EVENTS)
+    except StepTooLarge:  # chattered past the budget before any drain
+        with pytest.raises(StepTooLarge):
+            simulate(spec, x0, make(), horizon, h, stop_on_drain=False, max_events=MAX_EVENTS)
+        return
+    full = simulate(spec, x0, make(), horizon, h, stop_on_drain=False)
+    assert stopped.drained_at == full.drained_at
+    n = stopped.grid.shape[0]
+    if stopped.drained_at is None:
+        assert n == full.grid.shape[0]
+    else:
+        assert stopped.grid[-1] == stopped.drained_at
+        below = (stopped.levels < empty_threshold(x0)).all(axis=1)
+        assert below[-1] and not below[:-1].any()
+    for name, rows in (("grid", n), ("levels", n), ("allocation", n), ("controls", n - 1)):
+        assert getattr(stopped, name).tobytes() == getattr(full, name)[:rows].tobytes(), name
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_stop_on_drain_ends_at_the_first_drained_stamp_on_random_networks(block):
+    for seed in range(50 * block, 50 * block + 50):
+        spec, x0 = random_case(seed)
+        for name in SELECTORS:
+            check_stop_ends_the_unstopped_run_at_its_drain(spec, x0, name, 4.0, 0.05)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_stop_on_drain_ends_at_the_first_drained_stamp_on_fixtures(name):
+    spec = FIXTURES[name]
+    boundary_start = np.ones(spec.K)
+    boundary_start[0] = 0.0
+    for x0 in (np.ones(spec.K) / spec.K, boundary_start):
+        for selector_name in SELECTORS:
+            check_stop_ends_the_unstopped_run_at_its_drain(spec, x0, selector_name, 8.0, 0.02)
+
+
+# sha256 of grid, levels, allocation and controls of the unstopped run from zero
+# (horizon 2, h 0.1): where a stopped run ends must not move an unstopped run
+ZERO_START_DIGESTS = {
+    "lu_kumar": "5d5899a8ed26c2cb119c554543b4aa817a7a9d739e1e20056bf73693d65bdf06",
+    "reentrant_line": "1fe13b6680bb0506738daeeee55cad2a5bbe70485a62dd6587c359a04436c8ce",
+    "single_queue": "84603e4a5381f90c1daac2fcc2b884eb0db751567819eadc5290935cbc8de95c",
+    "tandem": "5a919441bf36b1f6c67fadf13279ac9239d3254bd86515ba288b19cd0e046469",
+    "two_class_priority": "c209d44ab8c7ec02b778013283652959de0203058ec6f6a44d7b7ebbd85e0668",
+    "two_station_work_conserving":
+        "3bfca38bfed835037ec8ef81c4db61031b2127c6fee7433f61296df860d76593",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_a_drained_start_stops_at_its_first_stamp(name):
+    spec = FIXTURES[name]
+    x0 = np.zeros(spec.K)
+    for make, _ in SELECTORS.values():
+        traj = simulate(spec, x0, make(), 2.0, 0.1)
+        assert traj.drained_at == 0.0
+        assert [a.shape for a in (traj.grid, traj.levels, traj.allocation, traj.controls)] == [
+            (1,), (1, spec.K), (1, spec.K), (0, spec.K)]
+        full = simulate(spec, x0, make(), 2.0, 0.1, stop_on_drain=False)
+        assert full.drained_at == 0.0
+        data = b"".join(a.tobytes() for a in (full.grid, full.levels, full.allocation,
+                                             full.controls))
+        assert hashlib.sha256(data).hexdigest() == ZERO_START_DIGESTS[name]
 
 
 def test_structure_shared_across_keys_is_detected(monkeypatch):

@@ -73,7 +73,7 @@ def test_runs_on_a_shared_spec_equal_runs_on_a_fresh_one(discipline):
             shared = fresh(spec)
             for make in order:
                 assert outcome(shared, x0, make) == outcome(fresh(spec), x0, make)
-            assert shared.polytopes
+            assert shared.polytopes or not x0.any()  # a drained start stops before any build
 
 
 def test_a_repeated_run_builds_nothing(monkeypatch):
