@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import BadCount, BadFactor, BadHorizon, BadSeed
+from .errors import BadCount, BadFactor, BadHorizon, BadSeed, DimensionMismatch, NonFiniteInput
 
 
 def l1(x) -> float:
@@ -54,6 +54,18 @@ def check_horizon(horizon) -> None:
     """BadHorizon unless the horizon is finite and nonnegative (so for NaN too)."""
     if not (math.isfinite(horizon) and horizon >= 0):
         raise BadHorizon(f"horizon must be finite and nonnegative, got {horizon!r}")
+
+
+def square_matrix(name: str, value, k: int | None) -> np.ndarray:
+    """``value`` as a float matrix: DimensionMismatch unless square (k x k unless
+    k is None), NonFiniteInput unless finite."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or k not in (None, a.shape[0]):
+        size = "square" if k is None else f"{k} x {k}"
+        raise DimensionMismatch(f"{name} needs a {size} matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteInput(f"{name} needs finite entries, got {a.tolist()}")
+    return a
 
 
 def readonly(a) -> np.ndarray:

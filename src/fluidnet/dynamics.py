@@ -14,18 +14,18 @@ time, holding the empty state and the admissible set are all per row.  A class
 below the emptiness threshold (``model.empty_threshold``) counts as empty: the
 admissible polytope is intersected with the constraint that its velocity is
 nonnegative, so any vertex the selector picks yields a viable step.  Once the
-whole state is near zero and the empty state can be held, the only control is
-the nominal allocation.
+whole state is near zero and the empty state can be held, the run has drained
+and ends there; ``Trajectory.level_at`` holds its last level after the grid.
 
-Each set of near-zero classes gets one polytope per spec (the drained set
-none), kept in ``NetworkSpec.polytopes``: every stamp of every run on the same
-spec object with that set reuses its read-only vertex array, the drift of each
-vertex (d/dt of the total mass rounded to 12 decimals, by which ``MaxDrain``
-and ``MinDrain`` pick) and each picked vertex's control and velocity.  The
-entry depends only on the spec and the set, so sharing it changes no
-trajectory.  Vertices are ordered by their 12-decimal key
-(``model.vertex_order``), so the selectors pick the same vertex whichever
-route found it.
+Each set of near-zero classes gets one polytope per spec (the all-zero set
+none when the run ends there), kept in ``NetworkSpec.polytopes``: every stamp
+of every run on the same spec object with that set reuses its read-only vertex
+array, the drift of each vertex (d/dt of the total mass rounded to 12
+decimals, by which ``MaxDrain`` and ``MinDrain`` pick) and each picked
+vertex's control and velocity.  The entry depends only on the spec and the
+set, so sharing it changes no trajectory.  Vertices are ordered by their
+12-decimal key (``model.vertex_order``), so the selectors pick the same vertex
+whichever route found it.
 """
 from __future__ import annotations
 
@@ -55,7 +55,6 @@ from .model import (
     cut_polytope,
     empty_rows,
     empty_threshold,
-    vertex_order,
 )
 
 _EVENT_CAP = 1_000_000
@@ -76,8 +75,8 @@ class Trajectory:
     ``grid`` holds strictly increasing time stamps starting at 0; ``levels``
     and ``allocation`` hold the fluid level Q and cumulative allocation T at
     each stamp; ``controls`` holds the allocation rate on each inter-stamp
-    interval.  ``drained_at`` is the first stamp at which :func:`simulate`
-    pins the empty state, or None if the run never drained.
+    interval.  ``drained_at`` is the last stamp when :func:`simulate` ended
+    the run there as drained, or None if the run never drained.
     """
 
     grid: np.ndarray
@@ -212,7 +211,7 @@ class FixedSequence(ControlSelector):
         return idx % len(vertices)
 
 
-def _viable_polytope(spec: NetworkSpec, zeros, pinned: bool) -> np.ndarray:
+def _viable_polytope(spec: NetworkSpec, zeros) -> np.ndarray:
     """Vertices of the admissible polytope on which no near-zero class decreases.
 
     A class in ``zeros`` counts as empty: its velocity must be nonnegative,
@@ -221,15 +220,7 @@ def _viable_polytope(spec: NetworkSpec, zeros, pinned: bool) -> np.ndarray:
     class order, to the closed-form product of those idle rows.  Raises
     InfeasibleActiveSet when there are no vertices, which a valid network never
     gives: the face u_k = 0 of the near-zero classes keeps them nonnegative.
-
-    ``pinned`` (every class near zero, and :func:`zero_invariant` holds) also
-    caps every velocity at zero: growing mass from empty while capacity idles
-    would violate the idling complementarity over any interval.  Together the
-    two rows read outflow @ u = alpha, whose one solution is the nominal
-    allocation.
     """
-    if pinned:
-        return vertex_order([spec.nominal_allocation()[None]], spec.K)
     empty = empty_rows(spec, zeros)
     idx = sorted(zeros)
     verts = cut_polytope(admissible_polytope(spec, empty), *admissible_constraints(spec, empty)[2:],
@@ -302,23 +293,15 @@ def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int, cont
             np.frombuffer(cumulative).reshape(shape), np.frombuffer(controls).reshape(shape))
 
 
-def simulate(
-    spec: NetworkSpec,
-    x0,
-    selector: ControlSelector,
-    horizon: float,
-    h: float,
-    *,
-    stop_on_drain: bool = True,
-    max_events: int = _EVENT_CAP,
-) -> Trajectory:
+def simulate(spec: NetworkSpec, x0, selector: ControlSelector, horizon: float, h: float, *,
+             max_events: int = _EVENT_CAP) -> Trajectory:
     """Integrate the closed-loop dynamics from x0.
 
     The selector is consulted at t=0, after every boundary event, and at
     checkpoints every ``h``.  Steps are cut at the earliest zero crossing so
     stamps land exactly on the boundary.  The first stamp with every class
-    below the emptiness threshold pins the empty state if it can be held; it
-    is ``drained_at``, where the run ends unless ``stop_on_drain`` is False.
+    below the emptiness threshold ends the run if the empty state can be held
+    (:func:`zero_invariant`); it is ``drained_at``.
     A negative or non-finite horizon raises BadHorizon, a step that is not
     finite and positive BadStep, a non-finite initial state NonFiniteInput, a
     negative one NegativeState and a ``max_events`` that is no nonnegative
@@ -338,19 +321,17 @@ def simulate(
     can_hold_zero = zero_invariant(spec)
     velocity_map = -spec.outflow.T
     polytopes = spec.polytopes  # near-zero classes -> (vertices, drift, rows)
-    drained_at = None  # the first stamp at which select pins the state
+    drained_at = None  # the stamp at which select found the run drained
 
     def select(t, q):
         nonlocal drained_at
         zeros = frozenset(k for k, level in enumerate(q) if level < eps)
-        pinned = can_hold_zero and len(zeros) == spec.K
-        if pinned and drained_at is None:
+        if can_hold_zero and len(zeros) == spec.K:
             drained_at = t
-            if stop_on_drain:
-                return None
+            return None
         entry = polytopes.get(zeros)
         if entry is None:
-            verts = _viable_polytope(spec, zeros, pinned)
+            verts = _viable_polytope(spec, zeros)
             drift = readonly(np.round((verts @ velocity_map + spec.alpha).sum(axis=1), 12))
             entry = polytopes[zeros] = (verts, drift, {})
         verts, drift, rows = entry
@@ -366,10 +347,15 @@ def simulate(
     return Trajectory(*arrays, drained_at=drained_at)
 
 
+def check_classes(traj: Trajectory, k: int) -> None:
+    """DimensionMismatch unless the trajectory has k classes."""
+    if traj.K != k:
+        raise DimensionMismatch(f"trajectory has {traj.K} classes, expected {k}")
+
+
 def flow_balance_residual(spec: NetworkSpec, traj: Trajectory) -> float:
     """Max over stamps of |Q(t) - (Q(0) + alpha t - outflow @ T(t))| in l1."""
-    if traj.levels.shape[1] != spec.K:
-        raise DimensionMismatch(f"trajectory has {traj.levels.shape[1]} classes, network has {spec.K}")
+    check_classes(traj, spec.K)
     predicted = (traj.levels[0][None, :] + traj.grid[:, None] * spec.alpha[None, :]
                  - traj.allocation @ spec.outflow.T)
     return float(np.abs(traj.levels - predicted).sum(axis=1).max())
@@ -381,6 +367,7 @@ def complementarity_residual(spec: NetworkSpec, traj: Trajectory) -> float:
     Sum over intervals of (M Q)^T (e - A u) dt, with A the capacity rows and
     M their member indicators (both the constituency when work-conserving).
     """
+    check_classes(traj, spec.K)
     if traj.controls.shape[0] == 0:
         return 0.0
     dt = np.diff(traj.grid)
@@ -407,6 +394,7 @@ def lipschitz_constant(spec: NetworkSpec) -> float:
 def idle(spec: NetworkSpec, traj: Trajectory) -> np.ndarray:
     """Cumulative unused capacity per capacity row (the idle time of each
     station of a work-conserving network) at every stamp."""
+    check_classes(traj, spec.K)
     return traj.grid[:, None] - traj.allocation @ spec.capacity.T
 
 

@@ -17,6 +17,7 @@ from ._util import check_count, check_factor, l1, rng_from, window_points
 from .dynamics import (
     ControlSelector,
     Trajectory,
+    check_classes,
     check_trajectory,
     default_selectors,
     flow_balance_residual,
@@ -76,9 +77,7 @@ def shift(traj: Trajectory, s: float) -> Trajectory:
     levels = np.vstack([level0, traj.levels[i:]])
     alloc = np.vstack([alloc0, traj.allocation[i:]]) - alloc0
     controls = traj.controls[i - 1:]  # i >= 1, since grid[0] = 0 <= s
-    drained = None
-    if traj.drained_at is not None:
-        drained = max(traj.drained_at - s, 0.0)
+    drained = None if traj.drained_at is None else max(traj.drained_at - s, 0.0)
     return Trajectory(grid, levels, alloc, controls, drained_at=drained)
 
 
@@ -87,8 +86,9 @@ def concatenate(traj1: Trajectory, t_star: float, traj2: Trajectory) -> Trajecto
 
     Requires traj1's state at t_star to match traj2's initial state within
     1e-8 relative tolerance; the result follows traj1 up to t_star and traj2
-    afterwards, with the cumulative allocation spliced continuously.
-    """
+    afterwards, with the cumulative allocation spliced continuously.  Both
+    must have the same classes (DimensionMismatch)."""
+    check_classes(traj2, traj1.K)
     if not 0 <= t_star <= traj1.grid[-1] * (1 + 1e-12):
         raise ShiftBeyondHorizon(f"cut time {t_star} outside [0, {traj1.grid[-1]}]")
     t_star = min(float(t_star), float(traj1.grid[-1]))
@@ -104,9 +104,7 @@ def concatenate(traj1: Trajectory, t_star: float, traj2: Trajectory) -> Trajecto
     alloc = np.vstack([traj1.allocation[:i], alloc_cut, traj2.allocation[1:] + alloc_cut])
     controls = np.vstack([traj1.controls[:i].reshape(-1, traj1.K),
                           traj2.controls.reshape(-1, traj1.K)])
-    drained = None
-    if traj2.drained_at is not None:
-        drained = t_star + traj2.drained_at
+    drained = None if traj2.drained_at is None else t_star + traj2.drained_at
     return Trajectory(grid, levels, alloc, controls, drained_at=drained)
 
 
@@ -114,8 +112,8 @@ def uoc_distance(traj1: Trajectory, traj2: Trajectory, horizon: float) -> float:
     """Sup over [0, horizon] of the l1 gap, linear interpolation between stamps.
 
     Drained trajectories are zero-extended past their grid; an undrained
-    trajectory must cover the window.
-    """
+    trajectory must cover the window.  Both must have the same classes."""
+    check_classes(traj2, traj1.K)
     pts = window_points(horizon, traj1.grid, traj2.grid)
     a = traj1.level_at(pts)
     b = traj2.level_at(pts)

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import check_count, check_factor, check_seed, child_seeds, l1, to_jsonable
+from ._util import (check_count, check_factor, check_seed, child_seeds, l1, square_matrix,
+                    to_jsonable)
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -34,7 +35,8 @@ from .dynamics import (
     Trajectory,
     simulate,
 )
-from .errors import BadCandidate, DimensionTooLarge, ShiftBeyondHorizon, TruncatedWarning
+from .errors import (BadCandidate, DimensionMismatch, DimensionTooLarge, NonFiniteInput,
+                     ShiftBeyondHorizon, TruncatedWarning)
 from .gfn import ExplicitPathFamily, NetworkPathFamily
 from .model import (
     CONFIGURATION_CAP,
@@ -253,7 +255,7 @@ def check_decrease(v_fn, traj: Trajectory, w3, *, max_stamps: int | None = None)
     up to a slack of 1e-4 (1 + V(Q(0))).
 
     The integral is accumulated on the full grid; V is evaluated on at most
-    ``max_stamps`` stamps (evenly thinned) when given, since V may be costly.
+    ``max_stamps`` >= 2 stamps (evenly thinned) when given, since V may be costly.
     The worst margin over all pairs is found by a single max-drawup pass.
     """
     grid = traj.grid
@@ -262,7 +264,7 @@ def check_decrease(v_fn, traj: Trajectory, w3, *, max_stamps: int | None = None)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (w3_vals[:-1] + w3_vals[1:]) * np.diff(grid))])
 
     idx = np.arange(len(grid))
-    if max_stamps is not None and len(grid) > check_count("max_stamps", max_stamps, low=1):
+    if max_stamps is not None and len(grid) > check_count("max_stamps", max_stamps, low=2):
         idx = np.unique(np.linspace(0, len(grid) - 1, max_stamps).round().astype(int))
     v_vals = np.asarray([float(v_fn(traj.levels[i])) for i in idx])
     slack = 1e-4 * (1.0 + v_vals[0])
@@ -362,9 +364,14 @@ def piecewise_linear_check(spec: NetworkSpec, h_list, *, epsilon: float = 1e-6) 
     and its own polytope contains E's, so the LP's state and the worst vertex
     make a witness.  Nonnegative pieces with no all-zero coordinate are
     positive on the orthant.  The margin is the worst -h_j . v over every
-    (E, j) whose LP is feasible.
+    (E, j) whose LP is feasible.  The pieces must form an (N >= 1, K) array
+    (DimensionMismatch; a K-vector is one piece) of finite entries (NonFiniteInput).
     """
-    h_mat = np.asarray(h_list, dtype=float).reshape(-1, spec.K)
+    h_mat = np.atleast_2d(np.asarray(h_list, dtype=float))
+    if h_mat.ndim != 2 or not len(h_mat) or h_mat.shape[1] != spec.K:
+        raise DimensionMismatch(f"pieces need shape (N >= 1, {spec.K}), got {h_mat.shape}")
+    if not np.all(np.isfinite(h_mat)):
+        raise NonFiniteInput(f"pieces need finite entries, got {h_mat.tolist()}")
     if np.any(h_mat < 0):
         raise BadCandidate("piecewise-linear pieces must be nonnegative vectors")
     if np.any(h_mat.max(axis=0) <= 0):
@@ -431,9 +438,10 @@ def quadratic_check(spec: NetworkSpec, a_matrix, *, epsilon: float = 1e-6) -> Ce
     2 x . A v(u), linear in x for a fixed v, so on the unit simplex its worst
     state is a corner e_k; every state with class k nonempty empties only
     rows that do not cover k, so its polytope lies inside e_k's.  The drift
-    check therefore takes the K corners, each over its own polytope.
+    check therefore takes the K corners, each over its own polytope.  A must be
+    a finite K x K matrix (``_util.square_matrix``).
     """
-    a = np.asarray(a_matrix, dtype=float)
+    a = square_matrix("quadratic candidate", a_matrix, spec.K)
     a = 0.5 * (a + a.T)
     data = {"A": a.tolist()}
     value, state = _simplex_minimum(a)

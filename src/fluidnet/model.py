@@ -105,7 +105,8 @@ class NetworkSpec:
     rows)``: the read-only viable vertices, their drift (d/dt of the total
     mass, rounded to 12 decimals) and a dict that maps each vertex index
     picked so far to its control and velocity as tuples of floats.  Every run
-    on the same spec object shares them (at most 2^K entries).
+    on the same spec object shares them (at most 2^K entries; a run that
+    meets the all-zero set ends there if the empty state can be held).
     """
 
     alpha: np.ndarray

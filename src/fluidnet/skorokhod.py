@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import csv_text, l1, readonly
+from ._util import csv_text, l1, readonly, square_matrix
 from .dynamics import _EVENT_CAP, Trajectory, _event_split
 from .errors import (
     BadPushBound,
@@ -41,20 +41,10 @@ _ACTIVE_CAP = 8  # combinatorial push enumeration is C(2a, a) in the active coun
 _COMPLETELY_S_CAP = 20  # principal submatrices tested: 2^J - 1
 
 
-def _square_matrix(r_matrix) -> np.ndarray:
-    """R as floats: DimensionMismatch unless square, NonFiniteInput unless finite."""
-    r = np.asarray(r_matrix, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise DimensionMismatch(f"S-matrix test needs a square matrix, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteInput(f"S-matrix test needs finite entries, got {r.tolist()}")
-    return r
-
-
 def is_s_matrix(r_matrix) -> bool:
     """LP test: does some x >= 0 with sum(x) <= 1 give R x >= t for some t > 1e-10?
     Raises DimensionMismatch unless R is square, NonFiniteInput unless finite."""
-    r = _square_matrix(r_matrix)
+    r = square_matrix("S-matrix test", r_matrix, None)
     n = r.shape[0]
     if n == 0:
         return True
@@ -85,7 +75,7 @@ def is_completely_s(r_matrix) -> bool:
     this witness leaves open, so the answer is the same as with an LP for
     every one.  Nothing is kept between calls.  Raises as :func:`is_s_matrix`.
     """
-    r = _square_matrix(r_matrix)
+    r = square_matrix("S-matrix test", r_matrix, None)
     n = r.shape[0]
     if n > _COMPLETELY_S_CAP:
         raise DimensionTooLarge(f"{2 ** n - 1} principal submatrices exceeds the cap (J={n})")

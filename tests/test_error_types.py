@@ -12,7 +12,17 @@ import pytest
 
 from fluidnet import fixtures
 from fluidnet._util import child_seeds
-from fluidnet.dynamics import FirstVertex, FixedSequence, RandomVertex, Trajectory, simulate
+from fluidnet.dynamics import (
+    FirstVertex,
+    FixedSequence,
+    MaxDrain,
+    RandomVertex,
+    Trajectory,
+    complementarity_residual,
+    flow_balance_residual,
+    idle,
+    simulate,
+)
 from fluidnet.errors import (
     BadCandidate,
     BadCount,
@@ -30,8 +40,8 @@ from fluidnet.errors import (
     StepTooLarge,
 )
 from fluidnet.fluidlimit import concatenation_evidence, fluid_limit_compare, simulate_queueing
-from fluidnet.gfn import axiom_report, example_family, lipschitz_estimate
-from fluidnet.lyapunov import SearchBudget, check_decrease, piecewise_linear_check
+from fluidnet.gfn import axiom_report, concatenate, example_family, lipschitz_estimate, uoc_distance
+from fluidnet.lyapunov import SearchBudget, check_decrease, piecewise_linear_check, quadratic_check
 from fluidnet.model import PRIORITY, admissible_constraints, validate
 from fluidnet.skorokhod import is_completely_s, is_s_matrix
 from fluidnet.stability import (
@@ -83,7 +93,19 @@ SITES = {
             BadCount,
             lambda n=n: check_decrease(lambda q: float(q.sum()), undrained(5), lambda m: 0.0,
                                        max_stamps=n))
-        for n in (-1, 0, 1.5, float("nan"), True)
+        for n in (-1, 0, 1, 1.5, float("nan"), True)
+    },
+    **{
+        f"piecewise-linear candidate with entry {bad!r}": (
+            NonFiniteInput,
+            lambda bad=bad: piecewise_linear_check(fixtures.tandem(), [[1.0, 0.5], [bad, 1.0]]))
+        for bad in (float("nan"), float("inf"))
+    },
+    **{
+        f"quadratic candidate with entry {bad!r}": (
+            NonFiniteInput,
+            lambda bad=bad: quadratic_check(fixtures.tandem(), [[1.0, 0.0], [bad, 1.0]]))
+        for bad in (float("nan"), float("inf"))
     },
     **{
         f"{test.__name__} with entry {bad!r}": (
@@ -197,6 +219,39 @@ def test_counts_accept_numpy_integers_and_a_zero_budget_keeps_its_meaning():
 def test_explicit_family_shape_is_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         example_family("lsc_counterexample").paths_from([1.0, 0.5, 0.0])
+
+
+def tandem_path():
+    return simulate(fixtures.tandem(), [1.0, 0.0], MaxDrain(), 2.0, 0.1)
+
+
+def reentrant_path():
+    spec = fixtures.reentrant_line()
+    return spec, simulate(spec, [0.5, 0.2, 0.3], MaxDrain(), 2.0, 0.1)
+
+
+MISMATCH_SITES = {
+    "concatenate": lambda: concatenate(tandem_path(), 0.0, reentrant_path()[1]),
+    "uoc_distance": lambda: uoc_distance(tandem_path(), reentrant_path()[1], 1.0),
+    "complementarity_residual": lambda: complementarity_residual(fixtures.tandem(),
+                                                                 reentrant_path()[1]),
+    "idle": lambda: idle(fixtures.tandem(), reentrant_path()[1]),
+    "flow_balance_residual": lambda: flow_balance_residual(reentrant_path()[0], tandem_path()),
+    "piecewise-linear pieces of 2K entries": (
+        lambda: piecewise_linear_check(fixtures.tandem(), [[1.0, 2.0, 3.0, 4.0]])),
+    "piecewise-linear piece of 3 entries": (
+        lambda: piecewise_linear_check(fixtures.tandem(), [[1.0, 2.0, 3.0]])),
+    "piecewise-linear candidate without pieces": (
+        lambda: piecewise_linear_check(fixtures.tandem(), np.zeros((0, 2)))),
+    "quadratic candidate of 3 x 3": lambda: quadratic_check(fixtures.tandem(), np.eye(3)),
+    "flat quadratic candidate": lambda: quadratic_check(fixtures.tandem(), [1.0, 0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(MISMATCH_SITES))
+def test_a_shape_that_does_not_fit_the_classes_is_a_dimension_mismatch(site):
+    with pytest.raises(DimensionMismatch):
+        MISMATCH_SITES[site]()
 
 
 @pytest.mark.parametrize("matrix", [[[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [],

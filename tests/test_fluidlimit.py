@@ -243,7 +243,7 @@ class TestFluidDistance:
     def test_empty_start_no_arrivals_zero_distance(self):
         net = fixtures.single_queue(0.0, 1.0)
         qspec = fixtures.queueing_single_deterministic()
-        fluid = simulate(net, [0.0], MaxDrain(), 1.0, 0.1, stop_on_drain=False)
+        fluid = simulate(net, [0.0], MaxDrain(), 1.0, 0.1)
         for r in (3, 30):
             path = simulate_queueing(qspec, [0], r * 1.0, seed=1)
             sup, mean = distance_to_fluid(path.scaled(r), fluid, 1.0)

@@ -3,19 +3,17 @@
 ``reference_simulate`` keeps no polytope between stamps: each stamp builds
 the viable polytope from scratch through ``dynamics._viable_polytope``, with
 a nonnegative velocity for every near-zero class, and the stamp loop runs on
-numpy arrays.  The drained (pinned) polytope is the nominal allocation, the
-one solution of outflow @ u = alpha.  The loop computes each vertex's drift
-(d/dt of the total mass, rounded to 12 decimals) at every stamp, and
-``RefMaxDrain`` and ``RefMinDrain`` rank the vertices by it at every call.  ``simulate`` must return the same bytes
-(``grid``, ``levels``, ``allocation``, ``controls``) and the same
-``drained_at``, because the reports are byte-reproducible.  Both end a run
-that may stop on drain at the first stamp with every class below the
-emptiness threshold, when the empty state can be held.  So this test
-checks the stepping, the per-spec polytope cache and the selectors;
-``test_viable_cut`` checks the polytopes against exact enumeration.
+numpy arrays.  The loop computes each vertex's drift (d/dt of the total
+mass, rounded to 12 decimals) at every stamp, and ``RefMaxDrain`` and
+``RefMinDrain`` rank the vertices by it at every call.  ``simulate`` must
+return the same bytes (``grid``, ``levels``, ``allocation``, ``controls``)
+and the same ``drained_at``, because the reports are byte-reproducible.
+Both end a run at the first stamp with every class below the emptiness
+threshold, when the empty state can be held, and every run checks that
+stamp is the last and ``drained_at``.  So this test checks the stepping, the
+per-spec polytope cache and the selectors; ``test_viable_cut`` checks the
+polytopes against exact enumeration.
 """
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -51,16 +49,7 @@ class RefMinDrain(ControlSelector):
         return int(np.argmax(drift))
 
 
-def reference_viable_polytope(spec, zero_classes, pinned=False):
-    if pinned:
-        return np.array([np.linalg.solve(spec.outflow, spec.alpha)])
-    # bound at import, so a test that patches dynamics._viable_polytope
-    # changes simulate and not this reference
-    return viable_polytope(spec, zero_classes, False)
-
-
-def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
-                       max_events=1_000_000):
+def reference_simulate(spec, x0, selector, horizon, h, *, max_events=1_000_000):
     x0 = np.maximum(np.asarray(x0, dtype=float).copy(), 0.0)
     eps = empty_threshold(x0)
     selector.start_run()
@@ -80,12 +69,12 @@ def reference_simulate(spec, x0, selector, horizon, h, *, stop_on_drain=True,
 
     while t < end:
         zeros = frozenset(np.flatnonzero(q < eps).tolist())
-        pinned = can_hold_zero and len(zeros) == spec.K
-        if pinned and drained_at is None:
+        if can_hold_zero and len(zeros) == spec.K:
             drained_at = t
-            if stop_on_drain:
-                break
-        verts = reference_viable_polytope(spec, zeros, pinned=pinned)
+            break
+        # bound at import, so a test that patches dynamics._viable_polytope
+        # changes simulate and not this reference
+        verts = viable_polytope(spec, zeros)
         drift = np.round((verts @ (-spec.outflow.T) + spec.alpha).sum(axis=1), 12)
 
         u = verts[selector.choose(t, q, verts, drift)]
@@ -137,21 +126,23 @@ SELECTORS = {
 MAX_EVENTS = 3000  # sliding can cut a step into an event storm; both sides must raise alike
 
 
-def outcome(run, spec, x0, selector, horizon, h, stop_on_drain, max_events=MAX_EVENTS):
+def outcome(run, spec, x0, selector, horizon, h, max_events=MAX_EVENTS):
     try:
-        traj = run(spec, x0, selector, horizon, h, stop_on_drain=stop_on_drain,
-                   max_events=max_events)
+        traj = run(spec, x0, selector, horizon, h, max_events=max_events)
     except StepTooLarge as exc:
         return str(exc)
+    if traj.drained:  # the run ends at its first stamp with every class empty
+        assert traj.grid[-1] == traj.drained_at
+        below = (traj.levels < empty_threshold(x0)).all(axis=1)
+        assert below[-1] and not below[:-1].any()
     arrays = (traj.grid, traj.levels, traj.allocation, traj.controls)
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays], traj.drained_at
 
 
-def same_run(spec, x0, selector_name, horizon, h, stop_on_drain, max_events=MAX_EVENTS) -> bool:
+def same_run(spec, x0, selector_name, horizon, h, max_events=MAX_EVENTS) -> bool:
     make, make_ref = SELECTORS[selector_name]
-    got = outcome(simulate, spec, x0, make(), horizon, h, stop_on_drain, max_events)
-    want = outcome(reference_simulate, spec, x0, make_ref(), horizon, h, stop_on_drain,
-                   max_events)
+    got = outcome(simulate, spec, x0, make(), horizon, h, max_events)
+    want = outcome(reference_simulate, spec, x0, make_ref(), horizon, h, max_events)
     return got == want
 
 
@@ -169,23 +160,21 @@ def random_case(seed):
 def test_matches_reference_on_random_networks(block):
     for seed in range(20 * block, 20 * block + 20):
         spec, x0 = random_case(seed)
-        for i, name in enumerate(SELECTORS):
-            stop = (seed + i) % 2 == 0
-            assert same_run(spec, x0, name, 4.0, 0.05, stop), (seed, name, stop)
+        for name in SELECTORS:
+            assert same_run(spec, x0, name, 4.0, 0.05), (seed, name)
 
 
 FIXTURES = {**fixtures.stable_fixture_set(), "lu_kumar": fixtures.lu_kumar()}
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-@pytest.mark.parametrize("stop_on_drain", [True, False])
-def test_matches_reference_on_fixtures(name, stop_on_drain):
+def test_matches_reference_on_fixtures(name):
     spec = FIXTURES[name]
     boundary_start = np.ones(spec.K)
     boundary_start[0] = 0.0
     for x0 in (np.ones(spec.K) / spec.K, boundary_start):
         for selector_name in SELECTORS:
-            assert same_run(spec, x0, selector_name, 8.0, 0.02, stop_on_drain), selector_name
+            assert same_run(spec, x0, selector_name, 8.0, 0.02), selector_name
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -197,70 +186,16 @@ def test_matches_reference_at_the_edges_of_the_step_loop(name):
     x0 = np.ones(spec.K) / spec.K
     for selector_name in SELECTORS:
         for horizon in (0.0, 0.03):
-            assert same_run(spec, x0, selector_name, horizon, 0.05, True), (selector_name, horizon)
+            assert same_run(spec, x0, selector_name, horizon, 0.05), (selector_name, horizon)
         for max_events in (1, 2):
-            assert same_run(spec, x0, selector_name, 1.0, 0.05, True, max_events)
-    arrays, _ = outcome(simulate, spec, x0, FirstVertex(), 0.0, 0.05, True)
+            assert same_run(spec, x0, selector_name, 1.0, 0.05, max_events)
+    arrays, _ = outcome(simulate, spec, x0, FirstVertex(), 0.0, 0.05)
     assert [shape for _, shape, _ in arrays] == [(1,), (1, spec.K), (1, spec.K), (0, spec.K)]
-    arrays, _ = outcome(simulate, spec, x0, FirstVertex(), 0.03, 0.05, True)
+    arrays, _ = outcome(simulate, spec, x0, FirstVertex(), 0.03, 0.05)
     assert [shape for _, shape, _ in arrays] == [(2,), (2, spec.K), (2, spec.K), (1, spec.K)]
     for max_events in (1, 2):
-        assert outcome(simulate, spec, x0, FirstVertex(), 1.0, 0.05, True, max_events) == (
+        assert outcome(simulate, spec, x0, FirstVertex(), 1.0, 0.05, max_events) == (
             f"more than {max_events} sub-steps; reduce h or horizon")
-
-
-def check_stop_ends_the_unstopped_run_at_its_drain(spec, x0, selector_name, horizon, h):
-    """A stopped run is the unstopped run's prefix through ``drained_at``, and
-    it ends at the first stamp with every class below the emptiness threshold."""
-    make, _ = SELECTORS[selector_name]
-    try:
-        stopped = simulate(spec, x0, make(), horizon, h, max_events=MAX_EVENTS)
-    except StepTooLarge:  # chattered past the budget before any drain
-        with pytest.raises(StepTooLarge):
-            simulate(spec, x0, make(), horizon, h, stop_on_drain=False, max_events=MAX_EVENTS)
-        return
-    full = simulate(spec, x0, make(), horizon, h, stop_on_drain=False)
-    assert stopped.drained_at == full.drained_at
-    n = stopped.grid.shape[0]
-    if stopped.drained_at is None:
-        assert n == full.grid.shape[0]
-    else:
-        assert stopped.grid[-1] == stopped.drained_at
-        below = (stopped.levels < empty_threshold(x0)).all(axis=1)
-        assert below[-1] and not below[:-1].any()
-    for name, rows in (("grid", n), ("levels", n), ("allocation", n), ("controls", n - 1)):
-        assert getattr(stopped, name).tobytes() == getattr(full, name)[:rows].tobytes(), name
-
-
-@pytest.mark.parametrize("block", range(2))
-def test_stop_on_drain_ends_at_the_first_drained_stamp_on_random_networks(block):
-    for seed in range(50 * block, 50 * block + 50):
-        spec, x0 = random_case(seed)
-        for name in SELECTORS:
-            check_stop_ends_the_unstopped_run_at_its_drain(spec, x0, name, 4.0, 0.05)
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_stop_on_drain_ends_at_the_first_drained_stamp_on_fixtures(name):
-    spec = FIXTURES[name]
-    boundary_start = np.ones(spec.K)
-    boundary_start[0] = 0.0
-    for x0 in (np.ones(spec.K) / spec.K, boundary_start):
-        for selector_name in SELECTORS:
-            check_stop_ends_the_unstopped_run_at_its_drain(spec, x0, selector_name, 8.0, 0.02)
-
-
-# sha256 of grid, levels, allocation and controls of the unstopped run from zero
-# (horizon 2, h 0.1): where a stopped run ends must not move an unstopped run
-ZERO_START_DIGESTS = {
-    "lu_kumar": "5d5899a8ed26c2cb119c554543b4aa817a7a9d739e1e20056bf73693d65bdf06",
-    "reentrant_line": "1fe13b6680bb0506738daeeee55cad2a5bbe70485a62dd6587c359a04436c8ce",
-    "single_queue": "84603e4a5381f90c1daac2fcc2b884eb0db751567819eadc5290935cbc8de95c",
-    "tandem": "5a919441bf36b1f6c67fadf13279ac9239d3254bd86515ba288b19cd0e046469",
-    "two_class_priority": "c209d44ab8c7ec02b778013283652959de0203058ec6f6a44d7b7ebbd85e0668",
-    "two_station_work_conserving":
-        "3bfca38bfed835037ec8ef81c4db61031b2127c6fee7433f61296df860d76593",
-}
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -272,11 +207,6 @@ def test_a_drained_start_stops_at_its_first_stamp(name):
         assert traj.drained_at == 0.0
         assert [a.shape for a in (traj.grid, traj.levels, traj.allocation, traj.controls)] == [
             (1,), (1, spec.K), (1, spec.K), (0, spec.K)]
-        full = simulate(spec, x0, make(), 2.0, 0.1, stop_on_drain=False)
-        assert full.drained_at == 0.0
-        data = b"".join(a.tobytes() for a in (full.grid, full.levels, full.allocation,
-                                             full.controls))
-        assert hashlib.sha256(data).hexdigest() == ZERO_START_DIGESTS[name]
 
 
 def test_structure_shared_across_keys_is_detected(monkeypatch):
@@ -284,10 +214,10 @@ def test_structure_shared_across_keys_is_detected(monkeypatch):
     real = dynamics._viable_polytope
     shared = {}
 
-    def keyed_by_empty_rows_only(spec, zeros, pinned):
+    def keyed_by_empty_rows_only(spec, zeros):
         key = (id(spec), empty_rows(spec, zeros))
         if key not in shared:
-            shared[key] = real(spec, zeros, pinned)
+            shared[key] = real(spec, zeros)
         return shared[key]
 
     monkeypatch.setattr(dynamics, "_viable_polytope", keyed_by_empty_rows_only)
@@ -295,6 +225,6 @@ def test_structure_shared_across_keys_is_detected(monkeypatch):
     def mismatch(seed):
         spec, x0 = random_case(seed)
         shared.clear()
-        return not same_run(spec, x0, "max_drain", 4.0, 0.05, False)
+        return not same_run(spec, x0, "max_drain", 4.0, 0.05)
 
     assert any(mismatch(seed) for seed in range(20))

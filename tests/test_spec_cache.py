@@ -7,14 +7,17 @@ equal specs keep their own caches, the shared arrays are read-only, the
 cached drift is the rounded total velocity of each vertex, only picked
 vertices get a cached control and velocity, bit-equal to the vertex and its
 velocity, and the analyses that make many runs on one spec build one
-polytope per set.
+polytope per set.  Two runs on one fixture build one polytope per near-zero
+set they meet, call no subset enumerator and, when the empty state can be
+held, never build the all-zero set: a run that reaches it has drained and
+ends there.
 """
 import dataclasses
 
 import numpy as np
 import pytest
 
-from fluidnet import dynamics, fixtures
+from fluidnet import dynamics, fixtures, model
 from fluidnet.dynamics import (
     ControlSelector,
     FirstVertex,
@@ -23,10 +26,11 @@ from fluidnet.dynamics import (
     MinDrain,
     RandomVertex,
     simulate,
+    zero_invariant,
 )
 from fluidnet.errors import StepTooLarge
 from fluidnet.gfn import axiom_report
-from fluidnet.model import PRIORITY, WORK_CONSERVING
+from fluidnet.model import PRIORITY, WORK_CONSERVING, empty_threshold
 from fluidnet.stability import draining_time
 from test_enumerate import random_network
 
@@ -60,6 +64,45 @@ def count_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(dynamics, "_viable_polytope", recording)
     return built
+
+
+def near_zero_sets(traj, x0) -> set:
+    """The near-zero pattern of each stamp, as the selector saw it."""
+    return {tuple(row) for row in (traj.levels[:-1] < empty_threshold(x0)).tolist()}
+
+
+#: the second selector run on the same spec
+OTHER = {FirstVertex: MaxDrain, MaxDrain: MinDrain, MinDrain: MaxDrain}
+
+
+@pytest.mark.parametrize("name,selector", [
+    *((name, MaxDrain) for name in sorted(fixtures.stable_fixture_set())),
+    ("reentrant_line", FirstVertex),
+    ("reentrant_line", MinDrain),
+    ("lu_kumar", MinDrain),
+])
+def test_one_enumeration_per_near_zero_set(monkeypatch, name, selector):
+    spec = getattr(fixtures, name)()
+    x0 = np.ones(spec.K) / spec.K
+    built = count_builds(monkeypatch)
+    enumerated = []
+    real = model.enumerate_polytope_vertices
+
+    def enumerator(*args):
+        enumerated.append(args)
+        return real(*args)
+
+    for module in (model, dynamics):  # today only model binds the enumerator
+        monkeypatch.setattr(module, "enumerate_polytope_vertices", enumerator, raising=False)
+    traj, other = (simulate(spec, x0, make(), 8.0, 0.02) for make in (selector, OTHER[selector]))
+    met = near_zero_sets(traj, x0) | near_zero_sets(other, x0)
+    assert len(built) == len(met)
+    assert set(spec.polytopes) == {frozenset(np.flatnonzero(row).tolist()) for row in met}
+    assert enumerated == []
+    assert zero_invariant(spec)
+    assert frozenset(range(spec.K)) not in spec.polytopes
+    if name != "lu_kumar":  # lu_kumar does not drain under MinDrain
+        assert traj.drained and traj.grid[-1] == traj.drained_at
 
 
 @pytest.mark.parametrize("discipline", [WORK_CONSERVING, PRIORITY])

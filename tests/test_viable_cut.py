@@ -39,7 +39,7 @@ def assert_matches_enumeration(spec):
     count = 0
     for size in range(spec.K):
         for zeros in itertools.combinations(range(spec.K), size):
-            got = _viable_polytope(spec, zeros, False)
+            got = _viable_polytope(spec, zeros)
             rows = viability_rows(spec, empty_rows(spec, zeros), zeros, 0.0, pinned=False)
             want = enumerate_polytope_vertices(spec.K, *rows)
             assert np.round(got, 12).tolist() == np.round(want, 12).tolist(), zeros
@@ -77,7 +77,7 @@ def test_all_infeasible_cut_raises():
     spec = NetworkSpec(np.array([-1.0]), np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1)),
                        WORK_CONSERVING)
     with pytest.raises(InfeasibleActiveSet):
-        _viable_polytope(spec, {0}, False)
+        _viable_polytope(spec, {0})
     a_ub, b_ub = admissible_constraints(spec, {0})[2:]
     assert cut_polytope(np.array([[0.0], [1.0]]), a_ub, b_ub, spec.outflow, spec.alpha).shape == (0, 1)
 
