@@ -1,4 +1,4 @@
-"""Small shared helpers: norms, seeding, read-only arrays, atomic IO, CSV text."""
+"""Small shared helpers: norms, seeding, float and read-only arrays, atomic IO, CSV text."""
 from __future__ import annotations
 
 import math
@@ -56,10 +56,21 @@ def check_horizon(horizon) -> None:
         raise BadHorizon(f"horizon must be finite and nonnegative, got {horizon!r}")
 
 
+def float_array(name: str, value) -> np.ndarray:
+    """``value`` as a new float array: DimensionMismatch for a ragged nesting,
+    NonFiniteInput for an entry that is not a number."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):  # a ragged nesting leaves sequences among object cells
+        if any(np.ndim(cell) for cell in np.array(value, dtype=object).flat):
+            raise DimensionMismatch(f"{name}: ragged nesting, got {value!r}") from None
+        raise NonFiniteInput(f"{name}: an entry is not a number, got {value!r}") from None
+
+
 def square_matrix(name: str, value, k: int | None) -> np.ndarray:
-    """``value`` as a float matrix: DimensionMismatch unless square (k x k unless
-    k is None), NonFiniteInput unless finite."""
-    a = np.asarray(value, dtype=float)
+    """``value`` as a float matrix (:func:`float_array`): DimensionMismatch unless
+    square (k x k unless k is None), NonFiniteInput unless finite."""
+    a = float_array(name, value)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or k not in (None, a.shape[0]):
         size = "square" if k is None else f"{k} x {k}"
         raise DimensionMismatch(f"{name} needs a {size} matrix, got shape {a.shape}")
@@ -68,9 +79,9 @@ def square_matrix(name: str, value, k: int | None) -> np.ndarray:
     return a
 
 
-def readonly(a) -> np.ndarray:
-    """A read-only float copy of ``a``, so the caller's own array stays writable."""
-    a = np.array(a, dtype=float)
+def readonly(name: str, a) -> np.ndarray:
+    """A read-only :func:`float_array` copy of ``a``; the caller's array stays writable."""
+    a = float_array(name, a)
     a.setflags(write=False)
     return a
 

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (check_count, check_horizon, check_seed, csv_text, freeze_arrays,
-                    is_integer, l1, readonly, rng_from)
+from ._util import (check_count, check_horizon, check_seed, csv_text, float_array,
+                    freeze_arrays, is_integer, l1, readonly, rng_from)
 from .errors import (
     BadCount,
     BadStep,
@@ -62,7 +62,7 @@ _EVENT_CAP = 1_000_000
 
 def rhs(spec: NetworkSpec, u) -> np.ndarray:
     """Fluid velocity under allocation rates u: alpha - outflow @ u."""
-    u = np.asarray(u, dtype=float)
+    u = float_array("control", u)
     if u.shape != (spec.K,):
         raise DimensionMismatch(f"control has shape {u.shape}, expected ({spec.K},)")
     return spec.alpha - spec.outflow @ u
@@ -307,7 +307,7 @@ def simulate(spec: NetworkSpec, x0, selector: ControlSelector, horizon: float, h
     negative one NegativeState and a ``max_events`` that is no nonnegative
     integer BadCount; more than ``max_events`` steps raise StepTooLarge.
     """
-    x0 = np.asarray(x0, dtype=float).copy()
+    x0 = float_array("initial state", x0)
     if x0.shape != (spec.K,):
         raise DimensionMismatch(f"initial state has shape {x0.shape}, expected ({spec.K},)")
     if not np.all(np.isfinite(x0)):
@@ -332,7 +332,7 @@ def simulate(spec: NetworkSpec, x0, selector: ControlSelector, horizon: float, h
         entry = polytopes.get(zeros)
         if entry is None:
             verts = _viable_polytope(spec, zeros)
-            drift = readonly(np.round((verts @ velocity_map + spec.alpha).sum(axis=1), 12))
+            drift = readonly("drift", np.round((verts @ velocity_map + spec.alpha).sum(axis=1), 12))
             entry = polytopes[zeros] = (verts, drift, {})
         verts, drift, rows = entry
         i = operator.index(selector.choose(t, q, verts, drift))

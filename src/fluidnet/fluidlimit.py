@@ -22,6 +22,7 @@ from ._util import (
     check_seed,
     child_seeds,
     csv_text,
+    float_array,
     freeze_arrays,
     rng_from,
     window_points,
@@ -376,7 +377,7 @@ def fluid_limit_compare(
     """
     seeds = _seed_list(seeds)
     r_list = [check_factor("scale", r) for r in r_list]
-    q_direction = np.asarray(q_direction, dtype=float)
+    q_direction = float_array("direction", q_direction)
     starts = [_scaled_start(r, q_direction) for r in r_list]
     rows = []
     aggregate = {}
@@ -424,7 +425,7 @@ def concatenation_evidence(
     """
     seeds = _seed_list(seeds)
     r = check_factor("scale", r)
-    q_int = _scaled_start(r, np.asarray(q_direction, dtype=float))
+    q_int = _scaled_start(r, float_array("direction", q_direction))
     cut = 0.5 * horizon
     nearest = _nearest_fluid(spec, q_int / r, horizon, h)
     rows = []

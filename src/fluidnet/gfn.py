@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_count, check_factor, l1, rng_from, window_points
+from ._util import check_count, check_factor, float_array, l1, rng_from, window_points
 from .dynamics import (
     ControlSelector,
     Trajectory,
@@ -133,17 +133,9 @@ def lipschitz_estimate(traj: Trajectory) -> float:
 
 
 def _pw_linear(times, values, drained_at) -> Trajectory:
-    """Closed-form trajectory carrying no allocation data."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    k = values.shape[1]
-    return Trajectory(
-        grid=times,
-        levels=values,
-        allocation=np.zeros_like(values),
-        controls=np.zeros((len(times) - 1, k)),
-        drained_at=drained_at,
-    )
+    """Closed-form trajectory carrying no allocation data; the callers pass float arrays."""
+    controls = np.zeros((len(times) - 1, values.shape[1]))
+    return Trajectory(times, values, np.zeros_like(values), controls, drained_at)
 
 
 def _kink_grid(kinks) -> np.ndarray:
@@ -159,7 +151,7 @@ class ExplicitPathFamily:
     name: str
 
     def paths_from(self, x) -> list[Trajectory]:
-        x = np.asarray(x, dtype=float)
+        x = float_array("state", x)
         if x.shape != (2,):
             raise DimensionMismatch(f"explicit families are two-class, got shape {x.shape}")
         if np.any(x < 0):

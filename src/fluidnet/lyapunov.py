@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import (check_count, check_factor, check_seed, child_seeds, l1, square_matrix,
-                    to_jsonable)
+from ._util import (check_count, check_factor, check_seed, child_seeds, float_array, l1,
+                    square_matrix, to_jsonable)
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -121,9 +121,9 @@ def comparison_functions(lipschitz: float, tau: float) -> ComparisonTriple:
 
 #: Depth d branches 3 + 9 + ... + 3^d prefix selectors, one simulate each, so
 #: each level triples the search.  The ``lyapunov`` command at its defaults
-#: (horizon 50, step 0.01, K + 8 states) took 13-105 s at depth 5, 37-326 s at
-#: depth 6 and 123-953 s at depth 7 on the five stable fixtures (one process
-#: on a 2-core x86-64 machine); the cap keeps the slowest under six minutes.
+#: (horizon 50, step 0.01, K + 8 states) took 2.5-6.5 s at depth 5 and
+#: 7.7-18 s at depth 6 on the five stable fixtures (two runs each, one process
+#: on a 2-core x86-64 machine).
 MAX_DEPTH = 6
 
 
@@ -184,7 +184,7 @@ def approximate_V(family, x, budget: SearchBudget = SearchBudget()) -> VEstimate
     rollouts; the result is the running max over all drained candidates, so
     enlarging the budget never decreases the value.
     """
-    x = np.asarray(x, dtype=float)
+    x = float_array("state", x)
     if isinstance(family, ExplicitPathFamily):
         paths = family.paths_from(x)
         values = [v_functional(p, 0.0) for p in paths]
@@ -367,7 +367,7 @@ def piecewise_linear_check(spec: NetworkSpec, h_list, *, epsilon: float = 1e-6) 
     (E, j) whose LP is feasible.  The pieces must form an (N >= 1, K) array
     (DimensionMismatch; a K-vector is one piece) of finite entries (NonFiniteInput).
     """
-    h_mat = np.atleast_2d(np.asarray(h_list, dtype=float))
+    h_mat = np.atleast_2d(float_array("pieces", h_list))
     if h_mat.ndim != 2 or not len(h_mat) or h_mat.shape[1] != spec.K:
         raise DimensionMismatch(f"pieces need shape (N >= 1, {spec.K}), got {h_mat.shape}")
     if not np.all(np.isfinite(h_mat)):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import is_integer, l1, readonly
+from ._util import float_array, is_integer, l1, readonly
 from .errors import (
     BadPermutation,
     ConstituencyNotPartition,
@@ -123,13 +123,11 @@ class NetworkSpec:
     polytopes: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", readonly(self.alpha))
-        object.__setattr__(self, "mu", readonly(self.mu))
-        object.__setattr__(self, "routing", readonly(self.routing))
-        object.__setattr__(self, "constituency", readonly(self.constituency))
+        for name in ("alpha", "mu", "routing", "constituency"):
+            object.__setattr__(self, name, readonly(name, getattr(self, name)))
         k = self.alpha.shape[0]
         w = (np.eye(k) - self.routing.T) @ np.diag(self.mu)
-        object.__setattr__(self, "outflow", readonly(w))
+        object.__setattr__(self, "outflow", readonly("outflow", w))
         object.__setattr__(
             self,
             "station_classes",
@@ -143,7 +141,7 @@ class NetworkSpec:
             rank = np.asarray(self.priority)
             capacity = (station[:, None] == station) & (rank <= rank[:, None])
             members = tuple((m,) for m in range(k))
-        object.__setattr__(self, "capacity", readonly(capacity))
+        object.__setattr__(self, "capacity", readonly("capacity", capacity))
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "polytopes", {})
 
@@ -169,12 +167,13 @@ def validate(alpha, mu, routing, constituency, discipline, priority=None) -> Net
 
     Raises the specific error type for each failure mode: NegativeRate,
     ConstituencyNotPartition, RoutingNotSubstochastic, SpectralRadiusTooLarge,
-    BadPermutation, DimensionMismatch, UnknownDiscipline.
+    BadPermutation, DimensionMismatch, UnknownDiscipline, and those of
+    ``_util.float_array`` for a ragged or non-numeric array.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    routing = np.asarray(routing, dtype=float)
-    constituency = np.asarray(constituency, dtype=float)
+    alpha = float_array("alpha", alpha)
+    mu = float_array("mu", mu)
+    routing = float_array("routing", routing)
+    constituency = float_array("constituency", constituency)
 
     if alpha.ndim != 1 or mu.ndim != 1 or routing.ndim != 2 or constituency.ndim != 2:
         raise DimensionMismatch("alpha, mu must be vectors; routing, constituency matrices")
@@ -273,7 +272,7 @@ def vertex_order(blocks, dim: int) -> np.ndarray:
     for x in blocks:
         for key, row in zip(np.round(x, 12).tolist(), x):
             found[tuple(key)] = row
-    return readonly([found[key] for key in sorted(found)] or np.empty((0, dim)))
+    return readonly("vertices", [found[key] for key in sorted(found)] or np.empty((0, dim)))
 
 
 def _active_systems(a_eq, a_ub, idx) -> np.ndarray:

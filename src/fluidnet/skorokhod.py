@@ -14,10 +14,13 @@ Per step the boundary push is the minimal-l1 rate, supported on the active
 set, that keeps active components nonnegative through the step; the active
 components are exempt from the stepper's zero-crossing cut.  Minimality
 fixes a deterministic selection among the generally non-unique solutions.
+A push depends only on the active set and the right-hand side, so one call
+of the solver solves each distinct pair once, in a memo that dies with it.
 """
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,10 +111,10 @@ class LspInstance:
     """A validated linear Skorokhod problem; it holds read-only copies of
     theta, R and Z0, so the caller's arrays stay writable and unshared.
 
-    Raises DimensionMismatch for a theta that is not a nonempty vector or
-    for inconsistent shapes, NonFiniteInput for NaN
-    or infinity in theta, R or Z0, NegativeState for a negative Z0 and
-    BadPushBound for a push bound that is not positive.
+    Raises DimensionMismatch for a theta that is not a nonempty vector, for
+    inconsistent shapes or a ragged nesting, NonFiniteInput for NaN, infinity
+    or an entry that is not a number in theta, R or Z0, NegativeState for a
+    negative Z0 and BadPushBound for a push bound that is not a positive number.
     """
 
     theta: np.ndarray
@@ -120,14 +123,14 @@ class LspInstance:
     push_bound: float | None = None
 
     def __post_init__(self):
-        theta, r, z0 = readonly(self.theta), readonly(self.reflection), readonly(self.z0)
+        arrays = {k: readonly(k, getattr(self, k)) for k in ("theta", "reflection", "z0")}
+        theta, r, z0 = arrays.values()
         j = theta.size
         if j == 0 or theta.shape != (j,) or r.shape != (j, j) or z0.shape != (j,):
             raise DimensionMismatch(
                 f"empty or inconsistent shapes: theta {theta.shape}, R {r.shape}, Z0 {z0.shape}"
             )
-        arrays = (("theta", theta), ("reflection", r), ("z0", z0))
-        for name, val in arrays:
+        for name, val in arrays.items():
             if not np.all(np.isfinite(val)):
                 raise NonFiniteInput(f"{name} must be finite, got {val.tolist()}")
         if np.any(z0 < 0):
@@ -135,9 +138,9 @@ class LspInstance:
         bound = self.push_bound
         if bound is None:
             bound = _default_push_bound(theta, r)
-        if not bound > 0:
-            raise BadPushBound(f"push bound must be positive, got {bound!r}")
-        for name, val in arrays:
+        if not (isinstance(bound, numbers.Real) and bound > 0):  # a numpy scalar is Real
+            raise BadPushBound(f"push bound must be a positive number, got {bound!r}")
+        for name, val in arrays.items():
             object.__setattr__(self, name, val)
         object.__setattr__(self, "push_bound", float(bound))
 
@@ -167,9 +170,7 @@ def _push_bases(r_a: np.ndarray) -> list:
     Candidates are u = 0 followed by every pair of s-subsets S (columns) and
     T (rows), s = 1..n, in (s, S, T) combination order, whose block R_a[T, S]
     has |det| >= 1e-12.  One ``(blocks, rows, cols)`` entry per size with a
-    kept block stacks those blocks and their row and column indices; the
-    determinant test does not depend on the right-hand side, so this is built
-    once per active set.
+    kept block stacks those blocks and their row and column indices.
     """
     n = r_a.shape[0]
     bases = []
@@ -184,32 +185,27 @@ def _push_bases(r_a: np.ndarray) -> list:
     return bases
 
 
-def _minimal_push(r: np.ndarray, active, c: np.ndarray, tol: float,
-                  bases: dict) -> np.ndarray:
+def _minimal_push(r: np.ndarray, active, c: np.ndarray, tol: float) -> np.ndarray:
     """Minimal-l1 u >= 0 supported on the active set with (R u)_active >= c.
 
     Exact combinatorial enumeration of the LP vertices: a vertex has support
     S and an equal-sized set T of tight rows with R[T, S] nonsingular.  Ties
     in the l1 value break to the lexicographically smallest vector, and
-    among equal keys to the first candidate in (size, S, T) order.
+    among equal keys to the first candidate in (size, S, T) order.  An empty
+    active set gives the zero push.
 
-    ``bases`` maps each active set (a tuple) to R_a and its
-    :func:`_push_bases`, built on the first call for that set.  Each call
-    then makes one batched solve per block size and applies the sign and
-    feasibility checks as masks; every kept block passed the determinant
-    test, and ``solve`` raises only on an exactly zero pivot, where ``det``,
-    from the same LU factorization, is 0.  Batched ``solve`` runs the same LAPACK
-    routine per matrix as a one-by-one loop, and every check is the same
-    per-candidate arithmetic, so the push has the same bits as a
-    per-candidate loop.
+    One batched solve per block size of :func:`_push_bases`, then the sign
+    and feasibility checks as masks.  ``solve`` raises only on an exactly
+    zero pivot, where ``det`` (same LU factorization) is 0, so no kept block
+    raises; it runs the same LAPACK routine per matrix as a one-by-one loop,
+    and every check is the same per-candidate arithmetic, so the push has
+    the same bits as a per-candidate loop.
     """
     a = tuple(active)
     if len(a) > _ACTIVE_CAP:
         raise DimensionTooLarge(f"{len(a)} simultaneously active components exceeds {_ACTIVE_CAP}")
-    if a not in bases:
-        r_a = r[np.ix_(a, a)]
-        bases[a] = r_a, _push_bases(r_a)
-    r_a, blocks_by_size = bases[a]
+    r_a = r[np.ix_(a, a)]
+    blocks_by_size = _push_bases(r_a)
     u_a = np.zeros((1 + sum(rows.shape[0] for _, rows, _ in blocks_by_size), len(a)))
     start = 1  # row 0 is the zero push
     for blocks, rows, cols in blocks_by_size:
@@ -240,32 +236,31 @@ def solve_lsp(inst: LspInstance, horizon: float, h: float) -> LspSolution:
     negative or non-finite horizon, BadStep for a step that is not finite
     and positive, and StepTooLarge past 10^6 sub-steps.
 
-    The candidate push bases of each active set are built once per call, on
-    the first stamp that meets that set; later stamps only solve them for the
-    new right-hand side.  The pushes, and so the output bytes, are the same as
-    with the bases rebuilt at every stamp.
+    Each distinct (active set, right-hand side) pair is solved once, and a
+    repeat reuses its push and velocity floats.  The checks run on the first
+    solve, and a failed one ends the call, so a kept push has passed them.
     """
     if not is_completely_s(inst.reflection):
         raise NotCompletelyS("reflection matrix is not completely-S")
     theta, r = inst.theta, inst.reflection
-    bases = {}
     eps = empty_threshold(inst.z0)
     tol = 1e-9 * (1.0 + l1(theta))
+    pushes = {}  # (active set, right-hand side bytes) -> (push, velocity)
 
     def push(t, zs):
         # the active components are held at the boundary by the push, so
         # their crossings do not cut the step
         active = [j for j, level in enumerate(zs) if level < eps]
-        if active:
-            c = -theta[active] - np.array(zs)[active] / h
-            u = _minimal_push(r, active, c, tol, bases)
+        c = -theta[active] - np.array(zs)[active] / h
+        key = tuple(active), c.tobytes()
+        if key not in pushes:
+            u = _minimal_push(r, active, c, tol)
             if np.any(u > inst.push_bound * (1 + 1e-12)):
                 raise PushBoundExceeded(
                     f"minimal push {u.max():.6g} exceeds bound {inst.push_bound:.6g}"
                 )
-        else:
-            u = np.zeros(inst.J)
-        return u.tolist(), (theta + r @ u).tolist(), active
+            pushes[key] = tuple(u.tolist()), tuple((theta + r @ u).tolist())
+        return (*pushes[key], active)
 
     return LspSolution(*_event_split(inst.z0, horizon, h, _EVENT_CAP, push))
 

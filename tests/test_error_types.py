@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fluidnet import fixtures
-from fluidnet._util import child_seeds
+from fluidnet._util import child_seeds, float_array
 from fluidnet.dynamics import (
     FirstVertex,
     FixedSequence,
@@ -21,6 +21,7 @@ from fluidnet.dynamics import (
     complementarity_residual,
     flow_balance_residual,
     idle,
+    rhs,
     simulate,
 )
 from fluidnet.errors import (
@@ -28,6 +29,7 @@ from fluidnet.errors import (
     BadCount,
     BadFactor,
     BadPermutation,
+    BadPushBound,
     BadSeed,
     DimensionMismatch,
     EventBudgetExceeded,
@@ -41,9 +43,11 @@ from fluidnet.errors import (
 )
 from fluidnet.fluidlimit import concatenation_evidence, fluid_limit_compare, simulate_queueing
 from fluidnet.gfn import axiom_report, concatenate, example_family, lipschitz_estimate, uoc_distance
-from fluidnet.lyapunov import SearchBudget, check_decrease, piecewise_linear_check, quadratic_check
+from fluidnet.lyapunov import (
+    SearchBudget, approximate_V, check_decrease, piecewise_linear_check, quadratic_check,
+)
 from fluidnet.model import PRIORITY, admissible_constraints, validate
-from fluidnet.skorokhod import is_completely_s, is_s_matrix
+from fluidnet.skorokhod import LspInstance, is_completely_s, is_s_matrix
 from fluidnet.stability import (
     STABLE, Verdict, draining_time, scale_invariance_check, unit_sphere_states,
 )
@@ -260,6 +264,63 @@ def test_a_shape_that_does_not_fit_the_classes_is_a_dimension_mismatch(site):
 def test_an_s_matrix_test_of_a_matrix_that_is_not_square_is_a_dimension_mismatch(test, matrix):
     with pytest.raises(DimensionMismatch, match="square matrix"):
         test(matrix)
+
+
+# each entry point gets a value with one malformed entry: a ragged row
+# (DimensionMismatch) or text (NonFiniteInput), where numpy's own conversion
+# raises a bare ValueError
+MALFORMED_SITES = {
+    "validate alpha": lambda v: validate(v, [1.0, 1.0], np.zeros((2, 2)), [[1, 1]],
+                                         "work_conserving"),
+    "simulate x0": lambda v: simulate(fixtures.tandem(), v, FirstVertex(), 1.0, 0.1),
+    "rhs control": lambda v: rhs(fixtures.tandem(), v),
+    "LspInstance theta": lambda v: LspInstance(v, np.eye(2), [0.0, 0.0]),
+    "LspInstance reflection": lambda v: LspInstance([-1.0, 0.0], [v, [0.0, 1.0]], [0.0, 0.0]),
+    "is_s_matrix": lambda v: is_s_matrix([v, [0.0, 1.0]]),
+    "is_completely_s": lambda v: is_completely_s([v, [0.0, 1.0]]),
+    "piecewise_linear_check": lambda v: piecewise_linear_check(fixtures.tandem(), [v]),
+    "quadratic_check": lambda v: quadratic_check(fixtures.tandem(), [v, [0.0, 1.0]]),
+    "approximate_V state": lambda v: approximate_V(example_family("lsc_counterexample"), v),
+    "explicit-family state": lambda v: example_family("lsc_counterexample").paths_from(v),
+    "fluid_limit_compare direction": (
+        lambda v: fluid_limit_compare(fixtures.queueing_two_class_priority(),
+                                      fixtures.two_class_priority(), v, [10.0], 2.0, [1])),
+    "concatenation_evidence direction": (
+        lambda v: concatenation_evidence(fixtures.queueing_two_class_priority(),
+                                         fixtures.two_class_priority(), v, 10.0, 2.0, [1])),
+}
+
+
+@pytest.mark.parametrize("value, cls", [([1.0, [2.0]], DimensionMismatch),
+                                        (["a", 1.0], NonFiniteInput)], ids=["ragged", "text"])
+@pytest.mark.parametrize("site", sorted(MALFORMED_SITES))
+def test_ragged_or_text_input_raises_its_class(site, value, cls):
+    with pytest.raises(cls):
+        MALFORMED_SITES[site](value)
+
+
+@pytest.mark.parametrize("value, cls", [
+    ([np.ones(2), np.ones(3)], DimensionMismatch),
+    ([[1.0], [[2.0]]], DimensionMismatch),
+    ([[1.0, "a"], [2.0]], DimensionMismatch),  # ragged first
+    ("a", NonFiniteInput),
+    ([{}], NonFiniteInput),
+    ([1j], NonFiniteInput),
+])
+def test_float_array_tells_ragged_from_text(value, cls):
+    with pytest.raises(cls):
+        float_array("x", value)
+
+
+def test_float_array_keeps_what_numpy_converts():
+    assert float_array("x", [["1.5", 2]]).tolist() == [[1.5, 2.0]]
+    assert np.isnan(float_array("x", [None])).all()  # NaN, left to the finiteness checks
+
+
+@pytest.mark.parametrize("bound", ["x", [1.0, 2.0]])
+def test_a_push_bound_that_is_no_number_is_a_bad_push_bound(bound):
+    with pytest.raises(BadPushBound, match="must be a positive number"):
+        LspInstance([-1.0], [[1.0]], [0.0], bound)
 
 
 def bare_value_errors(tree):

@@ -217,15 +217,15 @@ def test_a_negative_zero_start_same_bytes():
         assert np.signbit(got.levels[0, 0])
 
 
-def assert_same_push(r, active, c, tol, bases):
+def assert_same_push(r, active, c, tol):
     """The push, or None when both sides find no feasible push."""
     try:
         want = reference_minimal_push(r, active, c, tol)
     except InfeasibleActiveSet:
         with pytest.raises(InfeasibleActiveSet):
-            _minimal_push(r, active, c, tol, bases)
+            _minimal_push(r, active, c, tol)
         return None
-    got = _minimal_push(r, active, c, tol, bases)
+    got = _minimal_push(r, active, c, tol)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     return got
 
@@ -236,12 +236,11 @@ def test_minimal_push_same_bytes_on_random_c():
     for trial in range(300):
         j = int(rng.integers(1, 7))
         r = rng.integers(-2, 3, (j, j)).astype(float) if trial % 2 else rng.normal(size=(j, j))
-        bases = {}
         for _ in range(3):
             active = sorted(rng.choice(j, int(rng.integers(1, j + 1)), replace=False).tolist())
             c = rng.normal(size=len(active))
             tol = 1e-9 * (1.0 + float(rng.uniform(0.0, 3.0)))
-            infeasible += assert_same_push(r, active, c, tol, bases) is None
+            infeasible += assert_same_push(r, active, c, tol) is None
     assert infeasible > 0
 
 
@@ -255,7 +254,7 @@ def test_minimal_push_same_bytes_at_degenerate_vertices():
         r = rng.integers(-1, 3, (n, n)) + rng.uniform(-0.1, 0.1, (n, n)) * (trial % 2)
         r = r.astype(float)
         u_star = rng.uniform(0.1, 1.0, n) * (rng.uniform(size=n) < 0.5)
-        assert_same_push(r, range(n), r @ u_star, 1e-9, {})
+        assert_same_push(r, range(n), r @ u_star, 1e-9)
 
 
 def test_push_bases_keep_the_reference_blocks_in_order():
@@ -296,7 +295,7 @@ def test_minimal_push_l1_before_lexicographic_order():
     c = np.array([1.0, 1.0])
     want = reference_minimal_push(r, [0, 1], c, 1e-9)
     assert want.tolist() == [1.0, 0.0]
-    assert _minimal_push(r, [0, 1], c, 1e-9, {}).tobytes() == want.tobytes()
+    assert _minimal_push(r, [0, 1], c, 1e-9).tobytes() == want.tobytes()
 
 
 def test_minimal_push_infeasible_raises():
@@ -304,7 +303,7 @@ def test_minimal_push_infeasible_raises():
     with pytest.raises(InfeasibleActiveSet):
         reference_minimal_push(r, [0], np.array([1.0]), 1e-9)
     with pytest.raises(InfeasibleActiveSet):
-        _minimal_push(r, [0], np.array([1.0]), 1e-9, {})
+        _minimal_push(r, [0], np.array([1.0]), 1e-9)
 
 
 def test_active_cap_checked_before_building_bases(monkeypatch):
@@ -321,4 +320,36 @@ def test_active_cap_checked_before_building_bases(monkeypatch):
     with pytest.raises(DimensionTooLarge, match=f"{j} simultaneously active"):
         solve_lsp(inst, 1.0, 0.1)
     with pytest.raises(DimensionTooLarge):
-        _minimal_push(np.eye(j), range(j), np.ones(j), 1e-9, {})
+        _minimal_push(np.eye(j), range(j), np.ones(j), 1e-9)
+
+
+def test_empty_active_set_is_the_zero_push():
+    """``solve_lsp`` sends an unloaded stamp through ``_minimal_push`` too."""
+    r = np.array([[1.0, -0.5], [-0.5, 1.0]])
+    for active in ([], ()):
+        got = _minimal_push(r, active, np.empty(0), 1e-9)
+        assert got.tobytes() == np.zeros(2).tobytes()
+        assert got.tobytes() == reference_minimal_push(r, active, np.empty(0), 1e-9).tobytes()
+
+
+@pytest.mark.parametrize("seed, horizon", [("chattering", 50.0), *((s, 3.0) for s in range(8))])
+def test_each_distinct_push_is_solved_once_per_call(monkeypatch, seed, horizon):
+    """Count guard: within one ``solve_lsp`` call no (active set, right-hand
+    side bytes) input reaches ``_minimal_push`` twice, and a second call
+    starts again from an empty memo and returns the same bytes."""
+    import fluidnet.skorokhod as skorokhod
+
+    inst = fixtures.lsp_chattering() if seed == "chattering" else random_instance(seed)
+    seen = []
+
+    def counting(r, active, c, *rest):
+        seen.append((tuple(active), c.tobytes()))
+        return _minimal_push(r, active, c, *rest)
+
+    monkeypatch.setattr(skorokhod, "_minimal_push", counting)
+    got = solve_lsp(inst, horizon, 0.01)
+    assert len(seen) == len(set(seen))
+    assert len(seen) < got.controls.shape[0]
+    seen.clear()  # a second call starts with an empty memo
+    assert_same_solution(solve_lsp(inst, horizon, 0.01), got)
+    assert len(seen) == len(set(seen)) > 0
