@@ -1,4 +1,5 @@
-"""Small shared helpers: norms, seeding, float and read-only arrays, atomic IO, CSV text."""
+"""Small shared helpers: norms, seeding, float, count and read-only arrays, the
+LP solver, atomic IO, CSV text."""
 from __future__ import annotations
 
 import math
@@ -67,6 +68,33 @@ def float_array(name: str, value) -> np.ndarray:
         raise NonFiniteInput(f"{name}: an entry is not a number, got {value!r}") from None
 
 
+def float_scalar(name: str, value) -> float:
+    """``value`` as a float: errors as :func:`float_array`, and DimensionMismatch
+    for an array of any shape but ()."""
+    a = float_array(name, value)
+    if a.ndim:
+        raise DimensionMismatch(f"{name} needs a number, got shape {a.shape}")
+    return float(a)
+
+
+def count_array(name: str, value) -> np.ndarray:
+    """``value`` as an int64 array, never truncated: errors as :func:`float_array`,
+    NonFiniteInput for NaN or infinity, BadCount for a fraction or a count outside
+    int64.  Integer-dtype input converts exactly; other input is read as floats
+    (``[5.0, 5.0]``), so past 2^53 it keeps only a float's digits."""
+    a = float_array(name, value)
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteInput(f"{name}: an entry is not finite, got {a.tolist()}")
+    exact = np.asarray(value)
+    if exact.dtype.kind in "iu":
+        outside = np.any(exact > np.iinfo(np.int64).max)
+    else:
+        exact, outside = a, np.any(np.abs(a) >= 2.0**63)
+    if outside or np.any(a != np.trunc(a)):
+        raise BadCount(f"{name}: an entry is no whole number within int64, got {exact.tolist()}")
+    return exact.astype(np.int64)
+
+
 def square_matrix(name: str, value, k: int | None) -> np.ndarray:
     """``value`` as a float matrix (:func:`float_array`): DimensionMismatch unless
     square (k x k unless k is None), NonFiniteInput unless finite."""
@@ -88,11 +116,24 @@ def readonly(name: str, a) -> np.ndarray:
 
 def freeze_arrays(obj, names) -> None:
     """Set each named field of a frozen dataclass to a read-only float array, in
-    place: for arrays the library has just built (``Trajectory``, ``SamplePath``)."""
+    place (``Trajectory``, ``SamplePath``).  A float array, as the library
+    builds them, is kept without a copy; anything else goes through
+    :func:`float_array`."""
     for name in names:
-        arr = np.asarray(getattr(obj, name), dtype=float)
+        arr = getattr(obj, name)
+        if not (isinstance(arr, np.ndarray) and arr.dtype == float):
+            arr = float_array(name, arr)
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
+
+
+def linprog(c, **constraints):
+    """scipy's HiGHS solver on min c . x under ``constraints`` (``A_ub``, ``b_ub``,
+    ``A_eq``, ``b_eq``, ``bounds``).  scipy.optimize is imported by the first call,
+    so a process that solves no LP never loads it."""
+    from scipy.optimize import linprog as solve
+
+    return solve(c, method="highs", **constraints)
 
 
 def window_points(horizon: float, *stamps) -> np.ndarray:

@@ -103,9 +103,9 @@ class Trajectory:
     def level_at(self, t) -> np.ndarray:
         """Linear interpolation of Q; the last level after the grid once drained.
 
-        Raises ShiftBeyondHorizon for a NaN time, and for a time past the grid
-        of an undrained trajectory."""
-        t = np.asarray(t, dtype=float)
+        Raises ShiftBeyondHorizon for a NaN time, for a time past the grid
+        of an undrained trajectory, and the errors of ``_util.float_array``."""
+        t = float_array("time", t)
         if not np.all(t <= self.grid[-1]):  # past the grid, or NaN
             if np.isnan(t).any():
                 raise ShiftBeyondHorizon("NaN time in a level lookup")

@@ -21,6 +21,7 @@ from ._util import (
     check_horizon,
     check_seed,
     child_seeds,
+    count_array,
     csv_text,
     float_array,
     freeze_arrays,
@@ -157,10 +158,12 @@ def simulate_queueing(
     reference in ``tests/test_queueing_reference.py``, so the output bytes are
     the same.  At exact ties completions beat arrivals, and the lowest class
     index goes first.  A negative, infinite or NaN horizon raises BadHorizon,
-    a negative count NegativeState, a bad ``max_events`` count BadCount.
+    a negative count NegativeState, a count that is no whole number within
+    int64 BadCount or NonFiniteInput (``_util.count_array``), a bad
+    ``max_events`` count BadCount.
     """
     net = qspec.network
-    q_arr = np.asarray(q0, dtype=np.int64)
+    q_arr = count_array("initial counts", q0)
     if q_arr.shape != (net.K,):
         raise DimensionMismatch(f"initial counts have shape {q_arr.shape}, expected ({net.K},)")
     if np.any(q_arr < 0):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_count, check_factor, float_array, l1, rng_from, window_points
+from ._util import (check_count, check_factor, float_array, float_scalar, l1, rng_from,
+                    window_points)
 from .dynamics import (
     ControlSelector,
     Trajectory,
@@ -66,11 +67,13 @@ def _state_at(traj: Trajectory, s: float):
 def shift(traj: Trajectory, s: float) -> Trajectory:
     """Time shift t -> Q(s + t), with the allocation renormalized to T(0) = 0.
 
-    Raises ShiftBeyondHorizon unless 0 <= s <= horizon (so for NaN too).
+    Raises ShiftBeyondHorizon unless 0 <= s <= horizon (so for NaN too), and
+    the errors of ``_util.float_scalar`` for a shift that is no number.
     """
+    s = float_scalar("shift", s)
     if not 0 <= s <= traj.grid[-1] * (1 + 1e-12):
         raise ShiftBeyondHorizon(f"shift {s} outside [0, {traj.grid[-1]}]")
-    s = min(float(s), float(traj.grid[-1]))
+    s = min(s, float(traj.grid[-1]))
     level0, alloc0 = _state_at(traj, s)
     i = int(np.searchsorted(traj.grid, s, side="right"))  # stamps strictly after s
     grid = np.concatenate([[0.0], traj.grid[i:] - s])
@@ -87,11 +90,13 @@ def concatenate(traj1: Trajectory, t_star: float, traj2: Trajectory) -> Trajecto
     Requires traj1's state at t_star to match traj2's initial state within
     1e-8 relative tolerance; the result follows traj1 up to t_star and traj2
     afterwards, with the cumulative allocation spliced continuously.  Both
-    must have the same classes (DimensionMismatch)."""
+    must have the same classes (DimensionMismatch); the cut time is checked
+    as the shift of :func:`shift`."""
     check_classes(traj2, traj1.K)
+    t_star = float_scalar("cut time", t_star)
     if not 0 <= t_star <= traj1.grid[-1] * (1 + 1e-12):
         raise ShiftBeyondHorizon(f"cut time {t_star} outside [0, {traj1.grid[-1]}]")
-    t_star = min(float(t_star), float(traj1.grid[-1]))
+    t_star = min(t_star, float(traj1.grid[-1]))
     level_cut, alloc_cut = _state_at(traj1, t_star)
     gap = l1(level_cut - traj2.levels[0])
     if gap > 1e-8 * (1.0 + l1(level_cut)):

@@ -22,10 +22,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
-from ._util import (check_count, check_factor, check_seed, child_seeds, float_array, l1,
-                    square_matrix, to_jsonable)
+from ._util import (check_count, check_factor, check_seed, child_seeds, float_array,
+                    float_scalar, l1, linprog, square_matrix, to_jsonable)
 from .dynamics import (
     ControlSelector,
     FirstVertex,
@@ -54,7 +53,9 @@ def _mass(levels: np.ndarray) -> np.ndarray:
 def v_functional(traj: Trajectory, t: float) -> float:
     """Tail integral of the l1 level from time t onward; at t = 0 the total
     fluid.  Trapezoidal, so exact for piecewise-linear paths whose grid
-    contains the kinks.  A NaN time raises ShiftBeyondHorizon."""
+    contains the kinks.  A NaN time raises ShiftBeyondHorizon; a time that is
+    not one number raises as ``_util.float_scalar``."""
+    t = float_scalar("time", t)
     if np.isnan(t):
         raise ShiftBeyondHorizon("tail integral from a NaN time")
     if not traj.drained:
@@ -65,7 +66,7 @@ def v_functional(traj: Trajectory, t: float) -> float:
         )
     if t >= traj.grid[-1]:
         return 0.0
-    t = max(float(t), 0.0)
+    t = max(t, 0.0)
     grid = traj.grid
     mass = _mass(traj.levels)
     i = int(np.searchsorted(grid, t, side="right"))
@@ -333,7 +334,7 @@ def linear_certificate_search(spec: NetworkSpec) -> Certificate:
     a_ub = np.hstack([drifts, np.ones((n, 1))])
     b_ub = np.zeros(n)
     bounds = [(1e-6, 1.0)] * k + [(1e-6, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds)
     meta = {"drift_rows": int(n)}
     if not res.success:
         return Certificate("linear", {"h": None}, 0.0, "Unknown", meta=meta)
@@ -387,7 +388,7 @@ def piecewise_linear_check(spec: NetworkSpec, h_list, *, epsilon: float = 1e-6) 
             if -derivs[worst] >= margin:
                 continue  # cannot lower the margin, feasible or not
             res = linprog(np.zeros(spec.K), A_ub=h_mat - h_mat[j], b_ub=np.zeros(len(h_mat)),
-                          A_eq=np.ones((1, spec.K)), b_eq=[1.0], bounds=bounds, method="highs")
+                          A_eq=np.ones((1, spec.K)), b_eq=[1.0], bounds=bounds)
             if res.status == 2:
                 continue  # infeasible: piece j is nowhere on top on this face
             margin = float(-derivs[worst])

@@ -24,9 +24,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from ._util import csv_text, l1, readonly, square_matrix
+from ._util import csv_text, l1, linprog, readonly, square_matrix
 from .dynamics import _EVENT_CAP, Trajectory, _event_split
 from .errors import (
     BadPushBound,
@@ -59,8 +58,7 @@ def is_s_matrix(r_matrix) -> bool:
     a_ub[n, :n] = 1.0
     b_ub = np.zeros(n + 1)
     b_ub[n] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(0, None)] * n + [(None, None)], method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * n + [(None, None)])
     return bool(res.success and -res.fun > 1e-10)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fluidnet import fixtures
-from fluidnet._util import child_seeds, float_array
+from fluidnet._util import child_seeds, count_array, float_array
 from fluidnet.dynamics import (
     FirstVertex,
     FixedSequence,
@@ -42,9 +42,12 @@ from fluidnet.errors import (
     StepTooLarge,
 )
 from fluidnet.fluidlimit import concatenation_evidence, fluid_limit_compare, simulate_queueing
-from fluidnet.gfn import axiom_report, concatenate, example_family, lipschitz_estimate, uoc_distance
+from fluidnet.gfn import (
+    axiom_report, concatenate, example_family, lipschitz_estimate, shift, uoc_distance,
+)
 from fluidnet.lyapunov import (
     SearchBudget, approximate_V, check_decrease, piecewise_linear_check, quadratic_check,
+    v_functional,
 )
 from fluidnet.model import PRIORITY, admissible_constraints, validate
 from fluidnet.skorokhod import LspInstance, is_completely_s, is_s_matrix
@@ -86,6 +89,7 @@ SITES = {
     "draining time without selectors": (
         BadCount, lambda: draining_time(fixtures.tandem(), selectors=(), samples=0)),
     "negative RandomVertex seed": (BadSeed, lambda: RandomVertex(-1)),
+    "v_functional at a text time": (NonFiniteInput, lambda: v_functional(tandem_path(), "a")),
     **{
         f"scale invariance at scale {r}": (
             BadFactor,
@@ -110,6 +114,14 @@ SITES = {
             NonFiniteInput,
             lambda bad=bad: quadratic_check(fixtures.tandem(), [[1.0, 0.0], [bad, 1.0]]))
         for bad in (float("nan"), float("inf"))
+    },
+    **{
+        f"simulate_queueing count {bad!r}": (
+            cls,
+            lambda bad=bad: simulate_queueing(fixtures.queueing_two_class_priority(), [bad, 2],
+                                              1.0, 1))
+        for bad, cls in ((1.5, BadCount), (1e30, BadCount), (2**63, BadCount),
+                         (float("nan"), NonFiniteInput), (float("inf"), NonFiniteInput))
     },
     **{
         f"{test.__name__} with entry {bad!r}": (
@@ -249,6 +261,7 @@ MISMATCH_SITES = {
         lambda: piecewise_linear_check(fixtures.tandem(), np.zeros((0, 2)))),
     "quadratic candidate of 3 x 3": lambda: quadratic_check(fixtures.tandem(), np.eye(3)),
     "flat quadratic candidate": lambda: quadratic_check(fixtures.tandem(), [1.0, 0.0, 0.0, 1.0]),
+    "v_functional at a vector time": lambda: v_functional(tandem_path(), [0.5, 1.0]),
 }
 
 
@@ -288,6 +301,14 @@ MALFORMED_SITES = {
     "concatenation_evidence direction": (
         lambda v: concatenation_evidence(fixtures.queueing_two_class_priority(),
                                          fixtures.two_class_priority(), v, 10.0, 2.0, [1])),
+    "simulate_queueing counts": (
+        lambda v: simulate_queueing(fixtures.queueing_two_class_priority(), v, 1.0, 1)),
+    "Trajectory levels": lambda v: Trajectory([0.0, 1.0], [v, [0.0, 0.0]], np.zeros((2, 2)),
+                                              np.zeros((1, 2))),
+    "level_at time": lambda v: tandem_path().level_at(v),
+    "v_functional time": lambda v: v_functional(tandem_path(), v),
+    "shift time": lambda v: shift(tandem_path(), v),
+    "concatenate cut time": lambda v: concatenate(tandem_path(), v, tandem_path()),
 }
 
 
@@ -310,6 +331,12 @@ def test_ragged_or_text_input_raises_its_class(site, value, cls):
 def test_float_array_tells_ragged_from_text(value, cls):
     with pytest.raises(cls):
         float_array("x", value)
+
+
+def test_count_array_keeps_every_digit_of_a_whole_number():
+    assert count_array("q", [2**53 + 1, 0]).tolist() == [2**53 + 1, 0]
+    assert count_array("q", np.array([2**63 - 1, 0], dtype=np.int64)).tolist() == [2**63 - 1, 0]
+    assert count_array("q", np.array([5.0, 5.0])).tolist() == [5, 5]
 
 
 def test_float_array_keeps_what_numpy_converts():
