@@ -44,17 +44,19 @@ def check_count(name: str, value: int, cap: int | None = None, low: int = 0) -> 
 
 
 def check_factor(name: str, value: float) -> float:
-    """The value as a float if it is finite and positive; else BadFactor (NaN too)."""
-    value = float(value)
+    """The value as a float (:func:`float_scalar`) if finite and positive; else BadFactor."""
+    value = float_scalar(name, value)
     if not (math.isfinite(value) and value > 0):
         raise BadFactor(f"{name} must be finite and positive, got {value!r}")
     return value
 
 
-def check_horizon(horizon) -> None:
-    """BadHorizon unless the horizon is finite and nonnegative (so for NaN too)."""
+def check_horizon(horizon) -> float:
+    """The horizon as a float (:func:`float_scalar`) if finite and nonnegative; else BadHorizon."""
+    horizon = float_scalar("horizon", horizon)
     if not (math.isfinite(horizon) and horizon >= 0):
         raise BadHorizon(f"horizon must be finite and nonnegative, got {horizon!r}")
+    return horizon
 
 
 def float_array(name: str, value) -> np.ndarray:
@@ -139,8 +141,8 @@ def linprog(c, **constraints):
 def window_points(horizon: float, *stamps) -> np.ndarray:
     """The sorted distinct stamps within [0, horizon], with both ends; BadHorizon
     for a horizon that is negative, infinite or NaN."""
-    check_horizon(horizon)
-    return np.unique(np.concatenate([*(s[s <= horizon] for s in stamps), [0.0, float(horizon)]]))
+    horizon = check_horizon(horizon)
+    return np.unique(np.concatenate([*(s[s <= horizon] for s in stamps), [0.0, horizon]]))
 
 
 def rng_from(seed: int) -> np.random.Generator:

@@ -5,9 +5,10 @@ Between control switches the fluid level moves with constant velocity
 zero crossings integrates the dynamics exactly up to the control-switch
 resolution ``h``.  Controls are re-selected at every boundary event and at
 checkpoints spaced ``h`` apart; in between they are frozen.  The stepping
-loop, ``_event_split``, is shared with ``skorokhod.solve_lsp``; it rejects a
-negative or non-finite horizon (BadHorizon) and a step that is not finite and
-positive (BadStep).
+loop, ``_event_split``, is shared with ``skorokhod.solve_lsp``; it reads the
+horizon and step as ``_util.float_scalar`` does and rejects a negative or
+non-finite horizon (BadHorizon) and a step that is not finite and positive
+(BadStep).
 
 The service discipline enters only through the spec's capacity rows: idle
 time, holding the empty state and the admissible set are all per row.  A class
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (check_count, check_horizon, check_seed, csv_text, float_array,
+from ._util import (check_count, check_horizon, check_seed, csv_text, float_array, float_scalar,
                     freeze_arrays, is_integer, l1, readonly, rng_from)
 from .errors import (
     BadCount,
@@ -103,16 +104,16 @@ class Trajectory:
     def level_at(self, t) -> np.ndarray:
         """Linear interpolation of Q; the last level after the grid once drained.
 
-        Raises ShiftBeyondHorizon for a NaN time, for a time past the grid
-        of an undrained trajectory, and the errors of ``_util.float_array``."""
+        Raises ShiftBeyondHorizon for a negative or NaN time, for a time past
+        the grid of an undrained trajectory, and the errors of
+        ``_util.float_array``."""
         t = float_array("time", t)
-        if not np.all(t <= self.grid[-1]):  # past the grid, or NaN
-            if np.isnan(t).any():
-                raise ShiftBeyondHorizon("NaN time in a level lookup")
-            if not self.drained:
-                # holding the final value is only sound once the run drained
-                # (the held state then sits below the emptiness threshold)
-                raise ShiftBeyondHorizon("time beyond the sampled horizon of an undrained trajectory")
+        if not np.all(t >= 0):
+            raise ShiftBeyondHorizon("negative or NaN time in a level lookup")
+        if not (self.drained or np.all(t <= self.grid[-1])):
+            # holding the final value is only sound once the run drained
+            # (the held state then sits below the emptiness threshold)
+            raise ShiftBeyondHorizon("time beyond the sampled horizon of an undrained trajectory")
         out = np.empty(t.shape + (self.K,))
         for k in range(self.K):
             out[..., k] = np.interp(t, self.grid, self.levels[:, k])
@@ -252,7 +253,8 @@ def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int, cont
     clamped at zero.  Returns the grid, states, cumulative controls and
     controls (one row per step) as arrays.
     """
-    check_horizon(horizon)
+    horizon = check_horizon(horizon)
+    h = float_scalar("step", h)
     if not (math.isfinite(h) and h > 0):
         raise BadStep(f"step must be finite and positive, got {h!r}")
     check_count("max_events", max_events)

@@ -42,6 +42,7 @@ from .errors import (
     EventBudgetExceeded,
     NegativeState,
     NoSeeds,
+    ShiftBeyondHorizon,
     UnknownLaw,
 )
 from .model import PRIORITY, NetworkSpec
@@ -122,8 +123,11 @@ class SamplePath:
         return int(self.counts.shape[1])
 
     def count_at(self, t, side: str = "right") -> np.ndarray:
-        """Queue lengths at time t; side='left' gives the pre-jump value."""
-        t = np.asarray(t, dtype=float)
+        """Queue lengths at time t >= 0 (else ShiftBeyondHorizon, and NaN too; text as
+        ``_util.float_array``); side='left' gives the pre-jump value."""
+        t = float_array("time", t)
+        if not np.all(t >= 0):
+            raise ShiftBeyondHorizon("negative or NaN time in a count lookup")
         idx = np.searchsorted(self.times, t, side=side) - 1
         idx = np.clip(idx, 0, len(self.times) - 1)
         return self.counts[idx]
@@ -168,7 +172,7 @@ def simulate_queueing(
         raise DimensionMismatch(f"initial counts have shape {q_arr.shape}, expected ({net.K},)")
     if np.any(q_arr < 0):
         raise NegativeState(f"queue lengths must be nonnegative, got {q_arr.tolist()}")
-    check_horizon(horizon)
+    horizon = check_horizon(horizon)
     check_count("max_events", max_events)
     rng = rng_from(seed)
     exponential = rng.exponential

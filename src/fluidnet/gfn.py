@@ -50,15 +50,21 @@ def scale(traj: Trajectory, r: float) -> Trajectory:
     )
 
 
-def _state_at(traj: Trajectory, s: float):
-    """Interpolated (level, cumulative allocation) at time s within the grid."""
+def _cut(traj: Trajectory, what: str, s) -> tuple[float, np.ndarray, np.ndarray]:
+    """s as ``what`` (``_util.float_scalar``), checked as :func:`shift` says and
+    clamped to the grid, with the interpolated (level, cumulative allocation) there."""
+    s = float_scalar(what, s)
     grid = traj.grid
+    if not 0 <= s <= grid[-1] * (1 + 1e-12):
+        raise ShiftBeyondHorizon(f"{what} {s} outside [0, {grid[-1]}]")
+    s = min(s, float(grid[-1]))
     j = int(np.searchsorted(grid, s, side="right")) - 1
     j = min(max(j, 0), len(grid) - 1)
     if j == len(grid) - 1 or grid[j] == s:
-        return traj.levels[j].copy(), traj.allocation[j].copy()
+        return s, traj.levels[j].copy(), traj.allocation[j].copy()
     w = (s - grid[j]) / (grid[j + 1] - grid[j])
     return (
+        s,
         (1 - w) * traj.levels[j] + w * traj.levels[j + 1],
         (1 - w) * traj.allocation[j] + w * traj.allocation[j + 1],
     )
@@ -70,11 +76,7 @@ def shift(traj: Trajectory, s: float) -> Trajectory:
     Raises ShiftBeyondHorizon unless 0 <= s <= horizon (so for NaN too), and
     the errors of ``_util.float_scalar`` for a shift that is no number.
     """
-    s = float_scalar("shift", s)
-    if not 0 <= s <= traj.grid[-1] * (1 + 1e-12):
-        raise ShiftBeyondHorizon(f"shift {s} outside [0, {traj.grid[-1]}]")
-    s = min(s, float(traj.grid[-1]))
-    level0, alloc0 = _state_at(traj, s)
+    s, level0, alloc0 = _cut(traj, "shift", s)
     i = int(np.searchsorted(traj.grid, s, side="right"))  # stamps strictly after s
     grid = np.concatenate([[0.0], traj.grid[i:] - s])
     levels = np.vstack([level0, traj.levels[i:]])
@@ -93,11 +95,7 @@ def concatenate(traj1: Trajectory, t_star: float, traj2: Trajectory) -> Trajecto
     must have the same classes (DimensionMismatch); the cut time is checked
     as the shift of :func:`shift`."""
     check_classes(traj2, traj1.K)
-    t_star = float_scalar("cut time", t_star)
-    if not 0 <= t_star <= traj1.grid[-1] * (1 + 1e-12):
-        raise ShiftBeyondHorizon(f"cut time {t_star} outside [0, {traj1.grid[-1]}]")
-    t_star = min(t_star, float(traj1.grid[-1]))
-    level_cut, alloc_cut = _state_at(traj1, t_star)
+    t_star, level_cut, alloc_cut = _cut(traj1, "cut time", t_star)
     gap = l1(level_cut - traj2.levels[0])
     if gap > 1e-8 * (1.0 + l1(level_cut)):
         raise EndpointMismatch(
@@ -230,8 +228,9 @@ class NetworkPathFamily:
 
 
 def network_family(spec: NetworkSpec, horizon: float, h: float) -> NetworkPathFamily:
-    """Paths of ``spec`` under :func:`dynamics.default_selectors`."""
-    return NetworkPathFamily(spec, default_selectors(), horizon, h)
+    """Paths of ``spec`` under :func:`dynamics.default_selectors`, slow drain first
+    (MinDrain, MaxDrain, FirstVertex): the best-path search keeps the first tie."""
+    return NetworkPathFamily(spec, default_selectors()[::-1], horizon, h)
 
 
 def example_family(name: str) -> ExplicitPathFamily:

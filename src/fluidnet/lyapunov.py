@@ -25,18 +25,10 @@ import numpy as np
 
 from ._util import (check_count, check_factor, check_seed, child_seeds, float_array,
                     float_scalar, l1, linprog, square_matrix, to_jsonable)
-from .dynamics import (
-    ControlSelector,
-    FirstVertex,
-    MaxDrain,
-    MinDrain,
-    RandomVertex,
-    Trajectory,
-    simulate,
-)
+from .dynamics import MinDrain, RandomVertex, Trajectory, simulate
 from .errors import (BadCandidate, DimensionMismatch, DimensionTooLarge, NonFiniteInput,
                      ShiftBeyondHorizon, TruncatedWarning)
-from .gfn import ExplicitPathFamily, NetworkPathFamily
+from .gfn import NetworkPathFamily
 from .model import (
     CONFIGURATION_CAP,
     NetworkSpec,
@@ -53,11 +45,11 @@ def _mass(levels: np.ndarray) -> np.ndarray:
 def v_functional(traj: Trajectory, t: float) -> float:
     """Tail integral of the l1 level from time t onward; at t = 0 the total
     fluid.  Trapezoidal, so exact for piecewise-linear paths whose grid
-    contains the kinks.  A NaN time raises ShiftBeyondHorizon; a time that is
-    not one number raises as ``_util.float_scalar``."""
+    contains the kinks.  A negative or NaN time raises ShiftBeyondHorizon; a
+    time that is not one number raises as ``_util.float_scalar``."""
     t = float_scalar("time", t)
-    if np.isnan(t):
-        raise ShiftBeyondHorizon("tail integral from a NaN time")
+    if not t >= 0:
+        raise ShiftBeyondHorizon(f"tail integral from the negative or NaN time {t}")
     if not traj.drained:
         warnings.warn(
             "trajectory never drained; tail integral is a lower bound",
@@ -66,7 +58,6 @@ def v_functional(traj: Trajectory, t: float) -> float:
         )
     if t >= traj.grid[-1]:
         return 0.0
-    t = max(t, 0.0)
     grid = traj.grid
     mass = _mass(traj.levels)
     i = int(np.searchsorted(grid, t, side="right"))
@@ -175,38 +166,36 @@ class _PrefixSelector(MinDrain):
 _BRANCH_BASE = 3
 
 
-def approximate_V(family, x, budget: SearchBudget = SearchBudget()) -> VEstimate:
-    """Best total-fluid value over family paths through x.
-
-    Explicit families are enumerated exactly.  Network families are searched,
-    each run over the family's horizon with its step h: a deterministic
-    selector ensemble, branched vertex prefixes up to
-    ``budget.depth`` selections deep, and ``budget.multistarts`` random
-    rollouts; the result is the running max over all drained candidates, so
-    enlarging the budget never decreases the value.
-    """
-    x = float_array("state", x)
-    if isinstance(family, ExplicitPathFamily):
-        paths = family.paths_from(x)
-        values = [v_functional(p, 0.0) for p in paths]
-        best = int(np.argmax(values))
-        return VEstimate(float(values[best]), paths[best], "exact")
-    if not isinstance(family, NetworkPathFamily):
-        raise TypeError(f"unsupported family type {type(family)!r}")
-
-    selectors: list[ControlSelector] = [MinDrain(), MaxDrain(), FirstVertex()]
+def _search_runs(family: NetworkPathFamily, x, budget: SearchBudget):
+    """The budget's prefix and random runs of a network family, one at a time."""
     for depth in range(1, budget.depth + 1):
         for prefix in itertools.product(range(_BRANCH_BASE), repeat=depth):
-            selectors.append(_PrefixSelector(prefix))
-    if budget.multistarts > 0:
-        selectors.extend(RandomVertex(s) for s in child_seeds(budget.seed, budget.multistarts))
+            yield simulate(family.spec, x, _PrefixSelector(prefix), family.horizon, family.h)
+    for seed in child_seeds(budget.seed, budget.multistarts):
+        yield simulate(family.spec, x, RandomVertex(seed), family.horizon, family.h)
+
+
+def approximate_V(family, x, budget: SearchBudget = SearchBudget()) -> VEstimate:
+    """Best total-fluid value over family paths through x, the first of equal values.
+
+    The runs start with ``family.paths_from(x)``, all an explicit family has,
+    so its value is exact.  A network family's search adds, each run over the
+    family's horizon with its step h, branched vertex prefixes up to
+    ``budget.depth`` selections deep and ``budget.multistarts`` random
+    rollouts; its value, the running max over drained runs, is a lower bound
+    that a larger budget never decreases.
+    """
+    x = float_array("state", x)
+    searched = isinstance(family, NetworkPathFamily)
+    runs = family.paths_from(x)
+    if searched:
+        runs = itertools.chain(runs, _search_runs(family, x, budget))
 
     best_value = -np.inf
     best_traj = None
     best_undrained = None
     best_undrained_value = -np.inf
-    for sel in selectors:
-        traj = simulate(family.spec, x, sel, family.horizon, family.h)
+    for traj in runs:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncatedWarning)
             value = v_functional(traj, 0.0)
@@ -216,7 +205,7 @@ def approximate_V(family, x, budget: SearchBudget = SearchBudget()) -> VEstimate
         elif value > best_undrained_value:
             best_undrained_value, best_undrained = value, traj
     if best_traj is not None:
-        return VEstimate(best_value, best_traj, "lower_bound")
+        return VEstimate(best_value, best_traj, "lower_bound" if searched else "exact")
     final_masses = _mass(best_undrained.levels)
     status = "diverged" if final_masses[-1] >= l1(x) else "not_drained"
     return VEstimate(best_undrained_value, best_undrained, status)

@@ -112,7 +112,7 @@ class LspInstance:
     Raises DimensionMismatch for a theta that is not a nonempty vector, for
     inconsistent shapes or a ragged nesting, NonFiniteInput for NaN, infinity
     or an entry that is not a number in theta, R or Z0, NegativeState for a
-    negative Z0 and BadPushBound for a push bound that is not a positive number.
+    negative Z0 and BadPushBound for a push bound that is not a finite positive number.
     """
 
     theta: np.ndarray
@@ -136,8 +136,8 @@ class LspInstance:
         bound = self.push_bound
         if bound is None:
             bound = _default_push_bound(theta, r)
-        if not (isinstance(bound, numbers.Real) and bound > 0):  # a numpy scalar is Real
-            raise BadPushBound(f"push bound must be a positive number, got {bound!r}")
+        if not (isinstance(bound, numbers.Real) and 0 < bound < np.inf):  # numpy scalars too
+            raise BadPushBound(f"push bound must be a positive number, and finite, got {bound!r}")
         for name, val in arrays.items():
             object.__setattr__(self, name, val)
         object.__setattr__(self, "push_bound", float(bound))

@@ -43,7 +43,7 @@ from fluidnet.errors import (
 )
 from fluidnet.fluidlimit import concatenation_evidence, fluid_limit_compare, simulate_queueing
 from fluidnet.gfn import (
-    axiom_report, concatenate, example_family, lipschitz_estimate, shift, uoc_distance,
+    axiom_report, concatenate, example_family, lipschitz_estimate, scale, shift, uoc_distance,
 )
 from fluidnet.lyapunov import (
     SearchBudget, approximate_V, check_decrease, piecewise_linear_check, quadratic_check,
@@ -90,6 +90,24 @@ SITES = {
         BadCount, lambda: draining_time(fixtures.tandem(), selectors=(), samples=0)),
     "negative RandomVertex seed": (BadSeed, lambda: RandomVertex(-1)),
     "v_functional at a text time": (NonFiniteInput, lambda: v_functional(tandem_path(), "a")),
+    "scale at a text factor": (NonFiniteInput, lambda: scale(tandem_path(), "a")),
+    "simulate at a text horizon": (
+        NonFiniteInput, lambda: simulate(fixtures.tandem(), [1, 0], MaxDrain(), "a", 0.1)),
+    "simulate at a text step": (
+        NonFiniteInput, lambda: simulate(fixtures.tandem(), [1, 0], MaxDrain(), 1.0, "x")),
+    "level_at a negative time": (ShiftBeyondHorizon, lambda: tandem_path().level_at(-1.0)),
+    "v_functional from a negative time": (
+        ShiftBeyondHorizon, lambda: v_functional(tandem_path(), -1.0)),
+    "count_at a text time": (NonFiniteInput, lambda: queue_path().count_at("a")),
+    **{
+        f"count_at time {bad!r}": (ShiftBeyondHorizon, lambda bad=bad: queue_path().count_at(bad))
+        for bad in (-1.0, float("nan"), [0.5, -1.0])
+    },
+    **{
+        f"LspInstance push bound {bad!r}": (
+            BadPushBound, lambda bad=bad: LspInstance([-1.0], [[1.0]], [1.0], push_bound=bad))
+        for bad in (float("inf"), np.float64("inf"))
+    },
     **{
         f"scale invariance at scale {r}": (
             BadFactor,
@@ -148,6 +166,17 @@ def one_station_priority(ranks):
 
 def run_tandem(max_events):
     return simulate(fixtures.tandem(), [1.0, 0.0], FirstVertex(), 1.0, 0.1, max_events=max_events)
+
+
+def queue_path():
+    return simulate_queueing(fixtures.queueing_two_class_priority(), [3, 2], 5.0, 1)
+
+
+def test_count_at_holds_the_last_counts_past_the_path():
+    """No upper bound: a scaled path ends at (r horizon) / r, which can fall an
+    ulp short of the horizon at which its counts are read."""
+    path = queue_path()
+    assert np.array_equal(path.count_at(path.times[-1] + 1.0), path.counts[-1])
 
 
 def run_queue(max_events):
@@ -262,6 +291,13 @@ MISMATCH_SITES = {
     "quadratic candidate of 3 x 3": lambda: quadratic_check(fixtures.tandem(), np.eye(3)),
     "flat quadratic candidate": lambda: quadratic_check(fixtures.tandem(), [1.0, 0.0, 0.0, 1.0]),
     "v_functional at a vector time": lambda: v_functional(tandem_path(), [0.5, 1.0]),
+    "scale factor of two entries": lambda: scale(tandem_path(), [1.0, 2.0]),
+    "simulate horizon of one entry": (
+        lambda: simulate(fixtures.tandem(), [1, 0], MaxDrain(), [1.0], 0.1)),
+    "simulate horizon of two entries": (
+        lambda: simulate(fixtures.tandem(), [1, 0], MaxDrain(), np.ones(2), 0.1)),
+    "simulate step of one entry": (
+        lambda: simulate(fixtures.tandem(), [1, 0], MaxDrain(), 1.0, np.array([0.1]))),
 }
 
 
@@ -309,6 +345,10 @@ MALFORMED_SITES = {
     "v_functional time": lambda v: v_functional(tandem_path(), v),
     "shift time": lambda v: shift(tandem_path(), v),
     "concatenate cut time": lambda v: concatenate(tandem_path(), v, tandem_path()),
+    "scale factor": lambda v: scale(tandem_path(), v),
+    "simulate horizon": lambda v: simulate(fixtures.tandem(), [1, 0], MaxDrain(), v, 0.1),
+    "simulate step": lambda v: simulate(fixtures.tandem(), [1, 0], MaxDrain(), 1.0, v),
+    "count_at time": lambda v: queue_path().count_at(v),
 }
 
 
