@@ -231,14 +231,6 @@ def _viable_polytope(spec: NetworkSpec, zeros) -> np.ndarray:
     return verts
 
 
-def zero_invariant(spec: NetworkSpec) -> bool:
-    """True when the empty state can be held: the balancing allocation is admissible."""
-    u = spec.nominal_allocation()
-    if np.any(u < -1e-12):
-        return False
-    return bool(np.all(spec.capacity @ u <= 1 + 1e-9))
-
-
 def _event_split(x0: np.ndarray, horizon: float, h: float, max_events: int, control):
     """Euler steps of at most h, cut at the earliest zero crossing.
 
@@ -303,7 +295,7 @@ def simulate(spec: NetworkSpec, x0, selector: ControlSelector, horizon: float, h
     checkpoints every ``h``.  Steps are cut at the earliest zero crossing so
     stamps land exactly on the boundary.  The first stamp with every class
     below the emptiness threshold ends the run if the empty state can be held
-    (:func:`zero_invariant`); it is ``drained_at``.
+    (``spec.holds_zero``); it is ``drained_at``.
     A negative or non-finite horizon raises BadHorizon, a step that is not
     finite and positive BadStep, a non-finite initial state NonFiniteInput, a
     negative one NegativeState and a ``max_events`` that is no nonnegative
@@ -320,28 +312,26 @@ def simulate(spec: NetworkSpec, x0, selector: ControlSelector, horizon: float, h
 
     eps = empty_threshold(x0)
     selector.start_run()
-    can_hold_zero = zero_invariant(spec)
-    velocity_map = -spec.outflow.T
     polytopes = spec.polytopes  # near-zero classes -> (vertices, drift, rows)
     drained_at = None  # the stamp at which select found the run drained
 
     def select(t, q):
         nonlocal drained_at
         zeros = frozenset(k for k, level in enumerate(q) if level < eps)
-        if can_hold_zero and len(zeros) == spec.K:
+        if spec.holds_zero and len(zeros) == spec.K:
             drained_at = t
             return None
         entry = polytopes.get(zeros)
         if entry is None:
             verts = _viable_polytope(spec, zeros)
-            drift = readonly("drift", np.round((verts @ velocity_map + spec.alpha).sum(axis=1), 12))
-            entry = polytopes[zeros] = (verts, drift, {})
+            drift = np.round((verts @ -spec.outflow.T + spec.alpha).sum(axis=1), 12)
+            entry = polytopes[zeros] = (verts, readonly("drift", drift), {})
         verts, drift, rows = entry
         i = operator.index(selector.choose(t, q, verts, drift))
         if i not in rows:
             if not 0 <= i < len(verts):
                 raise IndexError(f"vertex index {i} outside 0..{len(verts) - 1}")
-            # not the row of verts @ velocity_map, which can differ in the last bits
+            # not the row of verts @ -outflow.T, which can differ in the last bits
             rows[i] = tuple(verts[i].tolist()), tuple(rhs(spec, verts[i]).tolist())
         return (*rows[i], ())
 

@@ -122,9 +122,13 @@ class SamplePath:
     def K(self) -> int:
         return int(self.counts.shape[1])
 
-    def count_at(self, t, side: str = "right") -> np.ndarray:
+    def count_at(self, t) -> np.ndarray:
         """Queue lengths at time t >= 0 (else ShiftBeyondHorizon, and NaN too; text as
-        ``_util.float_array``); side='left' gives the pre-jump value."""
+        ``_util.float_array``), right continuous."""
+        return self._counts(t, "right")
+
+    def _counts(self, t, side: str) -> np.ndarray:
+        """:meth:`count_at`, or with side 'left' the pre-jump values."""
         t = float_array("time", t)
         if not np.all(t >= 0):
             raise ShiftBeyondHorizon("negative or NaN time in a count lookup")
@@ -292,8 +296,8 @@ def distance_to_fluid(scaled: SamplePath, traj: Trajectory, horizon: float):
     """
     pts = window_points(horizon, traj.grid, scaled.times)
     fluid = traj.level_at(pts)
-    diff_right = scaled.count_at(pts, side="right") - fluid
-    diff_left = scaled.count_at(pts, side="left") - fluid
+    diff_right = scaled._counts(pts, "right") - fluid
+    diff_left = scaled._counts(pts, "left") - fluid
     gap_right = np.abs(diff_right).sum(axis=1)
     gap_left = np.abs(diff_left).sum(axis=1)
     sup = float(np.maximum(gap_right, gap_left).max())
@@ -334,11 +338,11 @@ def _nearest_fluid(spec: NetworkSpec, x0, horizon: float, h: float):
 
     def nearest(scaled: SamplePath):
         pts = window_points(horizon, scaled.times)
-        counts = scaled.count_at(pts, side="right"), scaled.count_at(pts, side="left")
+        counts = scaled._counts(pts, "right"), scaled._counts(pts, "left")
 
         def sup(traj):
             stamps = traj.grid[traj.grid <= horizon]
-            own = scaled.count_at(stamps, side="right"), scaled.count_at(stamps, side="left")
+            own = scaled._counts(stamps, "right"), scaled._counts(stamps, "left")
             return max(_sup_gap(traj, pts, *counts), _sup_gap(traj, stamps, *own))
 
         return distance_to_fluid(scaled, min(trajs, key=sup), horizon)

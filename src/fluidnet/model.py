@@ -97,16 +97,19 @@ class NetworkSpec:
     """Validated, immutable description of a fluid network.
 
     Construct through :func:`validate`; the constructor itself performs no
-    checking.  ``priority`` holds one rank per class (lower rank = served
-    first); it is None for work-conserving networks.  ``members`` lists the
-    classes that must be empty for each capacity row to be empty.
-    ``polytopes`` is ``dynamics.simulate``'s cache: it maps each set of
-    near-zero classes that a run on this spec met to ``(vertices, drift,
-    rows)``: the read-only viable vertices, their drift (d/dt of the total
-    mass, rounded to 12 decimals) and a dict that maps each vertex index
-    picked so far to its control and velocity as tuples of floats.  Every run
-    on the same spec object shares them (at most 2^K entries; a run that
-    meets the all-zero set ends there if the empty state can be held).
+    checking, and a singular ``outflow``, which ``validate`` rules out, raises
+    numpy's LinAlgError.  ``priority`` holds one rank per class (lower rank =
+    served first); it is None for work-conserving networks.  ``members`` lists
+    the classes that must be empty for each capacity row to be empty.
+    ``holds_zero`` is true when the empty state can be held: the balancing
+    allocation (:meth:`nominal_allocation`) is admissible.  ``polytopes`` is
+    ``dynamics.simulate``'s cache: it maps each set of near-zero classes that
+    a run on this spec met to ``(vertices, drift, rows)``: the read-only
+    viable vertices, their drift (d/dt of the total mass, rounded to 12
+    decimals) and a dict that maps each vertex index picked so far to its
+    control and velocity as tuples of floats.  Every run on the same spec
+    object shares them (at most 2^K entries; a run that meets the all-zero
+    set ends there if ``holds_zero``).
     """
 
     alpha: np.ndarray
@@ -120,6 +123,7 @@ class NetworkSpec:
     station_classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     capacity: np.ndarray = field(init=False, repr=False)
     members: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    holds_zero: bool = field(init=False, repr=False)
     polytopes: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -143,6 +147,9 @@ class NetworkSpec:
             members = tuple((m,) for m in range(k))
         object.__setattr__(self, "capacity", readonly("capacity", capacity))
         object.__setattr__(self, "members", members)
+        u = self.nominal_allocation()
+        holds = np.all(u >= -1e-12) and np.all(self.capacity @ u <= 1 + 1e-9)
+        object.__setattr__(self, "holds_zero", bool(holds))
         object.__setattr__(self, "polytopes", {})
 
     @property

@@ -116,27 +116,20 @@ def instability_witness(
     """Search for a unit-mass path whose mass never falls below one.
 
     Greedy growth-seeking selectors (slowest drain) plus random restarts run
-    from basis vectors and random simplex starts; the best path by worst-case
-    mass is returned when its infimum stays within 1e-6 of one.  A negative
-    ``samples`` or ``multistarts`` raises BadCount.
+    from basis vectors and random simplex starts.  Returns the first run, in
+    start-then-selector order, that does not drain and whose mass never falls
+    below 1 - 1e-6, else None.  A negative ``samples`` or ``multistarts``
+    raises BadCount.
     """
     check_count("multistarts", multistarts)
     starts = unit_sphere_states(spec.K, samples, seed)
     selectors: list[ControlSelector] = [MinDrain(), FirstVertex()]
     selectors.extend(RandomVertex(s) for s in child_seeds(seed, multistarts))
-
-    best_inf = -np.inf
-    best_traj = None
     for x in starts:
         for sel in selectors:
             traj = simulate(spec, x, sel, horizon, h)
-            if traj.drained:
-                continue
-            inf_mass = float(np.abs(traj.levels).sum(axis=1).min())
-            if inf_mass > best_inf:
-                best_inf, best_traj = inf_mass, traj
-            if best_inf >= 1.0 - 1e-6:
-                return best_traj
+            if not traj.drained and np.abs(traj.levels).sum(axis=1).min() >= 1.0 - 1e-6:
+                return traj
     return None
 
 

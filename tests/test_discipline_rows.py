@@ -18,7 +18,6 @@ from fluidnet.dynamics import (
     complementarity_residual,
     idle,
     simulate,
-    zero_invariant,
 )
 from fluidnet.errors import StepTooLarge
 from fluidnet.model import (
@@ -172,7 +171,7 @@ def test_empty_rows_agree(name, spec):
 
 @pytest.mark.parametrize("name,spec", NETWORKS, ids=IDS)
 def test_zero_invariant_equal(name, spec):
-    assert zero_invariant(spec) == reference_zero_invariant(spec)
+    assert spec.holds_zero == reference_zero_invariant(spec)
 
 
 @pytest.mark.parametrize("name,spec", NETWORKS, ids=IDS)

@@ -15,13 +15,13 @@ from fluidnet.dynamics import (
     _viable_polytope,
     check_trajectory,
     complementarity_residual,
+    default_selectors,
     flow_balance_residual,
     idle,
     lipschitz_constant,
     rhs,
     simulate,
     trajectory_csv,
-    zero_invariant,
 )
 from fluidnet.errors import (
     BadHorizon,
@@ -366,9 +366,24 @@ class TestViability:
         self.assert_viable(overloaded_queue, [0.0])
 
     def test_zero_invariant(self):
-        assert zero_invariant(fixtures.single_queue())
-        assert zero_invariant(fixtures.lu_kumar())
-        assert not zero_invariant(fixtures.overloaded_queue())
+        assert fixtures.single_queue().holds_zero
+        assert fixtures.lu_kumar().holds_zero
+        assert not fixtures.overloaded_queue().holds_zero
+
+    def test_simulate_solves_no_balance_equation(self, monkeypatch):
+        """``holds_zero`` is derived with the spec, so a run solves nothing for it."""
+        spec = fixtures.tandem()
+        calls = []
+        real = NetworkSpec.nominal_allocation
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(NetworkSpec, "nominal_allocation", counted)
+        for selector in default_selectors():
+            assert simulate(spec, [1.0, 0.5], selector, 10.0, 0.05).drained
+        assert calls == []
 
 
 class TestResiduals:

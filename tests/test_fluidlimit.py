@@ -158,7 +158,7 @@ class TestJumpInstants:
         scaled = path.scaled(r)
         jumps = scaled.times[1:]
         assert np.array_equal(scaled.count_at(jumps), path.counts[1:] / r)
-        assert np.array_equal(scaled.count_at(jumps, side="left"), path.counts[:-1] / r)
+        assert np.array_equal(scaled._counts(jumps, "left"), path.counts[:-1] / r)
 
     def test_distance_matches_pointwise_reference(self):
         r, horizon = 100.0, 2.0

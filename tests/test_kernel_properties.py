@@ -14,7 +14,6 @@ from fluidnet.dynamics import (
     flow_balance_residual,
     idle,
     simulate,
-    zero_invariant,
 )
 from fluidnet.errors import StepTooLarge
 from fluidnet.fluidlimit import DETERMINISTIC, EXPONENTIAL, QueueingSpec, simulate_queueing
@@ -123,7 +122,7 @@ def test_fluid_trajectory_invariants(spec, x0, selector, h):
     assert flow_balance_residual(spec, traj) <= 1e-7 * (1.0 + l1(x0))
     assert traj.levels.min() >= 0.0
     assert np.diff(idle(spec, traj), axis=0).min(initial=0.0) >= -1e-10
-    assert traj.drained_at is None or zero_invariant(spec)
+    assert traj.drained_at is None or spec.holds_zero
 
 
 @settings(max_examples=60, deadline=None)

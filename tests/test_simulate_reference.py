@@ -28,10 +28,10 @@ from fluidnet.dynamics import (
     Trajectory,
     _viable_polytope as viable_polytope,
     simulate,
-    zero_invariant,
 )
 from fluidnet.errors import StepTooLarge
 from fluidnet.model import PRIORITY, WORK_CONSERVING, empty_rows, empty_threshold
+from test_discipline_rows import reference_zero_invariant
 from test_enumerate import random_network
 
 
@@ -53,7 +53,7 @@ def reference_simulate(spec, x0, selector, horizon, h, *, max_events=1_000_000):
     x0 = np.maximum(np.asarray(x0, dtype=float).copy(), 0.0)
     eps = empty_threshold(x0)
     selector.start_run()
-    can_hold_zero = zero_invariant(spec)
+    can_hold_zero = reference_zero_invariant(spec)
 
     q = x0.copy()
     total_alloc = np.zeros(spec.K)

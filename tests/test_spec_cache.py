@@ -26,7 +26,6 @@ from fluidnet.dynamics import (
     MinDrain,
     RandomVertex,
     simulate,
-    zero_invariant,
 )
 from fluidnet.errors import StepTooLarge
 from fluidnet.gfn import axiom_report
@@ -99,7 +98,7 @@ def test_one_enumeration_per_near_zero_set(monkeypatch, name, selector):
     assert len(built) == len(met)
     assert set(spec.polytopes) == {frozenset(np.flatnonzero(row).tolist()) for row in met}
     assert enumerated == []
-    assert zero_invariant(spec)
+    assert spec.holds_zero
     assert frozenset(range(spec.K)) not in spec.polytopes
     if name != "lu_kumar":  # lu_kumar does not drain under MinDrain
         assert traj.drained and traj.grid[-1] == traj.drained_at

@@ -3,6 +3,7 @@ import pytest
 
 from fluidnet import fixtures
 from fluidnet._util import child_seeds, rng_from
+from fluidnet.dynamics import MinDrain, simulate
 from fluidnet.errors import BadCount, BadSeed
 from fluidnet.stability import (
     Verdict,
@@ -69,6 +70,15 @@ class TestInstabilityWitness:
         m = mass(witness)
         assert m.min() >= 1.0 - 1e-6
         assert m[-1] >= 5.0
+
+    def test_lu_kumar_witness_is_the_first_run(self, lu_kumar):
+        """The search returns its first hit: MinDrain from the first basis state."""
+        witness = instability_witness(lu_kumar, horizon=50.0, h=0.01, samples=0,
+                                      multistarts=0)
+        first = simulate(lu_kumar, np.eye(lu_kumar.K)[0], MinDrain(), 50.0, 0.01)
+        for name in ("grid", "levels", "allocation", "controls"):
+            assert np.array_equal(getattr(witness, name), getattr(first, name))
+        assert witness.drained_at is None
 
     def test_lu_kumar_loads_below_one(self, lu_kumar):
         assert np.all(lu_kumar.traffic_intensity() < 1.0)
