@@ -60,7 +60,7 @@ class PushBoundExceeded(FluidNetError):
 
 class DimensionTooLarge(FluidNetError):
     """Combinatorial check refused: too many principal submatrices, active indices,
-    boundary configurations, or admissible vertices (past 2^16 in certificate search)."""
+    boundary configurations, or admissible vertices."""
 
 
 class BadHorizon(FluidNetError):

@@ -6,11 +6,10 @@ as a stability functional: it is squeezed between explicit comparison
 functions built from the Lipschitz constant and the draining time, and it
 decreases along every path at least as fast as the current mass.
 
-Certificates are checked against the drift set: linear candidates by one LP
-over the vertex velocities of the all-empty admissible polytope without its
-origin (the vertices of every proper boundary configuration, see
-``model.admissible_polytope``), piecewise-linear candidates by one
-feasibility LP per boundary configuration and piece, and quadratic
+Certificates are checked against each boundary configuration's worst drift,
+read off the per-station options (:func:`_worst_drift`), with no vertex list:
+linear candidates by one LP over those options, piecewise-linear candidates
+by one feasibility LP per boundary configuration and piece, and quadratic
 candidates by an exact copositivity test and a drift test at the K corners
 of the simplex.  All three are exact; none samples states.
 """
@@ -25,16 +24,16 @@ import numpy as np
 
 from ._util import (check_count, check_factor, check_seed, child_seeds, float_array,
                     float_scalar, l1, linprog, square_matrix, to_jsonable)
-from .dynamics import MinDrain, RandomVertex, Trajectory, simulate
+from .dynamics import MinDrain, RandomVertex, Trajectory, rhs, simulate
 from .errors import (BadCandidate, DimensionMismatch, DimensionTooLarge, NonFiniteInput,
                      ShiftBeyondHorizon, TruncatedWarning)
 from .gfn import NetworkPathFamily
 from .model import (
     CONFIGURATION_CAP,
     NetworkSpec,
-    admissible_polytope,
     boundary_configurations,
     empty_rows,
+    station_options,
 )
 
 
@@ -303,33 +302,43 @@ class Certificate:
         )
 
 
+def _worst_drift(spec: NetworkSpec, empty, w: np.ndarray):
+    """The largest w . v over configuration ``empty``'s admissible velocities,
+    and a vertex control attaining it: as w . v = w . alpha - c . u with
+    c = outflow^T w, each station takes its cheapest option, idling at cost 0."""
+    cost = np.append(spec.outflow.T @ w, 0.0)  # index K is the idle option
+    control = np.zeros(spec.K + 1)
+    for options in station_options(spec, empty):
+        control[options[int(np.argmin(cost[options]))]] = 1.0
+    return float(w @ rhs(spec, control[:-1])), control[:-1]
+
+
 def linear_certificate_search(spec: NetworkSpec) -> Certificate:
     """One LP for a positive weight vector with uniformly negative drift.
 
     Finds h in [1e-6, 1]^K maximizing the margin epsilon >= 1e-6 subject to
-    h . v <= -epsilon for every admissible vertex velocity v of every
-    proper boundary configuration.  Each of their polytopes is a face of the
-    all-empty one, and together they hold all its vertices but the origin,
-    which :func:`model.vertex_order` sorts first.  Infeasibility yields
-    Unknown, never Falsified: linear certificates are sufficient, not
-    necessary.
+    h . v <= -epsilon at every vertex velocity v of every proper boundary
+    configuration: every vertex of the all-empty polytope but the origin.
+    Such a vertex serves a class k; each other station j costs z_j <= 0
+    (idle) and z_j <= c_l (its classes l), c = outflow^T h.  So K + J + 1
+    variables, 2K rows: h . alpha + epsilon <= c_k + sum_{j != st(k)} z_j.
+    Infeasibility yields Unknown, never Falsified: linear certificates are
+    sufficient, not necessary.
     """
-    verts = admissible_polytope(spec, range(spec.capacity.shape[0]))[1:]
-    drifts = verts @ (-spec.outflow.T) + spec.alpha
     k = spec.K
-    n = drifts.shape[0]
-    c = np.zeros(k + 1)
+    options = station_options(spec, range(spec.capacity.shape[0]))  # every class, and idle
+    at_station = np.array([[m in served for served in options] for m in range(k)], dtype=float)
+    a_ub = np.block([[-spec.outflow.T, at_station, np.zeros((k, 1))],
+                     [spec.alpha - spec.outflow.T, at_station - 1.0, np.ones((k, 1))]])
+    c = np.zeros(a_ub.shape[1])
     c[-1] = -1.0  # maximize epsilon
-    a_ub = np.hstack([drifts, np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    bounds = [(1e-6, 1.0)] * k + [(1e-6, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds)
-    meta = {"drift_rows": int(n)}
+    bounds = [(1e-6, 1.0)] * k + [(None, 0.0)] * len(options) + [(1e-6, None)]
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * k), bounds=bounds)
     if not res.success:
-        return Certificate("linear", {"h": None}, 0.0, "Unknown", meta=meta)
+        return Certificate("linear", {"h": None}, 0.0, "Unknown")
     h = res.x[:k]
     eps = float(res.x[-1])
-    return Certificate("linear", {"h": h.tolist()}, eps, "Verified", meta=meta)
+    return Certificate("linear", {"h": h.tolist()}, eps, "Verified")
 
 
 def _verdict(kind, data, margin, witness, epsilon) -> Certificate:
@@ -355,8 +364,10 @@ def piecewise_linear_check(spec: NetworkSpec, h_list, *, epsilon: float = 1e-6) 
     make a witness.  Nonnegative pieces with no all-zero coordinate are
     positive on the orthant.  The margin is the worst -h_j . v over every
     (E, j) whose LP is feasible.  The pieces must form an (N >= 1, K) array
-    (DimensionMismatch; a K-vector is one piece) of finite entries (NonFiniteInput).
+    (DimensionMismatch; a K-vector is one piece) of finite entries (NonFiniteInput),
+    and epsilon finite and positive (BadFactor).
     """
+    epsilon = check_factor("epsilon", epsilon)
     h_mat = np.atleast_2d(float_array("pieces", h_list))
     if h_mat.ndim != 2 or not len(h_mat) or h_mat.shape[1] != spec.K:
         raise DimensionMismatch(f"pieces need shape (N >= 1, {spec.K}), got {h_mat.shape}")
@@ -368,21 +379,19 @@ def piecewise_linear_check(spec: NetworkSpec, h_list, *, epsilon: float = 1e-6) 
         raise BadCandidate("some coordinate is zero in every piece; candidate vanishes")
     margin, witness = np.inf, None
     for empty in boundary_configurations(spec):
-        verts = admissible_polytope(spec, empty)
-        piece_derivs = h_mat @ (verts @ (-spec.outflow.T) + spec.alpha).T  # (piece, vertex)
         zero = {k for row in empty for k in spec.members[row]}
         bounds = [(0.0, 0.0 if k in zero else None) for k in range(spec.K)]
-        for j, derivs in enumerate(piece_derivs):
-            worst = int(np.argmax(derivs))
-            if -derivs[worst] >= margin:
+        for j, piece in enumerate(h_mat):
+            derivative, control = _worst_drift(spec, empty, piece)
+            if -derivative >= margin:
                 continue  # cannot lower the margin, feasible or not
-            res = linprog(np.zeros(spec.K), A_ub=h_mat - h_mat[j], b_ub=np.zeros(len(h_mat)),
+            res = linprog(np.zeros(spec.K), A_ub=h_mat - piece, b_ub=np.zeros(len(h_mat)),
                           A_eq=np.ones((1, spec.K)), b_eq=[1.0], bounds=bounds)
             if res.status == 2:
                 continue  # infeasible: piece j is nowhere on top on this face
-            margin = float(-derivs[worst])
+            margin = -derivative
             witness = {"state": np.maximum(res.x, 0.0).tolist(), "piece": j,
-                       "control": verts[worst].tolist(), "derivative": -margin,
+                       "control": control.tolist(), "derivative": derivative,
                        "reason": "drift not sufficiently negative"}
     return _verdict("piecewise_linear", {"h_list": h_mat.tolist()}, margin, witness, epsilon)
 
@@ -429,8 +438,9 @@ def quadratic_check(spec: NetworkSpec, a_matrix, *, epsilon: float = 1e-6) -> Ce
     state is a corner e_k; every state with class k nonempty empties only
     rows that do not cover k, so its polytope lies inside e_k's.  The drift
     check therefore takes the K corners, each over its own polytope.  A must be
-    a finite K x K matrix (``_util.square_matrix``).
+    a finite K x K matrix (``_util.square_matrix``), and epsilon finite and positive.
     """
+    epsilon = check_factor("epsilon", epsilon)
     a = square_matrix("quadratic candidate", a_matrix, spec.K)
     a = 0.5 * (a + a.T)
     data = {"A": a.tolist()}
@@ -441,11 +451,10 @@ def quadratic_check(spec: NetworkSpec, a_matrix, *, epsilon: float = 1e-6) -> Ce
         return _verdict("quadratic", data, -np.inf, witness, epsilon)
     margin, witness = np.inf, None
     for k in range(spec.K):
-        verts = admissible_polytope(spec, empty_rows(spec, set(range(spec.K)) - {k}))
-        derivs = 2.0 * (verts @ (-spec.outflow.T) + spec.alpha) @ a[k]
-        worst = int(np.argmax(derivs))
-        if -derivs[worst] < margin:
-            margin = float(-derivs[worst])
-            witness = {"state": np.eye(spec.K)[k].tolist(), "control": verts[worst].tolist(),
-                       "derivative": -margin, "reason": "drift not sufficiently negative"}
+        corner = empty_rows(spec, set(range(spec.K)) - {k})
+        derivative, control = _worst_drift(spec, corner, 2.0 * a[k])
+        if -derivative < margin:
+            margin = -derivative
+            witness = {"state": np.eye(spec.K)[k].tolist(), "control": control.tolist(),
+                       "derivative": derivative, "reason": "drift not sufficiently negative"}
     return _verdict("quadratic", data, margin, witness, epsilon)

@@ -11,9 +11,9 @@ that depends on which capacity rows (``NetworkSpec.capacity``) are empty: one
 per station, its constituency row, when work-conserving; one per class m, over
 the classes at m's station ranked no later than m, under priority.  Busy rows
 are used at full rate, empty rows may idle.  Each row covers classes of one
-station, so the admissible set is a product of per-station simplices, and
-:func:`admissible_polytope` builds its vertices in closed form;
-:func:`cut_polytope` adds ``simulate``'s viability rows to it one at a time.
+station, so the admissible set is a product of per-station simplices (see
+:func:`station_options`), and :func:`admissible_polytope` builds its vertices
+in closed form; :func:`cut_polytope` adds ``simulate``'s viability rows one at a time.
 The subset enumerator :func:`enumerate_polytope_vertices` is not called here:
 it is the tests' reference and the benchmark tracer's hook.  A polytope is its
 read-only vertex array, one row per vertex, in :func:`vertex_order`.
@@ -365,23 +365,26 @@ work_conserving_constraints = priority_constraints = admissible_constraints
 CONFIGURATION_CAP = 16
 
 
-def admissible_polytope(spec: NetworkSpec, empty=()) -> np.ndarray:
-    """Vertices of the admissible allocation rates when the capacity rows in
-    ``empty`` are empty, one row each, in :func:`vertex_order`.
-
-    Each capacity row covers the classes of one station, so the set is a
-    product of per-station simplices: at a vertex each station serves one of
-    its classes at full rate (u_k = 1) or idles, and a station keeps only the
-    options that hold its busy rows with equality.  A product of more than
-    2^CONFIGURATION_CAP vertices raises DimensionTooLarge before it is built;
-    an out-of-range row raises DimensionMismatch.
-    """
+def station_options(spec: NetworkSpec, empty) -> list[list[int]]:
+    """Per station, what a vertex of the admissible set may do when the capacity
+    rows in ``empty`` are empty: serve one class k at full rate (u_k = 1) or idle,
+    written K, keeping only the options that hold its busy rows with equality.
+    An out-of-range row raises DimensionMismatch."""
     busy = admissible_constraints(spec, empty)[0]
-    idle = spec.K  # a spare column collects the stations that idle
     options = []
     for classes in spec.station_classes:
         rows = busy[busy[:, classes].any(axis=1)]
-        options.append([k for k in classes if rows[:, k].all()] + ([] if rows.size else [idle]))
+        options.append([k for k in classes if rows[:, k].all()] + ([] if rows.size else [spec.K]))
+    return options
+
+
+def admissible_polytope(spec: NetworkSpec, empty=()) -> np.ndarray:
+    """Vertices of the admissible allocation rates when the capacity rows in
+    ``empty`` are empty, one row each, in :func:`vertex_order`: the product of
+    the :func:`station_options`, refused past 2^CONFIGURATION_CAP vertices with
+    DimensionTooLarge before it is built."""
+    options = station_options(spec, empty)
+    idle = spec.K  # a spare column collects the stations that idle
     count = math.prod(map(len, options))
     if count > 2 ** CONFIGURATION_CAP:
         raise DimensionTooLarge(f"{count} admissible vertices exceeds cap 2^{CONFIGURATION_CAP}")

@@ -38,12 +38,20 @@ SELECTORS = {
 }
 
 
+SEED = (20111990, 11)
+
+
+def networks(rng):
+    """The N_NETWORKS networks drawn from ``rng``: K 2-4, the disciplines alternating."""
+    return [random_network(rng, int(rng.integers(2, 5)), (WORK_CONSERVING, PRIORITY)[i % 2])
+            for i in range(N_NETWORKS)]
+
+
 @functools.cache
 def certified():
     """(index, spec, w, eps, starts) for each network with a Verified certificate."""
-    rng = np.random.default_rng([20111990, 11])
-    specs = [random_network(rng, int(rng.integers(2, 5)), (WORK_CONSERVING, PRIORITY)[i % 2])
-             for i in range(N_NETWORKS)]
+    rng = np.random.default_rng(SEED)
+    specs = networks(rng)
     kept = []
     for i, spec in enumerate(specs):
         cert = linear_certificate_search(spec)

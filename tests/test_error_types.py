@@ -134,6 +134,13 @@ SITES = {
         for bad in (float("nan"), float("inf"))
     },
     **{
+        f"{check.__name__} at epsilon {bad!r}": (
+            cls, lambda check=check, bad=bad: check(fixtures.tandem(), np.eye(2), epsilon=bad))
+        for check in (piecewise_linear_check, quadratic_check)
+        for bad, cls in ((-1.0, BadFactor), (0.0, BadFactor), (float("nan"), BadFactor),
+                         (float("inf"), BadFactor), ("a", NonFiniteInput))
+    },
+    **{
         f"simulate_queueing count {bad!r}": (
             cls,
             lambda bad=bad: simulate_queueing(fixtures.queueing_two_class_priority(), [bad, 2],

@@ -368,6 +368,17 @@ class TestExactCertificates:
         assert cert.status == "Falsified"
         assert cert.witness["derivative"] == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, 1e-6, 1.0])
+    @pytest.mark.parametrize("check", [piecewise_linear_check, quadratic_check])
+    def test_overloaded_queue_is_never_verified(self, overloaded_queue, check, epsilon):
+        """Its level rises at every state, so no epsilon makes it Verified: one
+        that is not positive is refused, and a positive one is Falsified."""
+        if epsilon <= 0:
+            with pytest.raises(BadFactor):
+                check(overloaded_queue, [[1.0]], epsilon=epsilon)
+        else:
+            assert check(overloaded_queue, [[1.0]], epsilon=epsilon).status == "Falsified"
+
     def test_piecewise_on_priority(self, two_class_priority):
         cert = piecewise_linear_check(two_class_priority, [[1.0, 0.2], [0.2, 1.0]], epsilon=1e-6)
         assert cert.status in ("Verified", "Unknown")
